@@ -18,6 +18,11 @@ class BasisNotUnimodularScaling(ClassGroupError):
     discriminant (index squared must divide disc(T))."""
 
 
+class BasisNotClosed(ClassGroupError):
+    """The Z-span of the basis is not closed under multiplication: a
+    structure constant has a denominator, so the span is not an order."""
+
+
 class BasisNotMaximal(ClassGroupError):
     """The integral basis spans an order that is not maximal at a prime
     dividing the index: some prime ideal above it is not invertible."""
@@ -62,6 +67,11 @@ class DegreeOne(ClassGroupError):
 
 class ZeroVolume(ClassGroupError):
     """Kernel spans fewer independent unit-log vectors than the unit rank."""
+
+
+class VerificationFailed(ClassGroupError):
+    """A relation failed its exact check (zero generator, norm identity or a
+    valuation)."""
 
 
 class Stalled(ClassGroupError):

@@ -24,8 +24,8 @@ import mpmath
 from mpmath.ctx_iv import MPIntervalContext
 
 from . import polynomials as poly
-from .errors import (BasisNotUnimodularScaling, NonMonic, PrecisionExhausted,
-                     Reducible)
+from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
+                     PrecisionExhausted, Reducible)
 
 _GUARD_BITS = 64
 
@@ -166,6 +166,10 @@ class NumberField:
                 _, rem = poly.divmod_exact(prod, T)
                 rem = rem + [Fraction(0)] * (n - len(rem))
                 coords = self._power_to_basis(rem)
+                if any(c.denominator != 1 for c in coords):
+                    raise BasisNotClosed(
+                        f"basis element {i} times element {j} has coordinates "
+                        f"{[str(c) for c in coords]}, not all integers")
                 table[i][j] = table[j][i] = tuple(coords)
         return table
 

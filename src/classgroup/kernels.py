@@ -1,69 +1,46 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""The two inner loops of relation collection, on plain Python data.
 
-The two kernels that dominate runtime are lattice-vector enumeration (inner
-loop of every BKZ block) and trial-division smoothness scans.  Both operate on
-fixed-width data (float64 Gram-Schmidt data, int64 integers); the exact big
-integer layers live elsewhere and only hand sanitized inputs down here.
+Lattice-vector enumeration is the inner loop of every BKZ block; trial
+division is the smoothness test of every cofactor norm.  The exact big
+integer layers live elsewhere and hand these loops float Gram-Schmidt data
+(enumeration) or a prime table (trial division).
 
-Setting the environment variable ``CLASSGROUP_NO_NUMBA=1`` selects the pure
-NumPy/Python fallback path.  Both paths implement the identical algorithm and
-are compared by the test suite and by ``benchmarks/bench_kernels.py``.
+`perfbench/spans.py` patches both functions by attribute name, which is why
+`trial_divide_int64` keeps its suffix although it takes ints of any size.
 """
 
-import os
 
-import numpy as np
-
-_DISABLED = os.environ.get("CLASSGROUP_NO_NUMBA", "").strip() not in ("", "0")
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        USING_NUMBA = False
-else:
-    USING_NUMBA = False
-
-
-def enum_collect_py(mu, rr, bound2, max_out):
+def enum_collect(mu, rr, bound2, max_out):
     """Collect integer coefficient vectors x != 0, x[n-1] >= 0, with
-    sum_j rr[j] * (x[j] - c_j)^2 <= bound2 where c_j = -sum_{i>j} mu[i,j]x[i].
+    sum_j rr[j] * (x[j] - c_j)^2 <= bound2 where c_j = -sum_{i>j} mu[i][j]x[i].
 
     mu is the unit lower-triangular Gram-Schmidt coefficient matrix and rr the
-    squared Gram-Schmidt lengths, both float64.  Schnorr-Euchner zig-zag order;
+    squared Gram-Schmidt lengths, both floats.  Schnorr-Euchner zig-zag order;
     pruning relies on |x[j] - c_j| being non-decreasing along each zig-zag.
 
-    Returns (count, out, nodes).  out[:min(count, max_out)] holds the vectors;
-    count may exceed max_out, in which case the caller must retry with a
-    larger buffer.
+    Returns (count, out, nodes).  out holds the first min(count, max_out)
+    vectors; count may exceed max_out, in which case the caller must retry
+    with a larger buffer.
     """
-    n = rr.shape[0]
-    out = np.zeros((max_out, n), dtype=np.int64)
-    x = np.zeros(n, dtype=np.int64)
-    dx = np.zeros(n, dtype=np.int64)
-    ddx = np.zeros(n, dtype=np.int64)
-    center = np.zeros(n, dtype=np.float64)
-    dist = np.zeros(n + 1, dtype=np.float64)
+    n = len(rr)
+    out = []
+    x = [0] * n
+    dx = [0] * n
+    ddx = [0] * n
+    center = [0.0] * n
+    dist = [0.0] * (n + 1)
     count = 0
     nodes = 0
     j = n - 1
     while True:
         nodes += 1
-        y = float(x[j]) - center[j]
+        y = x[j] - center[j]
         rho = dist[j + 1] + rr[j] * y * y
         if rho <= bound2:
             if j == 0:
-                nz = False
-                for t in range(n):
-                    if x[t] != 0:
-                        nz = True
-                        break
-                if nz:
+                if any(x):
                     if count < max_out:
-                        for t in range(n):
-                            out[count, t] = x[t]
+                        out.append(list(x))
                     count += 1
                 ddx[0] = -ddx[0]
                 dx[0] = ddx[0] - dx[0]
@@ -73,12 +50,12 @@ def enum_collect_py(mu, rr, bound2, max_out):
                 j -= 1
                 c = 0.0
                 for i in range(j + 1, n):
-                    c -= mu[i, j] * float(x[i])
+                    c -= mu[i][j] * x[i]
                 center[j] = c
-                xj = np.int64(np.rint(c))
+                xj = round(c)  # half-even
                 x[j] = xj
                 dx[j] = 0
-                ddx[j] = -1 if c >= float(xj) else 1
+                ddx[j] = -1 if c >= xj else 1
         else:
             if j == n - 1:
                 break
@@ -92,70 +69,23 @@ def enum_collect_py(mu, rr, bound2, max_out):
     return count, out, nodes
 
 
-def smooth_flags_range_py(start, count, primes):
-    """Flag which of start..start+count-1 factor completely over `primes`.
-
-    All inputs int64; start + count must stay below 2**63.  Returns a uint8
-    array of length count.
-    """
-    flags = np.zeros(count, dtype=np.uint8)
-    for idx in range(count):
-        m = start + idx
-        for t in range(primes.shape[0]):
-            p = primes[t]
-            if p * p > m:
-                break
-            while m % p == 0:
-                m //= p
-        if m == 1 or (primes.shape[0] > 0 and m <= primes[primes.shape[0] - 1]):
-            # leftover m is prime; smooth iff it is within the prime table
-            lo, hi = 0, primes.shape[0] - 1
-            found = m == 1
-            while not found and lo <= hi:
-                mid = (lo + hi) // 2
-                if primes[mid] == m:
-                    found = True
-                elif primes[mid] < m:
-                    lo = mid + 1
-                else:
-                    hi = mid - 1
-            if found:
-                flags[idx] = 1
-    return flags
-
-
-def trial_divide_py(n, primes):
-    """Exponents of `primes` in n plus the remaining cofactor (all int64)."""
-    exps = np.zeros(primes.shape[0], dtype=np.int64)
+def trial_divide_int64(n, primes):
+    """Trial division of n >= 1 by `primes`, all primes up to some bound in
+    ascending order.  Returns (cofactor, {p: e}) with the primes ascending;
+    the cofactor has no factor in `primes`."""
+    exps = {}
     m = n
-    for t in range(primes.shape[0]):
-        p = primes[t]
+    for p in primes:
         if p * p > m:
             break
-        while m % p == 0:
-            m //= p
-            exps[t] += 1
-    if m != 1:
-        # leftover may still be one of the primes
-        lo, hi = 0, primes.shape[0] - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            if primes[mid] == m:
-                exps[mid] += 1
-                m = 1
-                break
-            elif primes[mid] < m:
-                lo = mid + 1
-            else:
-                hi = mid - 1
+        if m % p == 0:
+            e = 0
+            while m % p == 0:
+                m //= p
+                e += 1
+            exps[p] = e
+    if m != 1 and primes and m <= primes[-1]:
+        # leftover is a prime of the table, larger than every divisor found
+        exps[m] = 1
+        m = 1
     return m, exps
-
-
-if USING_NUMBA:
-    enum_collect = njit(cache=True)(enum_collect_py)
-    smooth_flags_range = njit(cache=True)(smooth_flags_range_py)
-    trial_divide_int64 = njit(cache=True)(trial_divide_py)
-else:
-    enum_collect = enum_collect_py
-    smooth_flags_range = smooth_flags_range_py
-    trial_divide_int64 = trial_divide_py

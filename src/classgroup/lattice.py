@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-import numpy as np
-
 from . import kernels
 from .errors import DeterminantTooLarge, DimensionCap, RankDeficient
 from .intlinalg import column_hnf, identity, mat_mul
@@ -214,17 +212,15 @@ class GramLLL:
             self._gso_row(t)
 
     def float_gso(self):
-        """(mu, rr) as float64 arrays, rr scaled by a common power of two.
-        Returns (mu, rr, scale_log2)."""
+        """(mu, rr) as lists of floats, rr scaled by a common power of two.
+        Returns (mu, rr, scale_log2); row mu[i] holds mu_ij for j < i."""
         k, d, lam = self.k, self.d, self.lam
         rr = [Fraction(d[i], d[i - 1] if i else 1) for i in range(k)]
         e = max(f.numerator.bit_length() - f.denominator.bit_length() for f in rr)
-        mu = np.zeros((k, k))
-        rrf = np.zeros(k)
-        for i in range(k):
-            rrf[i] = float(rr[i] / Fraction(2) ** e)
-            for j in range(i):
-                mu[i, j] = float(Fraction(lam[i][j], d[j]))
+        scale = Fraction(2) ** e
+        rrf = [float(f / scale) for f in rr]
+        mu = [[float(Fraction(lam[i][j], d[j])) for j in range(i)]
+              for i in range(k)]
         return mu, rrf, e
 
 
@@ -293,19 +289,14 @@ def enumerate_gram(red, bound2_exact=None, margin=_ENUM_MARGIN, max_out=20000):
         if count <= max_out:
             break
         # too many candidates: tighten to the best exact norm seen so far
-        best = None
-        for r in range(max_out):
-            n2 = _exact_quadratic(red.G, [int(x) for x in out[r]])
-            if best is None or n2 < best:
-                best = n2
-        if best is not None and best < bound2_exact:
+        best = min(_exact_quadratic(red.G, c) for c in out)
+        if best < bound2_exact:
             bound2_exact = best
         else:
             max_out *= 4
     result = []
     seen = set()
-    for r in range(count):
-        c = [int(x) for x in out[r]]
+    for c in out:
         # sign-canonical: the kernel halves the space only when the top
         # coefficient is nonzero, so normalize and dedupe here
         for t in range(len(c) - 1, -1, -1):

@@ -18,16 +18,15 @@ import json
 import logging
 import math
 import random
-import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DeterminantTooLarge, PrecisionExhausted, Stalled
-from .field import det_fractions
-from .ideals import (FactorBase, factor_prime, ideal_divide_prime,
-                     ideal_from_element, ideal_from_power_product,
-                     ideal_lattice, is_smooth_ideal, valuation)
+from .errors import (DeterminantTooLarge, PrecisionExhausted, Stalled,
+                     VerificationFailed)
+from .ideals import (factor_prime, ideal_divide_prime, ideal_from_element,
+                     ideal_from_power_product, ideal_lattice, is_smooth_ideal,
+                     valuation)
 from .intlinalg import rank as matrix_rank
 from .lattice import bkz, cheon_reduce, theorem_bound_holds
 from .smoothness import heuristic_probability, smooth_part
@@ -126,7 +125,8 @@ class RelationMatrix:
 def verify_relation(x, prime_exponents, field):
     """Exact check of <x> = prod P^e: norm identity and every valuation."""
     nx = abs(x.norm())
-    assert nx != 0
+    if nx == 0:
+        raise VerificationFailed("relation generator is zero")
     prod = 1
     for P, e in prime_exponents.items():
         prod *= P.norm ** e
@@ -139,15 +139,11 @@ def verify_relation(x, prime_exponents, field):
 
 
 def sample_ideal(fb, cfg, rng):
-    """k distinct primes, exponents uniform in 1..A; returns (ideal, indices,
+    """k distinct primes, exponents uniform in 1..A; returns (indices,
     exponents).  Ideal norm is at most bound^(k*A) by construction."""
     idxs = sorted(rng.sample(range(fb.size), cfg.k))
     exps = [rng.randint(1, cfg.A) for _ in idxs]
     return idxs, exps
-
-
-def _build_sampled_ideal(fb, idxs, exps, field):
-    return ideal_from_power_product(fb, idxs, exps, field)
 
 
 def _readback(a, transform_col, field):
@@ -188,11 +184,11 @@ def _reduce_ideal(a, beta, field, embed_field):
     return bkz(L, beta)
 
 
-def derive_relation(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
-    """Algorithm-1 step: returns [(x_v, {PrimeIdeal: e})] with 0 or 1 entry."""
-    embed_field = embed_field or field
-    a = _build_sampled_ideal(fb, idxs, exps, field)
-    red, rep = _reduce_ideal(a, cfg.beta, field, embed_field)
+def _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field):
+    """Reduce the sampled ideal a; returns (x, b) for the shortest reduced
+    vector x and the cofactor ideal b with <x> = a*b."""
+    a = ideal_from_power_product(fb, idxs, exps, field)
+    red, _ = _reduce_ideal(a, cfg.beta, field, embed_field)
     norms2 = [sum(c * c for c in col) for col in red.columns]
     j = norms2.index(min(norms2))
     x = _readback(a, [red.transform[t][j] for t in range(len(red.columns))], field)
@@ -202,27 +198,39 @@ def derive_relation(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
     beta = max(2, min(cfg.beta, n))
     assert eq5_bound_holds(b.norm, beta, n, abs(field.discriminant)), \
         "reduced cofactor ideal violates the norm bound"
+    return x, b
+
+
+def _relation_exponents(b, idxs, exps, field, fb):
+    """{PrimeIdeal: e} of a*b, for a = prod fb[idxs]^exps, when the cofactor
+    b is smooth over the base; None otherwise."""
     e2 = is_smooth_ideal(b, fb, field)
     if e2 is None:
-        return []
+        return None
     out = {}
     for i, e in zip(idxs, exps):
         out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
     for i, e in e2.items():
         out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
-    return [(x, out)]
+    return out
+
+
+def derive_relation(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
+    """Algorithm-1 step: returns [(x_v, {PrimeIdeal: e})] with 0 or 1 entry."""
+    x, b = _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field or field)
+    out = _relation_exponents(b, idxs, exps, field, fb)
+    return [] if out is None else [(x, out)]
 
 
 def derive_relation_multi(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
     """Remark-4.4 variant: also tests +-1 combinations of the reduced basis
     whose embedding norm stays below the block-reduction bound."""
     embed_field = embed_field or field
-    a = _build_sampled_ideal(fb, idxs, exps, field)
-    red, rep = _reduce_ideal(a, cfg.beta, field, embed_field)
+    a = ideal_from_power_product(fb, idxs, exps, field)
+    red, _ = _reduce_ideal(a, cfg.beta, field, embed_field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
     gram = red.gram()
-    det_gram = None
     results = []
     seen = set()
     k = len(red.columns)
@@ -258,14 +266,9 @@ def derive_relation_multi(idxs, exps, cfg, field, fb, embed_field=None, trial=0)
         if x.is_zero:
             continue
         b = _cofactor_ideal(x, idxs, exps, fb, field)
-        e2 = is_smooth_ideal(b, fb, field)
-        if e2 is None:
+        out = _relation_exponents(b, idxs, exps, field, fb)
+        if out is None:
             continue
-        out = {}
-        for i, e in zip(idxs, exps):
-            out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
-        for i, e in e2.items():
-            out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
         key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
         if key in seen:
             continue
@@ -279,15 +282,10 @@ def derive_relation_cheon(idxs, exps, cfg, field, fb, embed_field=None, trial=0)
     the presmoothing bound, reduce each prime factor's own lattice (HNF
     sublattice trick where the determinant permits, plain BKZ otherwise)."""
     embed_field = embed_field or field
-    plain = derive_relation(idxs, exps, cfg, field, fb, embed_field, trial)
-    if plain:
-        return plain
-    a = _build_sampled_ideal(fb, idxs, exps, field)
-    red, rep = _reduce_ideal(a, cfg.beta, field, embed_field)
-    norms2 = [sum(c * c for c in col) for col in red.columns]
-    j = norms2.index(min(norms2))
-    x = _readback(a, [red.transform[t][j] for t in range(len(red.columns))], field)
-    b = _cofactor_ideal(x, idxs, exps, fb, field)
+    x, b = _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field)
+    out = _relation_exponents(b, idxs, exps, field, fb)
+    if out is not None:
+        return [(x, out)]
     return cheon_presmooth_tail(b, cfg, field, fb, embed_field)
 
 
@@ -369,8 +367,6 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     derive = _DERIVERS[cfg.mode]
     trials = 0
     hits = 0
-    b_norm_max = 0
-    consumed = 0  # descriptors drawn from rng so far (resume support)
     stats = {"trials": 0, "hits": 0, "mode": cfg.mode}
 
     def stop_ok():
@@ -402,13 +398,13 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
             for i, ((idxs, exps), rels) in enumerate(zip(window, results)):
                 trials += 1
                 for x, prime_exps in rels:
-                    ok = verify_relation(x, prime_exps, field)
-                    assert ok, "relation failed exact verification"
+                    if not verify_relation(x, prime_exps, field):
+                        raise VerificationFailed(
+                            f"relation from trial {base_trial + i} failed "
+                            "exact verification")
                     matrix.add(x, prime_exps,
                                (base_trial + i, cfg.mode, tuple(idxs), tuple(exps)))
                     hits += 1
-                if rels:
-                    pass
             r, want = matrix.bach_rank()
             logger.info("collect: trials=%d hits=%d rows=%d/%d bach_rank=%d/%d",
                         trials, hits, len(matrix.rows), target_rows, r, want)

@@ -1,7 +1,8 @@
 """Integer smoothness machinery: smooth-part extraction by trial division,
 the Dickman rho function, and L-notation estimates.
 
-Trial division implements the smooth-part contract exactly at desk scale
+Trial division (`kernels.trial_divide_int64`, one path for integers of
+every size) implements the smooth-part contract exactly at desk scale
 (bounds up to ~10^6); an ECM-based routine with the same signature is the
 documented extension point for asymptotic bounds.
 
@@ -22,15 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import kernels
 from .errors import AlphaOrder, DomainTooSmall
 from .polynomials import primes_up_to
 
 RHO_CAP = 20
 _SERIES_TERMS = 90
-_INT64_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -47,35 +45,15 @@ class SmoothnessResult:
 
 @lru_cache(maxsize=64)
 def _prime_table(B):
-    ps = primes_up_to(B)
-    return ps, np.array(ps, dtype=np.int64)
+    return tuple(primes_up_to(B))
 
 
 def smooth_part(N, B):
     """B-smooth part of N >= 1: exponents of all primes <= B plus the
-    cofactor, which has no prime factor <= B.  Deterministic trial division;
-    int64 inputs take the compiled kernel path."""
+    cofactor, which has no prime factor <= B.  Deterministic trial division."""
     assert N >= 1 and B >= 2
-    ps, ps_np = _prime_table(B)
-    if N < _INT64_LIMIT:
-        cof, exps = kernels.trial_divide_int64(np.int64(N), ps_np)
-        out = {int(ps[i]): int(exps[i]) for i in range(len(ps)) if exps[i]}
-        return SmoothnessResult(out, int(cof))
-    out = {}
-    m = N
-    for p in ps:
-        if p * p > m:
-            break
-        e = 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if e:
-            out[p] = e
-    if m != 1 and m <= B:
-        out[m] = out.get(m, 0) + 1
-        m = 1
-    return SmoothnessResult(out, m)
+    cof, exps = kernels.trial_divide_int64(N, _prime_table(B))
+    return SmoothnessResult(exps, cof)
 
 
 def is_smooth(N, B):
@@ -84,10 +62,7 @@ def is_smooth(N, B):
 
 def smooth_count_range(start, count, B):
     """Number of B-smooth integers in [start, start + count)."""
-    _, ps_np = _prime_table(B)
-    assert start + count < _INT64_LIMIT
-    flags = kernels.smooth_flags_range(np.int64(start), np.int64(count), ps_np)
-    return int(flags.sum())
+    return sum(1 for N in range(start, start + count) if is_smooth(N, B))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from classgroup.errors import (BasisNotUnimodularScaling, NonMonic,
-                               PrecisionExhausted, Reducible)
+from classgroup.errors import (BasisNotClosed, BasisNotUnimodularScaling,
+                               NonMonic, PrecisionExhausted, Reducible)
 from classgroup.field import (canonical_embedding, iv_endpoints, norm_of,
                               parse_field)
 
@@ -47,6 +47,20 @@ def test_nonmaximal_basis_input():
     i = K.element([0, 1])
     assert norm_of(i) == 1
     assert (i * i).coords == K.element([-1, 0]).coords
+
+
+def test_basis_not_closed_under_multiplication():
+    # x^2+5 with {1, (1+theta)/2}: the index and disc -5 look consistent, but
+    # ((1+theta)/2)^2 = -3/2 + (1+theta)/2, so the span is not an order
+    with pytest.raises(BasisNotClosed):
+        parse_field([5, 0, 1], basis=[[1, 0], [Fraction(1, 2), Fraction(1, 2)]])
+    # orders given by an explicit basis still parse
+    half = [[1, 0], [0, Fraction(1, 2)]]
+    assert parse_field([4, 0, 1], basis=half).discriminant == -4
+    assert parse_field([16, 0, 1], basis=half).discriminant == -16
+    dedekind = parse_field([-8, -2, -1, 1], basis=[
+        [1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]])
+    assert dedekind.discriminant == -503
 
 
 def test_embedding_examples(qi, sqrt2):

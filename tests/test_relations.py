@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -195,3 +199,43 @@ def test_relation_dump(qi, tmp_path):
     assert len(lines) == len(M.rows)
     assert all("exponents" in l and "generator" in l and "provenance" in l
                for l in lines)
+
+
+_CORRUPT_UNDER_O = """
+from classgroup import relations
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+from classgroup.ideals import build_factor_base
+
+assert not __debug__, "run with python -O"
+K = parse_field([1, 0, 1])
+fb = build_factor_base(K, 10)
+
+def corrupt(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
+    rels = relations.derive_relation(idxs, exps, cfg, field, fb, embed_field,
+                                     trial)
+    return [(x, {P: e + 1 for P, e in pe.items()}) for x, pe in rels]
+
+relations._DERIVERS["plain"] = corrupt
+cfg = relations.CollectionConfig(bound_B=10, k=1, A=1, rng_seed=1)
+try:
+    relations.collect(K, fb, cfg)
+except VerificationFailed as e:
+    print("rejected:", e)
+try:
+    relations.verify_relation(K.zero(), {fb.primes[0]: 1}, K)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_exact_check_survives_python_O():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_UNDER_O],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert lines == ["rejected: relation from trial 0 failed exact "
+                     "verification",
+                     "rejected: relation generator is zero"], out.stdout
