@@ -35,6 +35,22 @@ def _row_sub(H, U, i, j, q):
             Ui[t] -= q * Uj[t]
 
 
+def _pivot(H, U, top, col):
+    """Clear column `col` below row `top` but for one entry, pivoting on the
+    smallest; returns that entry's row, or None if the column is zero."""
+    rows = [i for i in range(top, len(H)) if H[i][col] != 0]
+    if not rows:
+        return None
+    while len(rows) > 1:
+        rows.sort(key=lambda i: abs(H[i][col]))
+        i0 = rows[0]
+        a = H[i0][col]
+        for i in rows[1:]:
+            _row_sub(H, U, i, i0, H[i][col] // a)
+        rows = [i for i in rows if H[i][col] != 0]
+    return rows[0]
+
+
 def hnf_with_transform(M):
     """Row Hermite normal form H = U*M with U unimodular.
 
@@ -49,17 +65,9 @@ def hnf_with_transform(M):
     det_u = 1
     pivot_row = 0
     for col in range(c):
-        rows = [i for i in range(pivot_row, r) if H[i][col] != 0]
-        if not rows:
+        i0 = _pivot(H, U, pivot_row, col)
+        if i0 is None:
             continue
-        while len(rows) > 1:
-            rows.sort(key=lambda i: abs(H[i][col]))
-            i0 = rows[0]
-            a = H[i0][col]
-            for i in rows[1:]:
-                _row_sub(H, U, i, i0, H[i][col] // a)
-            rows = [i for i in rows if H[i][col] != 0]
-        i0 = rows[0]
         if i0 != pivot_row:
             H[i0], H[pivot_row] = H[pivot_row], H[i0]
             U[i0], U[pivot_row] = U[pivot_row], U[i0]
@@ -87,8 +95,15 @@ def left_kernel(M):
 
 
 def rank(M):
-    H, _ = hnf_with_transform(M)
-    return sum(1 for row in H if any(x != 0 for x in row))
+    """Number of pivots of a row echelon form of M; no transform is kept."""
+    H = [[int(x) for x in row] for row in M]
+    pivots = 0
+    for col in range(len(H[0]) if H else 0):
+        i0 = _pivot(H, None, pivots, col)
+        if i0 is not None:
+            H[i0], H[pivots] = H[pivots], H[i0]
+            pivots += 1
+    return pivots
 
 
 def column_hnf(cols, n):

@@ -7,13 +7,16 @@ per-prime valuations) before it enters the matrix; nothing heuristic is
 persisted.  Collection stops once the row count reaches K*|base| and the
 submatrix of columns with norm below the Bach bound has full rational rank.
 
-Modes: "plain" emits at most one relation per reduction, "multi" rescans
-small combinations of the reduced basis whose embedding norm stays under the
-block-reduction bound, and "cheon" routes non-smooth cofactor ideals through
-HNF-sublattice reduction, adjoining their primes as auxiliary columns when
-they fall outside the base.
+One deriver serves every mode; a mode is a set of candidate vectors plus an
+optional tail.  "plain" and "cheon" try the shortest reduced vector, "multi"
+also tries the small +-1 combinations of the reduced basis whose embedding
+norm stays under the block-reduction bound (Remark 4.4).  In "cheon" mode a
+non-smooth cofactor ideal goes to the presmoothing tail (Section 6), which
+reduces each of its prime factors' own lattices and adjoins those primes as
+auxiliary columns when they fall outside the base.
 """
 
+import itertools
 import json
 import logging
 import math
@@ -29,6 +32,7 @@ from .ideals import (factor_prime, ideal_divide_prime, ideal_from_element,
                      valuation)
 from .intlinalg import rank as matrix_rank
 from .lattice import bkz, cheon_reduce, theorem_bound_holds
+from .polynomials import bareiss_det
 from .smoothness import heuristic_probability, smooth_part
 
 logger = logging.getLogger(__name__)
@@ -50,9 +54,13 @@ class CollectionConfig:
     threads: int = 1
 
     def validate(self, fb):
-        assert self.k >= 1 and self.A >= 1
-        assert self.mode in ("plain", "multi", "cheon")
-        assert self.k <= fb.size, "k larger than the factor base"
+        if self.k < 1 or self.A < 1:
+            raise ValueError(f"k={self.k} and A={self.A} must be at least 1")
+        if self.mode not in ("plain", "multi", "cheon"):
+            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.k > fb.size:
+            raise ValueError(f"k={self.k} larger than the factor base "
+                             f"({fb.size} primes)")
 
 
 @dataclass
@@ -172,33 +180,44 @@ def _cofactor_ideal(x, idxs, exps, fb, field):
     return b
 
 
-def _reduce_ideal(a, beta, field, embed_field):
-    """BKZ-reduce sigma(a); returns (reduced basis, report).  Precision
-    escalates once before giving up."""
+def _reduce_ideal(a, beta, field):
+    """BKZ-reduce sigma(a); returns the reduced basis.  Precision escalates
+    once before giving up."""
     try:
-        L = ideal_lattice(a, embed_field)
+        L = ideal_lattice(a, field)
     except PrecisionExhausted:
-        embed_field = embed_field.with_precision(embed_field.precision * 2)
-        L = ideal_lattice(a, embed_field)
-    beta = max(2, min(beta, field.degree))
-    return bkz(L, beta)
+        L = ideal_lattice(a, field.with_precision(field.precision * 2))
+    return bkz(L, beta)[0]
 
 
-def _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field):
-    """Reduce the sampled ideal a; returns (x, b) for the shortest reduced
-    vector x and the cofactor ideal b with <x> = a*b."""
-    a = ideal_from_power_product(fb, idxs, exps, field)
-    red, _ = _reduce_ideal(a, cfg.beta, field, embed_field)
+def _shortest_column(red):
+    """Transform column of the shortest vector of a reduced basis."""
     norms2 = [sum(c * c for c in col) for col in red.columns]
     j = norms2.index(min(norms2))
-    x = _readback(a, [red.transform[t][j] for t in range(len(red.columns))], field)
-    assert not x.is_zero
-    b = _cofactor_ideal(x, idxs, exps, fb, field)
-    n = field.degree
-    beta = max(2, min(cfg.beta, n))
-    assert eq5_bound_holds(b.norm, beta, n, abs(field.discriminant)), \
-        "reduced cofactor ideal violates the norm bound"
-    return x, b
+    return [row[j] for row in red.transform]
+
+
+def _candidates(red, mode, beta):
+    """Coefficient columns over the input basis of the reduced lattice: the
+    shortest reduced vector, or in multi mode every sign-canonical +-1
+    combination of the reduced basis under the block-reduction bound (at
+    most (3^k - 1)/2 of them)."""
+    if mode != "multi":
+        yield _shortest_column(red)
+        return
+    k = len(red.columns)
+    gram = red.gram()
+    det_gram = bareiss_det(gram)
+    # the first coordinate varies fastest; the last nonzero one is positive
+    for rev in itertools.product((-1, 0, 1), repeat=k):
+        if next((v for v in rev if v), 0) <= 0:
+            continue
+        w = rev[::-1]
+        n2 = sum(w[i] * w[j] * gram[i][j]
+                 for i in range(k) if w[i] for j in range(k) if w[j])
+        if theorem_bound_holds(n2, beta, k, det_gram):
+            yield [sum(w[t] * red.transform[t2][t] for t in range(k))
+                   for t2 in range(k)]
 
 
 def _relation_exponents(b, idxs, exps, field, fb):
@@ -215,85 +234,43 @@ def _relation_exponents(b, idxs, exps, field, fb):
     return out
 
 
-def derive_relation(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
-    """Algorithm-1 step: returns [(x_v, {PrimeIdeal: e})] with 0 or 1 entry."""
-    x, b = _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field or field)
-    out = _relation_exponents(b, idxs, exps, field, fb)
-    return [] if out is None else [(x, out)]
-
-
-def derive_relation_multi(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
-    """Remark-4.4 variant: also tests +-1 combinations of the reduced basis
-    whose embedding norm stays below the block-reduction bound."""
-    embed_field = embed_field or field
+def derive_relations(idxs, exps, cfg, field, fb):
+    """Algorithm-1 step in every mode: reduce a = prod fb[idxs]^exps once and
+    try each candidate vector x; <x> = a*b gives a relation when b is smooth
+    over the base.  In cheon mode a non-smooth b goes to the presmoothing
+    tail.  Returns [(x_v, {PrimeIdeal: e})] without duplicate relations."""
     a = ideal_from_power_product(fb, idxs, exps, field)
-    red, _ = _reduce_ideal(a, cfg.beta, field, embed_field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
-    gram = red.gram()
+    red = _reduce_ideal(a, beta, field)
     results = []
     seen = set()
-    k = len(red.columns)
-    # candidate coefficient boxes: at most (3^k - 1)/2 sign-canonical vectors
-    def boxes(depth):
-        if depth == 0:
-            yield ()
-            return
-        for rest in boxes(depth - 1):
-            for v in (-1, 0, 1):
-                yield (v,) + rest
-    from .polynomials import bareiss_det
-    det_gram = bareiss_det(gram)
-    for w in boxes(k):
-        if all(v == 0 for v in w):
-            continue
-        top = next(v for v in reversed(w) if v != 0)
-        if top < 0:
-            continue  # sign-canonical representative
-        n2 = 0
-        for i in range(k):
-            if w[i]:
-                for j in range(k):
-                    if w[j]:
-                        n2 += w[i] * w[j] * gram[i][j]
-        if not theorem_bound_holds(n2, beta, k, det_gram):
-            continue
-        col = [sum(w[t] * red.transform[t2][t] for t in range(k))
-               for t2 in range(k)]
-        # col are coefficients over the *input* basis columns of the lattice,
-        # i.e. over the HNF generators of a
+    for col in _candidates(red, cfg.mode, beta):
         x = _readback(a, col, field)
         if x.is_zero:
-            continue
+            raise VerificationFailed("reduced vector is zero")
         b = _cofactor_ideal(x, idxs, exps, fb, field)
+        if not eq5_bound_holds(b.norm, beta, n, abs(field.discriminant)):
+            raise VerificationFailed(
+                "reduced cofactor ideal violates the norm bound")
         out = _relation_exponents(b, idxs, exps, field, fb)
         if out is None:
+            if cfg.mode == "cheon":
+                return cheon_presmooth_tail(b, cfg, field, fb)
             continue
         key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
-        if key in seen:
-            continue
-        seen.add(key)
-        results.append((x, out))
+        if key not in seen:
+            seen.add(key)
+            results.append((x, out))
     return results
 
 
-def derive_relation_cheon(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
-    """Section-6 variant: when b is not smooth over the base but factors below
-    the presmoothing bound, reduce each prime factor's own lattice (HNF
-    sublattice trick where the determinant permits, plain BKZ otherwise)."""
-    embed_field = embed_field or field
-    x, b = _shortest_cofactor(idxs, exps, cfg, field, fb, embed_field)
-    out = _relation_exponents(b, idxs, exps, field, fb)
-    if out is not None:
-        return [(x, out)]
-    return cheon_presmooth_tail(b, cfg, field, fb, embed_field)
-
-
-def cheon_presmooth_tail(b, cfg, field, fb, embed_field=None):
-    """Factor a non-base-smooth ideal b over the presmoothing bound and derive
-    one relation per prime factor whose own reduction has a base-smooth
-    cofactor.  Prime factors outside the base become auxiliary columns."""
-    embed_field = embed_field or field
+def cheon_presmooth_tail(b, cfg, field, fb):
+    """Section-6 tail: factor a non-base-smooth ideal b over the presmoothing
+    bound and derive one relation per prime factor whose own reduction (HNF
+    sublattice trick where the determinant permits, plain BKZ otherwise) has
+    a base-smooth cofactor.  Prime factors outside the base become auxiliary
+    columns."""
     btilde = cfg.presmooth_bound or abs(field.discriminant)
     res = smooth_part(b.norm, max(btilde, 2))
     if res.cofactor != 1:
@@ -311,15 +288,11 @@ def cheon_presmooth_tail(b, cfg, field, fb, embed_field=None):
     results = []
     beta = max(2, min(cfg.beta, field.degree))
     for P, _v in factors:
-        L = ideal_lattice(P.as_ideal(), embed_field)
+        L = ideal_lattice(P.as_ideal(), field)
         try:
-            vec, rep2 = cheon_reduce(L, beta)
-            coeffs = _solve_int_columns(L.columns, vec)
+            coeffs = _solve_int_columns(L.columns, cheon_reduce(L, beta)[0])
         except DeterminantTooLarge:
-            red2, rep2 = bkz(L, beta)
-            norms2 = [sum(c * c for c in col) for col in red2.columns]
-            j2 = norms2.index(min(norms2))
-            coeffs = [red2.transform[t][j2] for t in range(len(red2.columns))]
+            coeffs = _shortest_column(bkz(L, beta)[0])
         x_i = _readback(P.as_ideal(), coeffs, field)
         if x_i.is_zero:
             continue
@@ -343,16 +316,10 @@ def _solve_int_columns(cols, target):
     out = []
     for j in range(len(cols)):
         v = sum(inv[j][i] * target[i] for i in range(n))
-        assert v.denominator == 1, "vector not in the lattice span"
+        if v.denominator != 1:
+            raise VerificationFailed("vector not in the lattice span")
         out.append(v.numerator)
     return out
-
-
-_DERIVERS = {
-    "plain": derive_relation,
-    "multi": derive_relation_multi,
-    "cheon": derive_relation_cheon,
-}
 
 
 def collect(field, fb, cfg, matrix=None, target_rows=None):
@@ -364,20 +331,27 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     matrix = matrix or RelationMatrix(fb)
     if target_rows is None:
         target_rows = cfg.multiplier_K * fb.size
-    derive = _DERIVERS[cfg.mode]
     trials = 0
     hits = 0
     stats = {"trials": 0, "hits": 0, "mode": cfg.mode}
 
-    def stop_ok():
-        if len(matrix.rows) < target_rows:
-            return False
-        r, want = matrix.bach_rank()
-        return r == want
+    def work(sample):
+        # a module-global lookup, so a replaced deriver takes effect
+        return derive_relations(*sample, cfg, field, fb)
 
     pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
     try:
-        while not stop_ok():
+        while True:
+            # the one stop check; the rank is computed only at the row target
+            rank = None
+            if len(matrix.rows) >= target_rows:
+                rank = matrix.bach_rank()
+            if trials:
+                logger.info("collect: trials=%d hits=%d rows=%d/%d%s", trials,
+                            hits, len(matrix.rows), target_rows,
+                            "" if rank is None else " bach_rank=%d/%d" % rank)
+            if rank is not None and rank[0] == rank[1]:
+                break
             if trials >= cfg.trial_budget:
                 stats.update(trials=trials, hits=hits,
                              rows=len(matrix.rows), target=target_rows)
@@ -385,29 +359,17 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                     f"budget {cfg.trial_budget} exhausted: {hits} relations "
                     f"from {trials} trials", stats)
             window = [sample_ideal(fb, cfg, rng) for _ in range(_WINDOW)]
-            base_trial = trials
-
-            def work(args):
-                i, (idxs, exps) = args
-                return derive(idxs, exps, cfg, field, fb, trial=base_trial + i)
-
-            if pool is not None:
-                results = list(pool.map(work, enumerate(window)))
-            else:
-                results = [work(t) for t in enumerate(window)]
-            for i, ((idxs, exps), rels) in enumerate(zip(window, results)):
-                trials += 1
+            results = (pool.map if pool else map)(work, window)
+            for (idxs, exps), rels in zip(window, results):
                 for x, prime_exps in rels:
                     if not verify_relation(x, prime_exps, field):
                         raise VerificationFailed(
-                            f"relation from trial {base_trial + i} failed "
-                            "exact verification")
+                            f"relation from trial {trials} failed exact "
+                            "verification")
                     matrix.add(x, prime_exps,
-                               (base_trial + i, cfg.mode, tuple(idxs), tuple(exps)))
+                               (trials, cfg.mode, tuple(idxs), tuple(exps)))
                     hits += 1
-            r, want = matrix.bach_rank()
-            logger.info("collect: trials=%d hits=%d rows=%d/%d bach_rank=%d/%d",
-                        trials, hits, len(matrix.rows), target_rows, r, want)
+                trials += 1
     finally:
         if pool is not None:
             pool.shutdown()

@@ -60,11 +60,6 @@ def is_smooth(N, B):
     return smooth_part(N, B).cofactor == 1
 
 
-def smooth_count_range(start, count, B):
-    """Number of B-smooth integers in [start, start + count)."""
-    return sum(1 for N in range(start, start + count) if is_smooth(N, B))
-
-
 # ---------------------------------------------------------------------------
 # Dickman rho
 

@@ -280,3 +280,10 @@ def is_smooth_naive(n, B):
         while m % p == 0:
             m //= p
     return m == 1
+
+
+def smooth_count_range(start, count, B):
+    """Number of B-smooth integers in [start, start + count), counted with
+    the library's `is_smooth`; only the Dickman prediction is checked."""
+    from classgroup.smoothness import is_smooth
+    return sum(1 for N in range(start, start + count) if is_smooth(N, B))

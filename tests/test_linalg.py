@@ -91,3 +91,17 @@ def test_rank():
     assert rank([[1, 0], [0, 1], [1, 1]]) == 2
     assert rank([[2, 4], [1, 2]]) == 1
     assert rank([[0, 0]]) == 0
+    rng = random.Random(31)
+    deficient = 0
+    for _ in range(60):
+        m, n, r = rng.randint(1, 8), rng.randint(1, 8), rng.randint(0, 8)
+        if r < min(m, n):  # rank at most r: product of m x r and r x n
+            A = [[rng.randint(-4, 4) for _ in range(r)] for _ in range(m)]
+            B = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(r)]
+            M = mat_mul(A, B) if r else [[0] * n for _ in range(m)]
+        else:
+            M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        H, _ = hnf_with_transform(M)
+        assert rank(M) == sum(1 for row in H if any(row)), M
+        deficient += rank(M) < min(m, n)
+    assert deficient >= 10

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -6,14 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from classgroup import relations
 from classgroup.errors import Stalled
 from classgroup.field import parse_field
 from classgroup.ideals import (build_factor_base, factor_prime,
                                ideal_from_power_product, unit_ideal)
 from classgroup.relations import (CollectionConfig, RelationMatrix,
                                   cheon_presmooth_tail, collect,
-                                  derive_relation, derive_relation_cheon,
-                                  derive_relation_multi, eq5_bound_holds,
+                                  derive_relations, eq5_bound_holds,
                                   sample_ideal, verify_relation)
 
 
@@ -58,7 +59,7 @@ def test_derive_relation_examples(qi, q5):
     i5 = next(i for i, P in enumerate(fb.primes)
               if P.norm == 5 and P.gen_poly == (3, 1))
     cfg = CollectionConfig(bound_B=10, k=1, A=1, beta=2)
-    rels = derive_relation([i5], [1], cfg, qi, fb)
+    rels = derive_relations([i5], [1], cfg, qi, fb)
     assert len(rels) == 1
     x, pe = rels[0]
     assert abs(x.norm()) == 5  # x_v = 2+i up to units; cofactor is trivial
@@ -66,7 +67,7 @@ def test_derive_relation_examples(qi, q5):
     assert verify_relation(x, pe, qi)
 
     fb5 = build_factor_base(q5, 2)
-    rels = derive_relation([0], [2], cfg, q5, fb5)
+    rels = derive_relations([0], [2], cfg, q5, fb5)
     assert len(rels) == 1
     x, pe = rels[0]
     assert abs(x.norm()) == 4 and list(pe.values()) == [2]  # <2> = p2^2
@@ -80,7 +81,7 @@ def test_derive_relation_nonsmooth_case():
     out = []
     for i in range(fb.size):
         for e in (1, 2):
-            out.extend(derive_relation([i], [e], cfg, K, fb))
+            out.extend(derive_relations([i], [e], cfg, K, fb))
     assert len(out) < 2 * fb.size  # at least one sample was rejected
 
 
@@ -92,10 +93,11 @@ def test_eq5_checker():
 
 def test_multi_superset_and_cap(q5):
     fb = build_factor_base(q5, 12)
-    cfg = CollectionConfig(bound_B=12, k=2, A=2, beta=2, mode="multi")
+    cfg = CollectionConfig(bound_B=12, k=2, A=2, beta=2, mode="plain")
+    cfg_multi = CollectionConfig(bound_B=12, k=2, A=2, beta=2, mode="multi")
     for idxs, exps in [([0, 1], [1, 1]), ([1, 2], [2, 1]), ([0, 3], [1, 2])]:
-        plain = derive_relation(idxs, exps, cfg, q5, fb)
-        multi = derive_relation_multi(idxs, exps, cfg, q5, fb)
+        plain = derive_relations(idxs, exps, cfg, q5, fb)
+        multi = derive_relations(idxs, exps, cfg_multi, q5, fb)
         n = q5.degree
         assert len(multi) <= (3 ** n - 1) // 2
         if plain:
@@ -110,10 +112,11 @@ def test_multi_superset_and_cap(q5):
 
 def test_cheon_trivial_and_prime_cofactor(q5):
     fb = build_factor_base(q5, 12)
-    cfg = CollectionConfig(bound_B=12, k=1, A=2, beta=2, mode="cheon")
+    cfg = CollectionConfig(bound_B=12, k=1, A=2, beta=2, mode="plain")
+    cfg_cheon = CollectionConfig(bound_B=12, k=1, A=2, beta=2, mode="cheon")
     # smooth cofactor: cheon behaves exactly like plain
-    plain = derive_relation([0], [2], cfg, q5, fb)
-    cheon = derive_relation_cheon([0], [2], cfg, q5, fb)
+    plain = derive_relations([0], [2], cfg, q5, fb)
+    cheon = derive_relations([0], [2], cfg_cheon, q5, fb)
     assert [rel_key(pe) for _, pe in plain] == [rel_key(pe) for _, pe in cheon]
 
 
@@ -176,6 +179,48 @@ def test_collect_deterministic(q23):
     assert a == b == c
 
 
+# (trials, hits, sha256 over the rows) of q23, B=15, seed 2, 80 target rows
+_PINNED = {
+    "plain": (96, 96, "12fa39d4a7936d154f72e0fa5c7a254033baa63fd69972e6773b70524ddf1c09"),
+    "multi": (64, 128, "028bf0908ebb002302e49ffb1fe3fbaa42d0e7b1c31e8304c43768e0360d679c"),
+    "cheon": (96, 96, "b261ae91df268ee32cd028bc0b269f476e8e17b20d89eb2eabb52fa03880d0dd"),
+}
+
+
+def test_collect_modes_pinned(q23):
+    fb = build_factor_base(q23, 15)
+    for mode, want in _PINNED.items():
+        cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=2,
+                               mode=mode, trial_budget=4000)
+        M, stats = collect(q23, fb, cfg, target_rows=80)
+        h = hashlib.sha256()
+        for r in M.rows:
+            h.update(repr((sorted(r.exponents.items()),
+                           [str(c) for c in r.generator.coords],
+                           r.provenance)).encode())
+        assert (stats["trials"], stats["hits"], h.hexdigest()) == want, mode
+
+
+def test_rank_checked_only_at_target(q23, monkeypatch):
+    fb = build_factor_base(q23, 15)
+    target = 80
+    seen = []
+    inner = relations.matrix_rank
+
+    def counted(rows):
+        seen.append(len(rows))
+        return inner(rows)
+
+    monkeypatch.setattr(relations, "matrix_rank", counted)
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=2,
+                           trial_budget=4000)
+    _, stats = collect(q23, fb, cfg, target_rows=target)
+    # the stop rule runs at the top of each window and once after the last
+    windows = -(-stats["trials"] // relations._WINDOW)
+    assert seen and all(n >= target for n in seen), seen
+    assert len(seen) <= windows + 1
+
+
 def test_every_stored_relation_verifies(q23):
     fb = build_factor_base(q23, 15)
     cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=4,
@@ -211,12 +256,13 @@ assert not __debug__, "run with python -O"
 K = parse_field([1, 0, 1])
 fb = build_factor_base(K, 10)
 
-def corrupt(idxs, exps, cfg, field, fb, embed_field=None, trial=0):
-    rels = relations.derive_relation(idxs, exps, cfg, field, fb, embed_field,
-                                     trial)
+derive = relations.derive_relations
+
+def corrupt(idxs, exps, cfg, field, fb):
+    rels = derive(idxs, exps, cfg, field, fb)
     return [(x, {P: e + 1 for P, e in pe.items()}) for x, pe in rels]
 
-relations._DERIVERS["plain"] = corrupt
+relations.derive_relations = corrupt
 cfg = relations.CollectionConfig(bound_B=10, k=1, A=1, rng_seed=1)
 try:
     relations.collect(K, fb, cfg)
@@ -225,6 +271,20 @@ except VerificationFailed as e:
 try:
     relations.verify_relation(K.zero(), {fb.primes[0]: 1}, K)
 except VerificationFailed as e:
+    print("rejected:", e)
+relations.derive_relations = derive
+relations.eq5_bound_holds = lambda *args: False
+try:
+    relations.collect(K, fb, cfg)
+except VerificationFailed as e:
+    print("rejected:", e)
+try:
+    relations._solve_int_columns([[2, 0], [0, 2]], [1, 0])
+except VerificationFailed as e:
+    print("rejected:", e)
+try:
+    relations.CollectionConfig(bound_B=10, k=fb.size + 1).validate(fb)
+except ValueError as e:
     print("rejected:", e)
 """
 
@@ -238,4 +298,9 @@ def test_exact_check_survives_python_O():
     lines = out.stdout.splitlines()
     assert lines == ["rejected: relation from trial 0 failed exact "
                      "verification",
-                     "rejected: relation generator is zero"], out.stdout
+                     "rejected: relation generator is zero",
+                     "rejected: reduced cofactor ideal violates the norm "
+                     "bound",
+                     "rejected: vector not in the lattice span",
+                     "rejected: k=5 larger than the factor base (4 primes)"
+                     ], out.stdout

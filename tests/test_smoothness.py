@@ -4,11 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dickman_quadrature, is_smooth_naive
+from oracles import dickman_quadrature, is_smooth_naive, smooth_count_range
 from classgroup.errors import AlphaOrder, DomainTooSmall
 from classgroup.smoothness import (LExpr, dickman_rho, eval_L,
-                                   heuristic_probability, smooth_count_range,
-                                   smooth_part, smooth_probability)
+                                   heuristic_probability, smooth_part,
+                                   smooth_probability)
 
 
 def test_smooth_part_examples():
