@@ -38,10 +38,13 @@ class AnalyticData:
 
 def euler_residue(field, prime_bound):
     """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)),
-    evaluated with interval arithmetic.  The residue degrees come from the
-    factorization of T mod p, or, for primes dividing the index, from the
-    prime ideals that factor_prime splits off O_K/pO_K."""
-    assert prime_bound >= 2
+    evaluated with interval arithmetic.  The residue degrees are the degree
+    pattern of T mod p (distinct-degree factorization, or the Legendre symbol
+    of disc(T) for quadratics), or, for primes dividing the index, come from
+    the prime ideals that factor_prime splits off O_K/pO_K."""
+    if prime_bound < 2:
+        raise ValueError(f"prime bound {prime_bound} is below 2")
+    T = list(field.poly)
     ctx = field.iv
     acc = ctx.mpf(1)
     one = ctx.mpf(1)
@@ -51,8 +54,7 @@ def euler_residue(field, prime_bound):
         if field.index % p == 0:
             norms = (P.norm for P in factor_prime(p, field))
         else:
-            norms = (p ** poly.degree(g)
-                     for g, _ in poly.factor_mod_p(list(field.poly), p))
+            norms = (p ** d for d in poly.degree_pattern(T, p))
         for norm in norms:
             den *= one - one / ctx.mpf(norm)
         acc *= num / den

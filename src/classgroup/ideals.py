@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import polynomials as poly
-from .errors import BasisNotMaximal, EmptyFactorBase
+from .errors import BasisNotMaximal, EmptyFactorBase, VerificationFailed
 from .intlinalg import column_hnf
 from .lattice import LatticeBasis, lattice_member
 from .smoothness import smooth_part
@@ -423,7 +423,8 @@ def factor_prime(p, field):
         for g, e in poly.factor_mod_p(list(field.poly), p):
             f = poly.degree(g)
             out.append(_prime_from_gen(p, g, e, f, field))
-    assert sum(P.ram_e * P.res_f for P in out) == field.degree
+    if sum(P.ram_e * P.res_f for P in out) != field.degree:
+        raise VerificationFailed(f"lost prime ideals above {p}")
     out.sort(key=lambda P: (P.norm, P.gen_poly))
     return out
 

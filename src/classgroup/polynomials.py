@@ -9,7 +9,7 @@ integers, fractions.Fraction and integers mod p.  Sizes are desk scale
 import random
 from fractions import Fraction
 
-from .errors import Reducible
+from .errors import Reducible, VerificationFailed
 
 
 def normalize(c):
@@ -221,8 +221,7 @@ def check_irreducible(T, trials=25):
     while tried < trials and possible:
         if disc % p != 0:
             tried += 1
-            degs = [degree(g) * e for g, e in factor_mod_p(T, p)]
-            sums = _subset_sums(degs)
+            sums = _subset_sums(degree_pattern(T, p))
             possible &= sums
             if not possible:
                 return  # modular degree patterns rule out proper factors
@@ -329,17 +328,6 @@ def pmod(c, p):
     return normalize([x % p for x in c])
 
 
-def pmod_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return normalize(out)
-
-
 def pmod_divmod(a, b, p):
     b = normalize(b)
     inv = pow(b[-1], -1, p)
@@ -370,12 +358,31 @@ def pmod_gcd(a, b, p):
 
 
 def pmod_pow(base, e, mod, p):
+    """base^e modulo (mod, p), as the canonical remainder."""
+    mod = normalize(mod)
+    n = degree(mod)
+    inv = pow(mod[-1], -1, p)
+
+    def mulmod(a, b):
+        # schoolbook product, then in-place reduction from the top degree
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
+        for k in range(len(out) - 1, n - 1, -1):
+            c = out[k] * inv % p
+            if c:
+                for i in range(n):
+                    out[k - n + i] -= c * mod[i]
+        return normalize([x % p for x in out[:n]])
+
     result = [1]
-    base = pmod_divmod(base, mod, p)[1]
+    base = mulmod(base, [1])
     while e:
         if e & 1:
-            result = pmod_divmod(pmod_mul(result, base, p), mod, p)[1]
-        base = pmod_divmod(pmod_mul(base, base, p), mod, p)[1]
+            result = mulmod(result, base)
+        base = mulmod(base, base)
         e >>= 1
     return result
 
@@ -457,6 +464,21 @@ def _edf(f, d, p, rng):
             return left + right
 
 
+def _sqf_ddf(T, p):
+    """[(part, d, m)]: T mod p is the product of part^m, and part is the
+    product of the distinct degree-d irreducible factors of multiplicity m."""
+    f = pmod(T, p)
+    if degree(f) != degree(T):
+        raise ValueError("leading coefficient vanishes mod p (input not monic?)")
+    return [(part, d, m) for g, m in _sqf_decomp_modp(f, p)
+            for part, d in _ddf(g, p)]
+
+
+def _check_factor_count(T, p, degs_mults):
+    if sum(d * m for d, m in degs_mults) != degree(T):
+        raise VerificationFailed(f"lost factors of T mod {p}")
+
+
 def factor_mod_p(T, p):
     """Factor a monic integer polynomial modulo p.
 
@@ -464,19 +486,36 @@ def factor_mod_p(T, p):
     coefficients), and prod g^e = T mod p.  Deterministic: the splitting RNG
     is seeded from (p, T).
     """
-    f = pmod(T, p)
-    if degree(f) != degree(T):
-        raise ValueError("leading coefficient vanishes mod p (input not monic?)")
-    rng = random.Random((p, tuple(f)).__repr__())
-    factors = []
-    for g, mult in _sqf_decomp_modp(f, p):
-        for part, d in _ddf(g, p):
-            for irr in _edf(part, d, p, rng):
-                factors.append((irr, mult))
+    rng = random.Random((p, tuple(pmod(T, p))).__repr__())
+    factors = [(irr, m) for part, d, m in _sqf_ddf(T, p)
+               for irr in _edf(part, d, p, rng)]
     factors.sort(key=lambda t: (degree(t[0]), t[0]))
-    total = sum(degree(g) * e for g, e in factors)
-    assert total == degree(T), "lost factors mod p"
+    _check_factor_count(T, p, [(degree(g), e) for g, e in factors])
     return factors
+
+
+def degree_pattern(T, p):
+    """Ascending degrees of the distinct irreducible factors of monic T mod p.
+
+    A quadratic reads it from disc(T): [1] when p divides it, otherwise
+    [1, 1] or [2] as disc(T) is a square mod p or not (Legendre symbol; for
+    p = 2, disc(T) mod 8).  Higher degrees take it from the square-free
+    decomposition and distinct-degree factorization, without splitting
+    equal degrees.
+    """
+    if degree(T) == 2:
+        disc = T[1] ** 2 - 4 * T[0] * T[2]
+        if disc % p == 0:
+            return [1]
+        if p == 2:
+            square = disc % 8 == 1
+        else:
+            square = pow(disc, (p - 1) // 2, p) == 1
+        return [1, 1] if square else [2]
+    irreducibles = [(d, m) for part, d, m in _sqf_ddf(T, p)
+                    for _ in range(degree(part) // d)]
+    _check_factor_count(T, p, irreducibles)
+    return sorted(d for d, _ in irreducibles)
 
 
 # ---------------------------------------------------------------------------

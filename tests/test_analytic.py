@@ -5,12 +5,16 @@ import pytest
 
 from oracles import (cubic_unit_search, pell_fundamental_unit,
                      torsion_count_direct)
+from test_acceptance import IMAG_DISCS, poly_for_disc
+from under_O import run_under_O
 from classgroup.analytic import (compute_analytic, count_roots_of_unity,
                                  euler_residue, regulator_from_kernel, verify)
 from classgroup.errors import ZeroVolume
 from classgroup.field import parse_field
 from classgroup.ideals import build_factor_base
 from classgroup.intlinalg import left_kernel
+from classgroup.polynomials import (degree, degree_pattern, factor_mod_p,
+                                    primes_up_to)
 from classgroup.relations import CollectionConfig, collect
 
 
@@ -41,6 +45,71 @@ def test_euler_residue_index_divisor(qi):
     half = Fraction(1, 2)
     D = parse_field([-8, -2, -1, 1], basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])
     assert abs(euler_residue(D, 2) - 4.0) < 1e-12
+
+
+def test_euler_residue_pinned():
+    # recorded when the local factors came from the full factorization of
+    # T mod p; the degree patterns must give the same floats
+    want = {(21, 0, 1): "1.373260290302686",
+            (-10, 0, 1): "1.1528646610482407",
+            (-1, -1, 0, 1): "0.3686700850146775",
+            (-1, -3, 0, 1): "0.37730719282238323",
+            (1, 1, 1, 1, 1): "0.340486213436192"}
+    for coeffs, r in want.items():
+        assert repr(euler_residue(parse_field(list(coeffs)), 10 ** 4)) == r
+
+
+def test_degree_pattern_matches_factor_mod_p():
+    # the acceptance polynomials, a large discriminant, Dedekind's cubic
+    # (x^2 (x + 1) mod 2) and x^4 + 1 ((x + 1)^4 mod 2, a p-th power); the
+    # primes cover p = 2, p = 3 and the p below 2000 that divide disc(T)
+    polys = [poly_for_disc(D) for D in IMAG_DISCS] + [
+        [-2, 0, 1], [-10, 0, 1], [-1, -1, 0, 1], [-1, -3, 0, 1],
+        [1, 1, 1, 1, 1], [250001, -1, 1], [-8, -2, -1, 1], [1, 0, 0, 0, 1]]
+    for T in polys:
+        for p in primes_up_to(2000):
+            want = sorted(degree(g) for g, _ in factor_mod_p(T, p))
+            assert degree_pattern(T, p) == want, (T, p)
+
+
+_DROP_UNDER_O = """
+from fractions import Fraction
+
+from classgroup import ideals, polynomials as poly
+from classgroup.analytic import euler_residue
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+K = parse_field([-1, -1, 0, 1])
+half = Fraction(1, 2)
+D = parse_field([-8, -2, -1, 1], basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])
+
+def rejected(check):
+    try:
+        check()
+    except VerificationFailed as e:
+        print("rejected:", e)
+
+ddf = poly._ddf
+poly._ddf = lambda f, p: ddf(f, p)[:-1]
+rejected(lambda: poly.degree_pattern(K.poly, 5))
+rejected(lambda: poly.factor_mod_p(K.poly, 5))
+rejected(lambda: euler_residue(K, 10))
+poly._ddf = ddf
+split = ideals._index_divisor_primes
+ideals._index_divisor_primes = lambda p, field: split(p, field)[1:]
+rejected(lambda: euler_residue(D, 2))
+"""
+
+
+def test_factor_count_check_survives_python_O():
+    # a distinct-degree part or a prime ideal above an index divisor that
+    # goes missing must not drop a local factor
+    lines = run_under_O(_DROP_UNDER_O)
+    assert lines == ["rejected: lost factors of T mod 5"] * 2 + [
+        "rejected: lost factors of T mod 2",
+        "rejected: lost prime ideals above 2"], lines
 
 
 def test_roots_of_unity(qi, sqrt2):

@@ -44,6 +44,14 @@ def test_compute_corrupt_field_file(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_prime_bound_below_two_is_input_error(tmp_path, capsys):
+    path = field_file(tmp_path, [1, 0, 1])
+    for argv in (["compute", path], ["verify", path, "--h", "1", "--reg", "1"]):
+        code, _, err = run_cli(capsys, argv + ["--prime-bound", "1"])
+        assert code == cli.EXIT_INPUT
+        assert "prime bound 1 is below 2" in err
+
+
 def test_stalled_exit_code(tmp_path, capsys, monkeypatch):
     path = field_file(tmp_path, [1, 0, 1])
 

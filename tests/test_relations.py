@@ -1,12 +1,9 @@
 import hashlib
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from under_O import run_under_O
 from classgroup import relations
 from classgroup.errors import Stalled
 from classgroup.field import parse_field
@@ -248,6 +245,7 @@ def test_relation_dump(qi, tmp_path):
 
 _CORRUPT_UNDER_O = """
 from classgroup import relations
+from classgroup.analytic import euler_residue
 from classgroup.errors import VerificationFailed
 from classgroup.field import parse_field
 from classgroup.ideals import build_factor_base
@@ -286,21 +284,21 @@ try:
     relations.CollectionConfig(bound_B=10, k=fb.size + 1).validate(fb)
 except ValueError as e:
     print("rejected:", e)
+try:
+    euler_residue(K, 1)
+except ValueError as e:
+    print("rejected:", e)
 """
 
 
 def test_exact_check_survives_python_O():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_UNDER_O],
-                         env=dict(os.environ, PYTHONPATH=path),
-                         capture_output=True, text=True, check=True)
-    lines = out.stdout.splitlines()
+    lines = run_under_O(_CORRUPT_UNDER_O)
     assert lines == ["rejected: relation from trial 0 failed exact "
                      "verification",
                      "rejected: relation generator is zero",
                      "rejected: reduced cofactor ideal violates the norm "
                      "bound",
                      "rejected: vector not in the lattice span",
-                     "rejected: k=5 larger than the factor base (4 primes)"
-                     ], out.stdout
+                     "rejected: k=5 larger than the factor base (4 primes)",
+                     "rejected: prime bound 1 is below 2"
+                     ], lines
