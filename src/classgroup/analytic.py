@@ -19,7 +19,6 @@ from . import polynomials as poly
 from .errors import PrecisionExhausted, ZeroVolume
 from .field import iv_endpoints
 from .ideals import factor_prime, ideal_lattice, unit_ideal
-from .intlinalg import hnf_with_transform
 from .lattice import GramLLL, enumerate_gram
 from .polynomials import primes_up_to
 

@@ -119,7 +119,7 @@ def run_compute(cfg):
             logger.info("round %d: %s", rnd, e)
             K *= 2
             continue
-        kernel = left_kernel(matrix.dense_rows())
+        kernel = left_kernel(matrix.dense_rows()) if an.unit_rank > 0 else []
         try:
             reg = analytic.regulator_from_kernel(
                 kernel, [r.generator for r in matrix.rows], field)

@@ -70,8 +70,9 @@ class ZeroVolume(ClassGroupError):
 
 
 class VerificationFailed(ClassGroupError):
-    """A relation failed its exact check (zero generator, norm identity or a
-    valuation)."""
+    """An exact check failed: a relation's (zero generator, norm identity or
+    a valuation), a kernel vector's, or an invariant that two computations
+    must agree on."""
 
 
 class Stalled(ClassGroupError):

@@ -167,35 +167,18 @@ def ideal_contained_in(a, b):
 # Prime splitting
 
 def _modp_kernel(mat, p):
-    """Basis of the kernel of an m x n integer matrix over F_p."""
-    m, n = len(mat), len(mat[0])
-    a = [[mat[i][j] % p for j in range(n)] for i in range(m)]
-    pivots = {}
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, m):
-            if a[i][c] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], -1, p)
-        a[r] = [(v * inv) % p for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
+    """Basis of the kernel of an m x n integer matrix over F_p: one vector
+    per free column of the reduced row echelon form."""
+    n = len(mat[0])
+    echelon = _modp_echelon(mat, p)
     kernel = []
-    for fc in free:
+    for fc in range(n):
+        if fc in echelon:
+            continue
         v = [0] * n
         v[fc] = 1
-        for c, row in pivots.items():
-            v[c] = (-a[row][fc]) % p
+        for c, row in echelon.items():
+            v[c] = (-row[fc]) % p
         kernel.append(v)
     return kernel
 

@@ -1,5 +1,6 @@
-"""Exact integer matrix normal forms: row HNF with pre-multiplier, column HNF
-for lattice/ideal bases, Smith normal form, and kernels.
+"""Exact integer matrix normal forms: row HNF with or without its
+pre-multiplier, column HNF for lattice/ideal bases, Smith normal form, and
+kernels.
 
 Matrices are lists of lists of Python ints (arbitrary precision).  Sizes here
 are desk scale (a few hundred rows at most); entry growth is kept in check by
@@ -8,7 +9,7 @@ always pivoting on the smallest remaining entry.
 
 from dataclasses import dataclass
 
-from .errors import RankDeficient
+from .errors import RankDeficient, VerificationFailed
 
 
 def identity(n):
@@ -51,47 +52,63 @@ def _pivot(H, U, top, col):
     return rows[0]
 
 
-def hnf_with_transform(M):
-    """Row Hermite normal form H = U*M with U unimodular.
+def _hnf(M, U):
+    """Row Hermite normal form of M, with every row operation mirrored on U
+    unless U is None.
 
     H has positive pivots in column order, entries above each pivot reduced
-    into [0, pivot), and zero rows collected at the bottom.  The determinant
-    of U is tracked through the elementary operations and asserted +-1.
+    into [0, pivot), and zero rows collected at the bottom.
     """
-    r = len(M)
-    c = len(M[0]) if r else 0
     H = [[int(x) for x in row] for row in M]
-    U = identity(r)
-    det_u = 1
     pivot_row = 0
-    for col in range(c):
+    for col in range(len(H[0]) if H else 0):
         i0 = _pivot(H, U, pivot_row, col)
         if i0 is None:
             continue
         if i0 != pivot_row:
             H[i0], H[pivot_row] = H[pivot_row], H[i0]
-            U[i0], U[pivot_row] = U[pivot_row], U[i0]
-            det_u = -det_u
+            if U is not None:
+                U[i0], U[pivot_row] = U[pivot_row], U[i0]
         if H[pivot_row][col] < 0:
             H[pivot_row] = [-x for x in H[pivot_row]]
-            U[pivot_row] = [-x for x in U[pivot_row]]
-            det_u = -det_u
+            if U is not None:
+                U[pivot_row] = [-x for x in U[pivot_row]]
         p = H[pivot_row][col]
         for i in range(pivot_row):
             _row_sub(H, U, i, pivot_row, H[i][col] // p)
         pivot_row += 1
-    assert det_u in (1, -1)
-    return H, U
+    return H
+
+
+def hnf(M):
+    """Row Hermite normal form of M; no transform is kept."""
+    return _hnf(M, None)
+
+
+def hnf_with_transform(M):
+    """Row Hermite normal form H = U*M with U unimodular (a product of row
+    swaps, negations and additions of multiples of other rows)."""
+    U = identity(len(M))
+    return _hnf(M, U), U
 
 
 def left_kernel(M):
-    """Basis of {v integer row : v*M = 0}, from the zero rows of the HNF."""
+    """Basis of {v integer row : v*M = 0}, from the zero rows of the HNF.
+
+    Each vector is checked exactly against M; raises VerificationFailed if
+    one is not in the kernel."""
     H, U = hnf_with_transform(M)
-    out = []
-    for h, u in zip(H, U):
-        if all(x == 0 for x in h):
-            out.append(u)
-    return out
+    kernel = [u for h, u in zip(H, U) if not any(h)]
+    sparse = [[(j, x) for j, x in enumerate(row) if x] for row in M]
+    for v in kernel:
+        acc = {}
+        for i, vi in enumerate(v):
+            if vi:
+                for j, x in sparse[i]:
+                    acc[j] = acc.get(j, 0) + vi * x
+        if any(acc.values()):
+            raise VerificationFailed("left kernel vector v has v*M != 0")
+    return kernel
 
 
 def rank(M):
@@ -247,30 +264,21 @@ def class_group_from_relations(R):
     Columns never touched by a relation are dropped; this is only legitimate
     for primes above the Bach bound, which is checked here.  Raises
     RankDeficient when the surviving columns are not of full rank (the caller
-    must collect more relations).
+    must collect more relations), and VerificationFailed when the SNF's
+    class number differs from the product of the HNF's diagonal.
     """
-    ncols = len(R.columns)
-    used = [False] * ncols
-    rows = []
+    used = set()
     for rel in R.rows:
-        for idx in rel.exponents:
-            used[idx] = True
-    keep = [j for j in range(ncols) if used[j]]
-    for j in range(ncols):
-        if not used[j] and R.columns[j].norm <= R.bach_bound:
+        used.update(rel.exponents)
+    for j, P in enumerate(R.columns):
+        if j not in used and P.norm <= R.bach_bound:
             raise RankDeficient(
-                f"prime of norm {R.columns[j].norm} below the Bach bound "
+                f"prime of norm {P.norm} below the Bach bound "
                 f"{R.bach_bound} appears in no relation")
-    pos = {j: t for t, j in enumerate(keep)}
-    for rel in R.rows:
-        row = [0] * len(keep)
-        for idx, e in rel.exponents.items():
-            row[pos[idx]] = e
-        rows.append(row)
-    if not rows:
+    if not R.rows:
         raise RankDeficient("no relations")
-    H, _ = hnf_with_transform(rows)
-    nonzero = [row for row in H if any(x != 0 for x in row)]
+    keep = sorted(used)
+    nonzero = [row for row in hnf(R.dense_rows(keep)) if any(row)]
     if len(nonzero) < len(keep):
         raise RankDeficient(
             f"relation lattice has rank {len(nonzero)} < {len(keep)}")
@@ -278,5 +286,8 @@ def class_group_from_relations(R):
     for j in range(len(keep)):
         h *= nonzero[j][j]
     struct = snf(nonzero)
-    assert struct.class_number == h
+    if struct.class_number != h:
+        raise VerificationFailed(
+            f"SNF class number {struct.class_number} differs from the HNF "
+            f"diagonal product {h}")
     return struct

@@ -2,9 +2,9 @@
 
 Everything here is deliberately implemented by a different route than the
 library: class numbers by counting reduced binary quadratic forms,
-fundamental units by continued fractions or bounded-height search, HNF/SNF by
-plain elementary operations, shortest vectors by exhaustive coefficient
-boxes, Dickman rho by marching quadrature.
+fundamental units by continued fractions or bounded-height search, HNF/SNF and
+ranks mod p by plain elementary operations, shortest vectors by exhaustive
+coefficient boxes, Dickman rho by marching quadrature.
 """
 
 import itertools
@@ -104,6 +104,24 @@ def class_number_real_quadratic(d):
                 break
     _, _, norm = pell_fundamental_unit(d)
     return cycles if norm == -1 else cycles // 2
+
+
+def rank_mod_p(M, p):
+    """Rank over F_p by Gaussian elimination on a copy, pivoting on the first
+    nonzero entry of each column."""
+    a = [[x % p for x in row] for row in M]
+    r = 0
+    for c in range(len(a[0]) if a else 0):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], -1, p)
+        for i in range(r + 1, len(a)):
+            f = a[i][c] * inv % p
+            a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
 
 
 def naive_row_hnf(M):

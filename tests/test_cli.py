@@ -165,3 +165,50 @@ def test_resume_reaches_same_group(tmp_path, capsys, monkeypatch):
     assert len(resumed.statistics["rounds"]) == 2
     assert resumed.group.elementary_divisors == clean.group.elementary_divisors
     assert resumed.group.class_number == clean.group.class_number
+
+
+def test_kernel_computed_only_with_units(tmp_path, monkeypatch):
+    # unit rank 0 needs no kernel, and the class group needs no transform;
+    # with units, each round that reaches the regulator takes one kernel
+    from classgroup import analytic as analytic_mod
+    from classgroup import intlinalg
+    calls = {"left_kernel": 0, "hnf_with_transform": 0, "regulator": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(cli, "left_kernel",
+                        counted("left_kernel", cli.left_kernel))
+    monkeypatch.setattr(intlinalg, "hnf_with_transform",
+                        counted("hnf_with_transform",
+                                intlinalg.hnf_with_transform))
+    monkeypatch.setattr(cli.analytic, "regulator_from_kernel",
+                        counted("regulator",
+                                analytic_mod.regulator_from_kernel))
+    res = cli.run_compute(cli.RunConfig(
+        field_path=field_file(tmp_path, [6, -1, 1]), seed=3))
+    assert res.verdict == "ACCEPT" and res.group.class_number == 3
+    assert calls == {"left_kernel": 0, "hnf_with_transform": 0,
+                     "regulator": len(res.statistics["rounds"])}, calls
+
+    # sqrt(2), with round 0 forced to REJECT so that two rounds reach the
+    # regulator
+    real_verify = analytic_mod.verify
+    verdicts = []
+
+    def flaky(h, reg, an, field):
+        verdicts.append(h)
+        if len(verdicts) == 1:
+            return 9.0, "REJECT"
+        return real_verify(h, reg, an, field)
+
+    monkeypatch.setattr(cli.analytic, "verify", flaky)
+    calls.update(left_kernel=0, hnf_with_transform=0, regulator=0)
+    res = cli.run_compute(cli.RunConfig(
+        field_path=field_file(tmp_path, [-2, 0, 1]), seed=3))
+    assert res.verdict == "ACCEPT" and len(verdicts) == 2
+    assert calls["regulator"] == 2
+    assert calls["left_kernel"] == calls["hnf_with_transform"] == 2, calls

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from oracles import naive_row_hnf, naive_snf_divisors
+from oracles import naive_row_hnf, naive_snf_divisors, rank_mod_p
+from under_O import run_under_O
 from classgroup.errors import RankDeficient
-from classgroup.intlinalg import (hnf_with_transform, left_kernel, mat_mul,
-                                  rank, snf)
+from classgroup.ideals import _modp_kernel
+from classgroup.intlinalg import (hnf, hnf_with_transform, left_kernel,
+                                  mat_mul, rank, snf)
 from classgroup.polynomials import bareiss_det
 
 
@@ -44,6 +46,7 @@ def test_hnf_snf_match_naive_oracle():
         M = [[rng.randint(-10, 10) for _ in range(6)] for _ in range(6)]
         H, U = hnf_with_transform(M)
         assert H == naive_row_hnf(M)
+        assert hnf(M) == H
         assert mat_mul(U, M) == H
         assert abs(bareiss_det(U)) == 1
         mine = [d for d in snf(M).elementary_divisors]
@@ -102,6 +105,76 @@ def test_rank():
         else:
             M = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
         H, _ = hnf_with_transform(M)
+        assert hnf(M) == H
         assert rank(M) == sum(1 for row in H if any(row)), M
         deficient += rank(M) < min(m, n)
     assert deficient >= 10
+
+
+def test_modp_kernel():
+    # one vector per free column: each in the kernel mod p, n - rank of them,
+    # independent mod p
+    rng = random.Random(17)
+    deficient = 0
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7, 31, 101])
+        m, n, r = rng.randint(1, 7), rng.randint(1, 7), rng.randint(0, 7)
+        if r < min(m, n):  # rank at most r: product of m x r and r x n
+            A = [[rng.randrange(p) for _ in range(r)] for _ in range(m)]
+            B = [[rng.randrange(p) for _ in range(n)] for _ in range(r)]
+            M = mat_mul(A, B) if r else [[0] * n for _ in range(m)]
+        else:
+            M = [[rng.randint(-3 * p, 3 * p) for _ in range(n)]
+                 for _ in range(m)]
+        kern = _modp_kernel(M, p)
+        for v in kern:
+            assert all(sum(v[j] * M[i][j] for j in range(n)) % p == 0
+                       for i in range(m)), (M, p, v)
+        rk = rank_mod_p(M, p)
+        assert len(kern) == n - rk, (M, p)
+        assert rank_mod_p(kern, p) == len(kern)
+        deficient += rk < min(m, n)
+    assert deficient >= 30
+
+
+_CORRUPT_UNDER_O = """
+from classgroup import intlinalg
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+from classgroup.ideals import build_factor_base
+from classgroup.relations import RelationMatrix
+
+assert not __debug__, "run with python -O"
+
+def rejected(check):
+    try:
+        check()
+    except VerificationFailed as e:
+        print("rejected:", e)
+
+hnf_with_transform = intlinalg.hnf_with_transform
+
+def corrupt_transform(M):
+    H, U = hnf_with_transform(M)
+    return H, [[x + 1 for x in row] for row in U]
+
+intlinalg.hnf_with_transform = corrupt_transform
+rejected(lambda: intlinalg.left_kernel([[1, 1], [1, 1]]))
+intlinalg.hnf_with_transform = hnf_with_transform
+
+K = parse_field([1, 0, 1])
+R = RelationMatrix(build_factor_base(K, 10))
+for P in R.columns:
+    R.add(K.one(), {P: 1}, ())
+intlinalg.snf = lambda M: intlinalg.GroupStructure((2,), 2)
+rejected(lambda: intlinalg.class_group_from_relations(R))
+"""
+
+
+def test_linear_algebra_checks_survive_python_O():
+    # a transform whose zero rows miss the kernel, or an SNF whose class
+    # number disagrees with the HNF diagonal, must not pass silently
+    lines = run_under_O(_CORRUPT_UNDER_O)
+    assert lines == ["rejected: left kernel vector v has v*M != 0",
+                     "rejected: SNF class number 2 differs from the HNF "
+                     "diagonal product 1"], lines
