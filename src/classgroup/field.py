@@ -157,6 +157,8 @@ class NumberField:
     # -- construction helpers ------------------------------------------------
 
     def _build_mult_table(self):
+        """Integer structure constants: table[i][j] holds the coordinates of
+        omega_i*omega_j over the integral basis."""
         n = self.degree
         table = [[None] * n for _ in range(n)]
         T = [Fraction(c) for c in self.poly]
@@ -170,7 +172,7 @@ class NumberField:
                     raise BasisNotClosed(
                         f"basis element {i} times element {j} has coordinates "
                         f"{[str(c) for c in coords]}, not all integers")
-                table[i][j] = table[j][i] = tuple(coords)
+                table[i][j] = table[j][i] = tuple(c.numerator for c in coords)
         return table
 
     def _power_to_basis(self, vec):

@@ -6,23 +6,29 @@ so products, norms, memberships and exact divisions are deterministic integer
 linear algebra.  The prime ideals above p come from factoring the defining
 polynomial mod p when p is coprime to the index [O_K : Z[theta]]
 (Dedekind-Kummer), and from the Buchmann-Lenstra decomposition of the
-F_p-algebra O_K/pO_K when p divides it.  The inverse-complement p*P^(-1) used
-for exact division is a mod-p kernel of multiplication matrices, with its
-norm asserted; a split by either route is checked exactly (sum e*f = n, and
-prod P^e equals pO_K as an HNF on the Buchmann-Lenstra route), so no
-splitting-theory edge case can silently corrupt a division.
+F_p-algebra O_K/pO_K when p divides it.  The inverse-complement p*P^(-1) is
+a mod-p kernel of multiplication matrices, with its norm asserted; a split
+by either route is checked exactly (sum e*f = n, and prod P^e equals pO_K as
+an HNF on the Buchmann-Lenstra route), so no splitting-theory edge case can
+silently corrupt a division.
+
+Products multiply coordinate columns with the field's integer structure
+constants.  Valuations and divisions by P use an anti-uniformizer tau in
+p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
+exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
+Norm checks on products and divisions raise VerificationFailed.
 """
 
 import itertools
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 
 from . import polynomials as poly
 from .errors import BasisNotMaximal, EmptyFactorBase, VerificationFailed
 from .intlinalg import column_hnf
-from .lattice import LatticeBasis, lattice_member
+from .lattice import LatticeBasis
 from .smoothness import smooth_part
 
 logger = logging.getLogger(__name__)
@@ -34,9 +40,6 @@ class Ideal:
     basis, in upper-triangular column HNF; norm equals the determinant."""
     hnf_basis: tuple  # tuple of column tuples
     norm: int
-
-    def columns(self):
-        return [list(c) for c in self.hnf_basis]
 
     def __eq__(self, other):
         return isinstance(other, Ideal) and self.hnf_basis == other.hnf_basis
@@ -51,14 +54,20 @@ class PrimeIdeal:
     prime in factor bases, relation matrices and dumps.  For p coprime to the
     index it is the monic factor g of T mod p (coefficients of alpha = g(theta)
     in the power basis, constant first); for p dividing the index it is the
-    n coordinates of alpha over the integral basis."""
+    n coordinates of alpha over the integral basis.
+
+    tau lies in p*P^(-1) outside pO_K, so v_P(tau) = e - 1, v_Q(tau) >= e_Q
+    at the other Q above p, and pO_K + tau*O_K = p*P^(-1); tau_mult holds
+    the integer columns tau*omega_j."""
     p: int
     gen_poly: tuple
     ram_e: int
     res_f: int
     norm: int
     hnf_basis: tuple
-    inv_basis: tuple  # HNF basis of p * P^(-1), for exact division
+    inv_basis: tuple  # HNF basis of p * P^(-1)
+    tau: tuple = dc_field(compare=False)
+    tau_mult: tuple = dc_field(compare=False)
 
     def as_ideal(self):
         return Ideal(self.hnf_basis, self.norm)
@@ -82,59 +91,59 @@ def unit_ideal(field):
     return Ideal(tuple(tuple(c) for c in cols), 1)
 
 
+def _apply(mult, y):
+    """x*y as integer coordinates, for mult = _mult_columns(x)."""
+    out = [0] * len(mult)
+    for c, col in zip(y, mult):
+        if c:
+            for k, t in enumerate(col):
+                if t:
+                    out[k] += c * t
+    return out
+
+
+def _mult_columns(x, field):
+    """Integer columns x*omega_j over the integral basis, for x given by its
+    integer coordinates: row j of the structure-constant table holds the
+    products omega_j*omega_i, so applying it to x gives x*omega_j."""
+    return [_apply(row, x) for row in field._mult_table]
+
+
 def _element_of_gen_poly(gen_poly, field):
-    """g(theta) as an AlgebraicNumber (g reduced mod T first; an inert prime
+    """Integer coordinates of g(theta) (g reduced mod T first; an inert prime
     has deg g = n and g(theta) lands in pO)."""
     n = field.degree
     _, rem = poly.divmod_exact([int(c) for c in gen_poly], list(field.poly))
     pb = list(rem) + [0] * (n - len(rem))
     coords = field._power_to_basis(pb[:n])
-    x = field.element(coords)
-    assert x.is_integral
-    return x
-
-
-def _mult_matrix_columns(x):
-    """Integer columns x*omega_j over the integral basis."""
-    m = x.mult_matrix()
-    n = len(m)
-    cols = []
-    for j in range(n):
-        col = []
-        for i in range(n):
-            v = m[i][j]
-            assert v.denominator == 1
-            col.append(v.numerator)
-        cols.append(col)
-    return cols
+    assert all(c.denominator == 1 for c in coords)
+    return [c.numerator for c in coords]
 
 
 def ideal_from_element(x):
-    """Principal ideal <x> for integral x; norm = |N(x)| (asserted)."""
+    """Principal ideal <x> for integral x; its norm is checked against
+    |N(x)|, the determinant of the multiplication-by-x columns."""
     assert x.is_integral and not x.is_zero
     field = x.field
-    ideal = _hnf_ideal(_mult_matrix_columns(x), field)
-    nx = x.norm()
-    assert ideal.norm == abs(nx), "HNF determinant must equal |N(x)|"
+    cols = _mult_columns([c.numerator for c in x.coords], field)
+    ideal = _hnf_ideal(cols, field)
+    if ideal.norm != abs(poly.bareiss_det(cols)):
+        raise VerificationFailed("HNF determinant of <x> differs from |N(x)|")
     return ideal
 
 
 def _ideal_product(a, b, field):
     cols = []
-    acols = a.columns()
-    bcols = b.columns()
-    aelts = [field.element(c) for c in acols]
-    belts = [field.element(c) for c in bcols]
-    for x in aelts:
-        for y in belts:
-            prod = x * y
-            cols.append([c.numerator for c in prod.coords])
+    for x in a.hnf_basis:
+        mult = _mult_columns(x, field)
+        cols.extend(_apply(mult, y) for y in b.hnf_basis)
     return _hnf_ideal(cols, field)
 
 
 def ideal_mul(a, b, field):
     out = _ideal_product(a, b, field)
-    assert out.norm == a.norm * b.norm, "ideal norms must multiply"
+    if out.norm != a.norm * b.norm:
+        raise VerificationFailed("ideal norms do not multiply")
     return out
 
 
@@ -147,20 +156,6 @@ def ideal_pow(a, e, field):
         base = ideal_mul(base, base, field)
         e >>= 1
     return out
-
-
-def element_in_ideal(x, ideal):
-    coords = [c.numerator if c.denominator == 1 else None for c in x.coords]
-    if any(c is None for c in coords):
-        return False
-    basis = LatticeBasis([list(c) for c in ideal.hnf_basis])
-    return lattice_member(basis, coords) is not None
-
-
-def ideal_contained_in(a, b):
-    """a subset of b, i.e. b divides a."""
-    basis = LatticeBasis([list(c) for c in b.hnf_basis])
-    return all(lattice_member(basis, list(col)) is not None for col in a.hnf_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -183,35 +178,30 @@ def _modp_kernel(mat, p):
     return kernel
 
 
+def _anti_uniformizer(p, inv_basis, field):
+    """tau: the first column of p*P^(-1)'s HNF outside pO_K, with its
+    multiplication columns."""
+    tau = next(c for c in inv_basis if any(v % p for v in c))
+    return tau, tuple(tuple(c) for c in _mult_columns(tau, field))
+
+
 def _prime_from_gen(p, gen_poly, e, f, field):
     n = field.degree
-    g = _element_of_gen_poly(gen_poly, field)
-    cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    cols.extend(_mult_matrix_columns(g))
-    ideal = _hnf_ideal(cols, field)
+    g_mult = _mult_columns(_element_of_gen_poly(gen_poly, field), field)
+    p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
+    ideal = _hnf_ideal(p_cols + g_mult, field)
     assert ideal.norm == p ** f, \
         f"prime ideal above {p} has determinant {ideal.norm}, expected {p**f}"
     # p * P^(-1) = (pO : P) = { x in O : x*g in pO } + pO, via mod-p kernel
-    kern = _modp_kernel(_int_rows(g.mult_matrix()), p)
-    inv_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    inv_cols.extend([list(v) for v in kern])
-    inv_ideal = _hnf_ideal(inv_cols, field)
+    kern = _modp_kernel(_columns_to_rows(g_mult), p)
+    inv_ideal = _hnf_ideal(p_cols + kern, field)
     assert inv_ideal.norm == p ** (n - f), \
         "inverse complement has wrong norm (index divisor leaked through?)"
+    tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
     return PrimeIdeal(p=p, gen_poly=tuple(int(c) % p for c in gen_poly),
                       ram_e=e, res_f=f, norm=p ** f,
-                      hnf_basis=ideal.hnf_basis, inv_basis=inv_ideal.hnf_basis)
-
-
-def _int_rows(frac_matrix):
-    out = []
-    for row in frac_matrix:
-        r = []
-        for v in row:
-            assert v.denominator == 1
-            r.append(v.numerator)
-        out.append(r)
-    return out
+                      hnf_basis=ideal.hnf_basis, inv_basis=inv_ideal.hnf_basis,
+                      tau=tau, tau_mult=tau_mult)
 
 
 # Index divisors: Buchmann-Lenstra decomposition of O_K/pO_K (Cohen, GTM 138,
@@ -225,10 +215,7 @@ def _modp_table(field, p):
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
-            row = field._mult_table[i][j]
-            assert all(c.denominator == 1 for c in row), \
-                "integral basis must be closed under multiplication"
-            table[i][j] = [c.numerator % p for c in row]
+            table[i][j] = [c % p for c in field._mult_table[i][j]]
     return table
 
 
@@ -380,9 +367,11 @@ def _index_divisor_primes(p, field):
             raise BasisNotMaximal(p)
         assert inv_ideal.norm == p ** (n - f), "inverse complement has wrong norm"
         alpha = _second_generator(gens, table, p, n)
+        tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
         P = PrimeIdeal(p=p, gen_poly=tuple(alpha), ram_e=0, res_f=f,
                        norm=p ** f, hnf_basis=ideal.hnf_basis,
-                       inv_basis=inv_ideal.hnf_basis)
+                       inv_basis=inv_ideal.hnf_basis, tau=tau,
+                       tau_mult=tau_mult)
         out.append(replace(P, ram_e=valuation(pO, P, field)))
     prod = unit_ideal(field)
     for P in out:
@@ -412,32 +401,51 @@ def factor_prime(p, field):
     return out
 
 
+def _tau_over_p(gens, P):
+    """[g*tau/p for g in gens], or None when some g lies outside P."""
+    out = []
+    for g in gens:
+        q = []
+        for c in _apply(P.tau_mult, g):
+            d, r = divmod(c, P.p)
+            if r:
+                return None
+            q.append(d)
+        out.append(q)
+    return out
+
+
 def ideal_divide_prime(ideal, P, field):
-    """Exact division ideal * P^(-1); P must divide ideal."""
-    inv = Ideal(P.inv_basis, P.p ** (field.degree - P.res_f))
-    prod = ideal_mul(ideal, inv, field)
-    cols = []
-    for col in prod.hnf_basis:
-        assert all(v % P.p == 0 for v in col), "prime does not divide ideal"
-        cols.append([v // P.p for v in col])
-    out = _hnf_ideal(cols, field)
-    assert out.norm * P.norm == ideal.norm
+    """Exact division ideal * P^(-1); P must divide ideal.  Since
+    p*P^(-1) = pO + tau*O, the quotient is ideal + (tau/p)*ideal: the HNF of
+    the generators g_j and g_j*tau/p."""
+    quotients = _tau_over_p(ideal.hnf_basis, P)
+    if quotients is None:
+        raise VerificationFailed(f"{P!r} does not divide the ideal")
+    out = _hnf_ideal([list(g) for g in ideal.hnf_basis] + quotients, field)
+    if out.norm * P.norm != ideal.norm:
+        raise VerificationFailed(
+            f"quotient by {P!r} has norm {out.norm}, expected "
+            f"{ideal.norm // P.norm}")
     return out
 
 
 def valuation(target, P, field=None):
-    """Exact P-adic valuation of an Ideal or integral AlgebraicNumber."""
+    """Exact P-adic valuation of an Ideal or integral AlgebraicNumber: how
+    many times x -> x*tau/p keeps every generator integral, the generators
+    being the element itself or the HNF columns of the ideal."""
     if hasattr(target, "coords"):
-        field = target.field
-        target = ideal_from_element(target)
-    assert field is not None
+        if target.is_zero or not target.is_integral:
+            raise ValueError("valuation needs a nonzero algebraic integer")
+        gens = [[c.numerator for c in target.coords]]
+    else:
+        gens = target.hnf_basis
     v = 0
-    current = target
-    pid = P.as_ideal()
-    while ideal_contained_in(current, pid):
-        current = ideal_divide_prime(current, P, field)
+    while True:
+        gens = _tau_over_p(gens, P)
+        if gens is None:
+            return v
         v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------

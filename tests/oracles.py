@@ -4,7 +4,9 @@ Everything here is deliberately implemented by a different route than the
 library: class numbers by counting reduced binary quadratic forms,
 fundamental units by continued fractions or bounded-height search, HNF/SNF and
 ranks mod p by plain elementary operations, shortest vectors by exhaustive
-coefficient boxes, Dickman rho by marching quadrature.
+coefficient boxes, Dickman rho by marching quadrature, and ideal valuations
+and prime divisions by lattice containment and products with p*P^(-1) over
+Fraction arithmetic.
 """
 
 import itertools
@@ -155,6 +157,66 @@ def naive_row_hnf(M):
             H[i] = [x - q * y for x, y in zip(H[i], H[top])]
         top += 1
     return H
+
+
+def column_hnf_naive(cols):
+    """The library's ideal form, an upper-triangular column HNF (column j on
+    rows 0..j, positive diagonal, entries right of it reduced into
+    [0, diagonal)), from naive_row_hnf on the reversed coordinates."""
+    n = len(cols[0])
+    H = naive_row_hnf([list(reversed(c)) for c in cols])[:n]
+    return tuple(tuple(reversed(r)) for r in reversed(H))
+
+
+def in_column_hnf(hnf, v):
+    """v lies in the lattice spanned by the columns of an upper-triangular
+    column HNF, by back substitution."""
+    v = list(v)
+    for j in range(len(v) - 1, -1, -1):
+        q, r = divmod(v[j], hnf[j][j])
+        if r:
+            return False
+        v = [a - q * b for a, b in zip(v, hnf[j])]
+    return True
+
+
+def ideal_product_fractions(field, a_cols, b_cols):
+    """HNF of the ideal spanned by all products x*y of generators, each taken
+    with the Fraction arithmetic of AlgebraicNumber."""
+    cols = []
+    for x in a_cols:
+        for y in b_cols:
+            c = (field.element(list(x)) * field.element(list(y))).coords
+            assert all(v.denominator == 1 for v in c)
+            cols.append([v.numerator for v in c])
+    return column_hnf_naive(cols)
+
+
+def principal_ideal_fractions(x):
+    """HNF of <x> from the Fraction multiplication matrix of x."""
+    m = x.mult_matrix()
+    n = len(m)
+    return column_hnf_naive([[int(m[i][j]) for i in range(n)]
+                             for j in range(n)])
+
+
+def divide_prime_by_inverse(field, hnf, P):
+    """HNF of ideal * P^(-1) as (ideal * p*P^(-1)) / p, or None when the
+    product is not divisible by p (P does not divide the ideal)."""
+    prod = ideal_product_fractions(field, hnf, P.inv_basis)
+    if any(v % P.p for c in prod for v in c):
+        return None
+    return column_hnf_naive([[v // P.p for v in c] for c in prod])
+
+
+def valuation_by_containment(field, hnf, P):
+    """v_P of the ideal with column HNF `hnf`: while every generator lies in
+    P, divide by P through p*P^(-1)."""
+    v = 0
+    while all(in_column_hnf(P.hnf_basis, g) for g in hnf):
+        hnf = divide_prime_by_inverse(field, hnf, P)
+        v += 1
+    return v
 
 
 def naive_snf_divisors(M):

@@ -3,15 +3,20 @@ from fractions import Fraction
 
 import pytest
 
-from classgroup.errors import BasisNotMaximal, EmptyFactorBase
+from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
+                               VerificationFailed)
 from classgroup.field import iv_endpoints, parse_field
 from classgroup.ideals import (Ideal, _index_divisor_primes, bach_bound,
                                build_factor_base, factor_prime,
-                               ideal_from_element,
+                               ideal_divide_prime, ideal_from_element,
                                ideal_from_power_product, ideal_lattice,
                                ideal_mul, ideal_pow, is_smooth_ideal,
                                unit_ideal, valuation)
 from classgroup.polynomials import bareiss_det
+from under_O import run_under_O
+from oracles import (column_hnf_naive, divide_prime_by_inverse,
+                     ideal_product_fractions, in_column_hnf,
+                     principal_ideal_fractions, valuation_by_containment)
 
 
 def test_factor_prime_examples(qi):
@@ -218,3 +223,131 @@ def test_factor_base_dump(qi, tmp_path):
     lines = [json.loads(l) for l in p.read_text().splitlines()]
     assert len(lines) == 4
     assert lines[0] == {"p": 2, "f": 1, "e": 2, "norm": 2, "gen_poly": [1, 1]}
+
+
+# Fields for the oracle tests, with the kinds of primes found above 2..13
+# and the primes dividing the discriminant: x^4+1 has e = 4 at 2 and no
+# inert prime, zeta_5 has f = 4 at 2 and e = 4 at 5, and in Dedekind's cubic
+# 2 is a common index divisor whose primes come from O_K/2O_K.
+ALL_KINDS = {"split", "inert", "ramified"}
+ORACLE_FIELDS = {
+    "Q(i)": (lambda: parse_field([1, 0, 1]), ALL_KINDS),
+    "Q(sqrt-23)": (lambda: parse_field([6, -1, 1]), ALL_KINDS),
+    "x^4+1": (lambda: parse_field([1, 0, 0, 0, 1]), {"split", "ramified"}),
+    "zeta5": (lambda: parse_field([1, 1, 1, 1, 1]), ALL_KINDS),
+    "Dedekind cubic": (dedekind_cubic, ALL_KINDS),
+}
+
+
+def _oracle_primes(K):
+    ps = [2, 3, 5, 7, 11, 13]
+    ps += [q for q in range(17, abs(K.discriminant) + 1)
+           if K.discriminant % q == 0 and all(q % r for r in range(2, q))]
+    return [P for p in ps for P in factor_prime(p, K)]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_anti_uniformizer_spans_inverse_complement(name):
+    # pO + tau*O = p*P^(-1) as an HNF, with tau in p*P^(-1) outside pO
+    make, want_kinds = ORACLE_FIELDS[name]
+    K = make()
+    n = K.degree
+    kinds = set()
+    for P in _oracle_primes(K):
+        kinds.add("ramified" if P.ram_e > 1 else
+                  "inert" if P.res_f == n else "split")
+        assert any(v % P.p for v in P.tau)
+        assert in_column_hnf(P.inv_basis, P.tau)
+        cols = [[P.p * (i == j) for i in range(n)] for j in range(n)]
+        cols += [list(c) for c in principal_ideal_fractions(K.element(P.tau))]
+        assert column_hnf_naive(cols) == P.inv_basis, P
+    assert kinds == want_kinds
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_valuation_and_division_match_oracle(name):
+    K = ORACLE_FIELDS[name][0]()
+    n = K.degree
+    primes = _oracle_primes(K)
+    fb = build_factor_base(K, 30)
+    rng = random.Random(7)
+    positive = 0
+    for _ in range(30 if n <= 2 else 12):
+        k = rng.randint(1, min(2, fb.size))
+        idxs = sorted(rng.sample(range(fb.size), k))
+        exps = [rng.randint(1, 2) for _ in idxs]
+        a = ideal_from_power_product(fb, idxs, exps, K)
+        P = primes[rng.randrange(len(primes))]
+        b = ideal_mul(a, P.as_ideal(), K)
+        assert b.hnf_basis == ideal_product_fractions(K, a.hnf_basis,
+                                                      P.hnf_basis)
+        for ideal in (a, b):
+            for Q in primes:
+                v = valuation(ideal, Q, K)
+                assert v == valuation_by_containment(K, ideal.hnf_basis, Q)
+                want = divide_prime_by_inverse(K, ideal.hnf_basis, Q)
+                if v:
+                    positive += 1
+                    assert ideal_divide_prime(ideal, Q, K).hnf_basis == want
+                else:
+                    assert want is None
+                    with pytest.raises(VerificationFailed):
+                        ideal_divide_prime(ideal, Q, K)
+    for _ in range(30 if n <= 2 else 12):
+        x = K.element([rng.randint(-12, 12) for _ in range(n)])
+        if x.is_zero:
+            continue
+        hnf = principal_ideal_fractions(x)
+        assert ideal_from_element(x).hnf_basis == hnf
+        for Q in primes:
+            v = valuation(x, Q)
+            positive += v > 0
+            assert v == valuation_by_containment(K, hnf, Q)
+    assert positive >= 10
+
+
+_CORRUPT_UNDER_O = """
+from dataclasses import replace
+
+from classgroup import ideals
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+def rejected(check):
+    try:
+        check()
+    except VerificationFailed as e:
+        print("rejected:", e)
+
+K = parse_field([1, 0, 1])
+P2 = ideals.factor_prime(2, K)[0]
+two = K.element([2, 0])
+
+ideal_product = ideals._ideal_product
+ideals._ideal_product = lambda a, b, field: a
+rejected(lambda: ideals.ideal_mul(P2.as_ideal(), P2.as_ideal(), K))
+ideals._ideal_product = ideal_product
+
+column_hnf = ideals.column_hnf
+ideals.column_hnf = lambda cols, n: [[int(i == j) for i in range(n)]
+                                     for j in range(n)]
+rejected(lambda: ideals.ideal_from_element(two))
+ideals.column_hnf = column_hnf
+
+rejected(lambda: ideals.ideal_divide_prime(ideals.unit_ideal(K), P2, K))
+# tau = p: every ideal passes the divisibility test, and the quotient's norm
+# gives the wrong anti-uniformizer away
+fake = replace(P2, tau_mult=((2, 0), (0, 2)))
+rejected(lambda: ideals.ideal_divide_prime(ideals.ideal_from_element(two),
+                                           fake, K))
+"""
+
+
+def test_ideal_checks_survive_python_O():
+    lines = run_under_O(_CORRUPT_UNDER_O)
+    assert lines == [
+        "rejected: ideal norms do not multiply",
+        "rejected: HNF determinant of <x> differs from |N(x)|",
+        "rejected: PrimeIdeal(p=2, e=2, f=1) does not divide the ideal",
+        "rejected: quotient by PrimeIdeal(p=2, e=2, f=1) has norm 4, "
+        "expected 2"], lines

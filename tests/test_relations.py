@@ -4,11 +4,12 @@ import random
 import pytest
 
 from under_O import run_under_O
-from classgroup import relations
+from classgroup import ideals, relations
 from classgroup.errors import Stalled
 from classgroup.field import parse_field
 from classgroup.ideals import (build_factor_base, factor_prime,
-                               ideal_from_power_product, unit_ideal)
+                               ideal_from_element, ideal_from_power_product,
+                               is_smooth_ideal, unit_ideal)
 from classgroup.relations import (CollectionConfig, RelationMatrix,
                                   cheon_presmooth_tail, collect,
                                   derive_relations, eq5_bound_holds,
@@ -226,6 +227,28 @@ def test_every_stored_relation_verifies(q23):
     for rel in M.rows:
         pe = {M.columns[i]: e for i, e in rel.exponents.items()}
         assert verify_relation(rel.generator, pe, q23)
+
+
+def test_smooth_test_and_verify_make_no_ideal_products(q23, monkeypatch):
+    # valuations run on generators through the anti-uniformizer, so neither
+    # the smoothness test nor the exact relation check multiplies ideals
+    fb = build_factor_base(q23, 15)
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=4)
+    rng = random.Random(cfg.rng_seed)
+    rels = []
+    while not rels:
+        rels = derive_relations(*sample_ideal(fb, cfg, rng), cfg, q23, fb)
+    x, pe = rels[0]
+    principal = ideal_from_element(x)
+    calls = []
+    for name in ("ideal_mul", "_ideal_product"):
+        fn = getattr(ideals, name)
+        monkeypatch.setattr(ideals, name, lambda *a, fn=fn, name=name: (
+            calls.append(name), fn(*a))[1])
+    exps = is_smooth_ideal(principal, fb, q23)
+    assert {fb.primes[i]: e for i, e in exps.items()} == pe
+    assert verify_relation(x, pe, q23)
+    assert calls == []
 
 
 def test_relation_dump(qi, tmp_path):
