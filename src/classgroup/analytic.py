@@ -19,7 +19,7 @@ from . import polynomials as poly
 from .errors import PrecisionExhausted, ZeroVolume
 from .field import iv_endpoints
 from .ideals import factor_prime, ideal_lattice, unit_ideal
-from .lattice import GramLLL, enumerate_gram
+from .lattice import GramLLL, _gram_of, enumerate_gram
 from .polynomials import primes_up_to
 
 ACCEPT_LO = 2 ** -0.5
@@ -175,7 +175,7 @@ def regulator_from_kernel(kernel, generators, field):
     # [scaled logs | identity] keeps the rows independent and records the
     # combination each reduced vector came from
     aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(rows)]
-    red = GramLLL(_gram_rows(aug))
+    red = GramLLL(_gram_of(aug))
     red.reduce()
     survivors = []
     for j in range(k):
@@ -216,16 +216,6 @@ def regulator_from_kernel(kernel, generators, field):
     if val <= _UNIT_LOG_TOL:
         raise ZeroVolume("unit-log determinant vanishes")
     return val
-
-
-def _gram_rows(rows):
-    k = len(rows)
-    g = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            s = sum(rows[i][t] * rows[j][t] for t in range(len(rows[i])))
-            g[i][j] = g[j][i] = s
-    return g
 
 
 def _interval_det(ctx, mat):

@@ -14,16 +14,16 @@ import logging
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic, params
 from .errors import ClassGroupError, RankDeficient, Stalled, ZeroVolume
-from .field import load_field_file, parse_field
+from .field import load_field_file
 from .ideals import build_factor_base
 from .intlinalg import class_group_from_relations, left_kernel
 from .lattice import bkz, lll, read_matrix_file, write_matrix_file
-from .relations import CollectionConfig, RelationMatrix, collect
+from .relations import CollectionConfig, collect
 from .smoothness import LExpr, dickman_rho, eval_L
 
 logger = logging.getLogger(__name__)
@@ -38,6 +38,8 @@ MAX_ROUNDS = 5
 
 @dataclass
 class RunConfig:
+    """Options of `compute`.  `threads` is accepted for compatibility and has
+    no effect: relation collection runs on one thread."""
     field_path: str
     mode: str = "plain"
     seed: int = 0
@@ -258,6 +260,10 @@ def _cmd_lnot(args):
     return 0
 
 
+_THREADS_HELP = ("accepted for compatibility and has no effect: collection "
+                 "runs on one thread")
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="classgroup",
@@ -279,7 +285,7 @@ def build_parser():
     pc.add_argument("--K", type=int, default=2)
     pc.add_argument("--prime-bound", dest="prime_bound", type=int,
                     default=10 ** 4)
-    pc.add_argument("--threads", type=int, default=1)
+    pc.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     pc.add_argument("--out", default=None)
     pc.set_defaults(func=_cmd_compute)
 
@@ -298,7 +304,7 @@ def build_parser():
     pl.add_argument("--k", type=int, default=2)
     pl.add_argument("--A", type=int, default=2)
     pl.add_argument("--K", type=int, default=2)
-    pl.add_argument("--threads", type=int, default=1)
+    pl.add_argument("--threads", type=int, default=1, help=_THREADS_HELP)
     pl.set_defaults(func=_cmd_collect)
 
     pr = sub.add_parser("reduce", help="LLL/BKZ-reduce a matrix file")

@@ -30,11 +30,6 @@ from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
 _GUARD_BITS = 64
 
 
-def _isqrt_exact(n):
-    r = math.isqrt(n)
-    return r if r * r == n else None
-
-
 def _frac_sqrt_upper(q, bits=320):
     """Rational upper bound on sqrt of a nonnegative Fraction, with absolute
     slack below 2^-bits."""
@@ -103,7 +98,7 @@ class _RootBall:
 
 
 class NumberField:
-    """Immutable number field; safe to share across threads."""
+    """Immutable number field."""
 
     def __init__(self, coeffs, basis=None, precision=128):
         coeffs = poly.normalize(list(coeffs))

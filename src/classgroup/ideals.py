@@ -24,9 +24,12 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from fractions import Fraction
 
 from . import polynomials as poly
-from .errors import BasisNotMaximal, EmptyFactorBase, VerificationFailed
+from .errors import (BasisNotMaximal, EmptyFactorBase, PrecisionExhausted,
+                     VerificationFailed)
+from .field import iv_endpoints
 from .intlinalg import column_hnf
 from .lattice import LatticeBasis
 from .smoothness import smooth_part
@@ -148,13 +151,15 @@ def ideal_mul(a, b, field):
 
 
 def ideal_pow(a, e, field):
-    out = unit_ideal(field)
-    base = a
-    while e:
-        if e & 1:
-            out = ideal_mul(out, base, field)
-        base = ideal_mul(base, base, field)
-        e >>= 1
+    """a^e by e - 1 products; the unit ideal when e = 0."""
+    return _fold_product([a] * e, field)
+
+
+def _fold_product(factors, field):
+    """One ideal_mul per factor after the first; [] gives the unit ideal."""
+    out = factors[0] if factors else unit_ideal(field)
+    for b in factors[1:]:
+        out = ideal_mul(out, b, field)
     return out
 
 
@@ -373,10 +378,10 @@ def _index_divisor_primes(p, field):
                        inv_basis=inv_ideal.hnf_basis, tau=tau,
                        tau_mult=tau_mult)
         out.append(replace(P, ram_e=valuation(pO, P, field)))
-    prod = unit_ideal(field)
-    for P in out:
-        prod = ideal_mul(prod, ideal_pow(P.as_ideal(), P.ram_e, field), field)
-    assert prod == pO, f"product of the primes above {p} is not {p}O_K"
+    if _fold_product([P.as_ideal() for P in out for _ in range(P.ram_e)],
+                     field) != pO:
+        raise VerificationFailed(
+            f"product of the primes above {p} is not {p}O_K")
     return out
 
 
@@ -508,13 +513,12 @@ def build_factor_base(field, B):
 
 
 def ideal_from_power_product(fb, indices, exponents, field):
-    """prod fb.primes[i]^e; empty product is the unit ideal."""
-    assert len(indices) == len(exponents)
-    out = unit_ideal(field)
-    for i, e in zip(indices, exponents):
-        assert e >= 1
-        out = ideal_mul(out, ideal_pow(fb.primes[i].as_ideal(), e, field), field)
-    return out
+    """prod fb.primes[i]^e by sum(e) - 1 products; empty product is the
+    unit ideal."""
+    assert all(e >= 1 for e in exponents)
+    return _fold_product([fb.primes[i].as_ideal()
+                          for i, e in zip(indices, exponents, strict=True)
+                          for _ in range(e)], field)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +558,6 @@ def ideal_lattice(ideal, field):
     embedding satisfies det = |disc| * N(ideal)^2 (Lemma-level contract,
     asserted in the tests via interval arithmetic).
     """
-    n = field.degree
     s = field.precision
     cols = []
     for col in ideal.hnf_basis:
@@ -568,10 +571,6 @@ def ideal_lattice(ideal, field):
 
 
 def _round_scaled(interval, s):
-    from fractions import Fraction
-
-    from .errors import PrecisionExhausted
-    from .field import iv_endpoints
     lo, hi = iv_endpoints(interval)
     if (hi - lo) * (1 << s) >= Fraction(1, 4):
         raise PrecisionExhausted("interval too wide for the lattice scale")

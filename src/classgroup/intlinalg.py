@@ -258,6 +258,14 @@ def snf(M):
     return GroupStructure(divisors, h)
 
 
+def snf_of_hnf(H):
+    """GroupStructure of coker(H) for a square row HNF of full rank.  A unit
+    pivot's column is e_j, so row j only eliminates generator j: row and
+    column j are dropped before the SNF, which leaves the cokernel alone."""
+    big = [j for j in range(len(H)) if H[j][j] != 1]
+    return snf([[H[i][j] for j in big] for i in big])
+
+
 def class_group_from_relations(R):
     """Group structure of Z^N modulo the row lattice of a relation matrix.
 
@@ -285,7 +293,7 @@ def class_group_from_relations(R):
     h = 1
     for j in range(len(keep)):
         h *= nonzero[j][j]
-    struct = snf(nonzero)
+    struct = snf_of_hnf(nonzero)
     if struct.class_number != h:
         raise VerificationFailed(
             f"SNF class number {struct.class_number} differs from the HNF "

@@ -11,12 +11,13 @@ by a safety margin so the true minimum cannot be pruned away.
 """
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import kernels
-from .errors import DeterminantTooLarge, DimensionCap, RankDeficient
-from .intlinalg import column_hnf, identity, mat_mul
+from .errors import (DeterminantTooLarge, DimensionCap, RankDeficient,
+                     VerificationFailed)
+from .intlinalg import column_hnf, identity
 from .polynomials import bareiss_det
 
 ENUM_DIM_CAP = 30
@@ -44,18 +45,7 @@ class LatticeBasis:
         return len(self.columns)
 
     def gram(self):
-        cols = self.columns
-        k = len(cols)
-        g = [[0] * k for _ in range(k)]
-        for i in range(k):
-            ci = cols[i]
-            for j in range(i, k):
-                cj = cols[j]
-                s = 0
-                for t in range(len(ci)):
-                    s += ci[t] * cj[t]
-                g[i][j] = g[j][i] = s
-        return g
+        return _gram_of(self.columns)
 
     def det_squared(self):
         return bareiss_det(self.gram())
@@ -421,7 +411,9 @@ def bkz(basis, beta):
         red.reduce()
         fallback = True
         v2 = min(red.norms())
-        assert theorem_bound_holds(v2, beta, k, det_gram)
+        if not theorem_bound_holds(v2, beta, k, det_gram):
+            raise VerificationFailed(
+                "BKZ output violates the block-reduction quality bound")
     cols = _apply_transform(basis.columns, red.U)
     out = LatticeBasis(cols, basis.scale_bits, transform=red.U)
     report = ReductionReport(
@@ -474,8 +466,7 @@ def cheon_reduce(basis, beta):
     sub_cols = [[H.columns[j][i] for i in range(m)] for j in range(m)]
     sub = LatticeBasis(sub_cols, basis.scale_bits)
     reduced, report = bkz(sub, beta)
-    norms = [_exact_quadratic(_gram_of(reduced.columns), ej)
-             for ej in _unit_vectors(m)]
+    norms = [sum(c * c for c in col) for col in reduced.columns]
     jmin = norms.index(min(norms))
     v = [0] * n
     for i in range(m):
@@ -491,13 +482,15 @@ def _det_condition(det2, beta, n):
 
 
 def _gram_of(cols):
+    """Exact Gram matrix of the columns (rows work alike), filled from the
+    upper triangle."""
     k = len(cols)
-    return [[sum(cols[i][t] * cols[j][t] for t in range(len(cols[i])))
-             for j in range(k)] for i in range(k)]
-
-
-def _unit_vectors(m):
-    return [[1 if t == j else 0 for t in range(m)] for j in range(m)]
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        ci = cols[i]
+        for j in range(i, k):
+            g[i][j] = g[j][i] = sum(a * b for a, b in zip(ci, cols[j]))
+    return g
 
 
 def lattice_member(hnf_basis, vec):

@@ -21,12 +21,12 @@ import json
 import logging
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (DeterminantTooLarge, PrecisionExhausted, Stalled,
                      VerificationFailed)
+from .field import invert_fractions
 from .ideals import (factor_prime, ideal_divide_prime, ideal_from_element,
                      ideal_from_power_product, ideal_lattice, is_smooth_ideal,
                      valuation)
@@ -42,6 +42,8 @@ _WINDOW = 32
 
 @dataclass
 class CollectionConfig:
+    """Collection parameters.  `threads` is accepted for compatibility and
+    has no effect: every trial runs on the calling thread."""
     bound_B: int
     k: int = 2
     A: int = 2
@@ -80,10 +82,6 @@ class RelationMatrix:
         self.bach_bound = fb.bach_bound
         self.rows = []
         self._col_index = {(P.p, P.gen_poly): i for i, P in enumerate(self.columns)}
-
-    @property
-    def fb_size(self):
-        return self.fb.size
 
     def ensure_column(self, P):
         key = (P.p, P.gen_poly)
@@ -311,7 +309,6 @@ def _solve_int_columns(cols, target):
     """Integer coefficients c with sum c_j cols[j] = target (exact solve)."""
     n = len(target)
     mat = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(n)]
-    from .field import invert_fractions
     inv = invert_fractions(mat)
     out = []
     for j in range(len(cols)):
@@ -325,7 +322,7 @@ def _solve_int_columns(cols, target):
 def collect(field, fb, cfg, matrix=None, target_rows=None):
     """Run sample/derive until the row target and the Bach-prefix rank are
     both met.  Deterministic for a fixed (field, fb, cfg) including seed;
-    thread count does not change the result."""
+    every trial runs on the calling thread, and cfg.threads has no effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
     matrix = matrix or RelationMatrix(fb)
@@ -334,45 +331,35 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     trials = 0
     hits = 0
     stats = {"trials": 0, "hits": 0, "mode": cfg.mode}
-
-    def work(sample):
-        # a module-global lookup, so a replaced deriver takes effect
-        return derive_relations(*sample, cfg, field, fb)
-
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
-    try:
-        while True:
-            # the one stop check; the rank is computed only at the row target
-            rank = None
-            if len(matrix.rows) >= target_rows:
-                rank = matrix.bach_rank()
-            if trials:
-                logger.info("collect: trials=%d hits=%d rows=%d/%d%s", trials,
-                            hits, len(matrix.rows), target_rows,
-                            "" if rank is None else " bach_rank=%d/%d" % rank)
-            if rank is not None and rank[0] == rank[1]:
-                break
-            if trials >= cfg.trial_budget:
-                stats.update(trials=trials, hits=hits,
-                             rows=len(matrix.rows), target=target_rows)
-                raise Stalled(
-                    f"budget {cfg.trial_budget} exhausted: {hits} relations "
-                    f"from {trials} trials", stats)
-            window = [sample_ideal(fb, cfg, rng) for _ in range(_WINDOW)]
-            results = (pool.map if pool else map)(work, window)
-            for (idxs, exps), rels in zip(window, results):
-                for x, prime_exps in rels:
-                    if not verify_relation(x, prime_exps, field):
-                        raise VerificationFailed(
-                            f"relation from trial {trials} failed exact "
-                            "verification")
-                    matrix.add(x, prime_exps,
-                               (trials, cfg.mode, tuple(idxs), tuple(exps)))
-                    hits += 1
-                trials += 1
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    while True:
+        # the one stop check; the rank is computed only at the row target
+        rank = None
+        if len(matrix.rows) >= target_rows:
+            rank = matrix.bach_rank()
+        if trials:
+            logger.info("collect: trials=%d hits=%d rows=%d/%d%s", trials,
+                        hits, len(matrix.rows), target_rows,
+                        "" if rank is None else " bach_rank=%d/%d" % rank)
+        if rank is not None and rank[0] == rank[1]:
+            break
+        if trials >= cfg.trial_budget:
+            stats.update(trials=trials, hits=hits,
+                         rows=len(matrix.rows), target=target_rows)
+            raise Stalled(
+                f"budget {cfg.trial_budget} exhausted: {hits} relations "
+                f"from {trials} trials", stats)
+        for _ in range(_WINDOW):
+            idxs, exps = sample_ideal(fb, cfg, rng)
+            # a module-global lookup, so a replaced deriver takes effect
+            for x, prime_exps in derive_relations(idxs, exps, cfg, field, fb):
+                if not verify_relation(x, prime_exps, field):
+                    raise VerificationFailed(
+                        f"relation from trial {trials} failed exact "
+                        "verification")
+                matrix.add(x, prime_exps,
+                           (trials, cfg.mode, tuple(idxs), tuple(exps)))
+                hits += 1
+            trials += 1
     stats.update(trials=trials, hits=hits, rows=len(matrix.rows))
     if trials:
         rate = hits / trials

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
 from classgroup.field import iv_endpoints, parse_field
@@ -123,6 +124,45 @@ def test_power_product_examples(qi, q5):
     fb5 = build_factor_base(q5, 2)
     sq = ideal_pow(fb5.primes[0].as_ideal(), 2, q5)
     assert sq == ideal_from_element(q5.element([2, 0]))
+
+
+def test_power_product_is_a_fold(q23, cubic, monkeypatch):
+    # sum(e) - 1 products, each by a prime: no unit-ideal start and no
+    # squaring that is thrown away
+    calls = []
+    mul = ideals.ideal_mul
+    monkeypatch.setattr(ideals, "ideal_mul",
+                        lambda a, b, K: (calls.append(1), mul(a, b, K))[1])
+    rng = random.Random(8)
+    for K, B in ((q23, 30), (cubic, 30)):
+        fb = build_factor_base(K, B)
+        for _ in range(12):
+            k = rng.randint(1, min(3, fb.size))
+            idxs = sorted(rng.sample(range(fb.size), k))
+            exps = [rng.randint(1, 3) for _ in idxs]
+            calls.clear()
+            a = ideal_from_power_product(fb, idxs, exps, K)
+            assert len(calls) == sum(exps) - 1, (idxs, exps)
+            want = None
+            for i, e in zip(idxs, exps):
+                for _ in range(e):
+                    cols = fb.primes[i].hnf_basis
+                    want = cols if want is None else \
+                        ideal_product_fractions(K, want, cols)
+            assert a.hnf_basis == want, (idxs, exps)
+
+
+def test_ideal_pow_small_exponents(q23, monkeypatch):
+    P = build_factor_base(q23, 10).primes[0].as_ideal()
+    calls = []
+    mul = ideals.ideal_mul
+    monkeypatch.setattr(ideals, "ideal_mul",
+                        lambda a, b, K: (calls.append(1), mul(a, b, K))[1])
+    assert ideal_pow(P, 0, q23) == unit_ideal(q23)
+    assert ideal_pow(P, 1, q23) is P
+    assert calls == []
+    assert ideal_pow(P, 3, q23).norm == P.norm ** 3
+    assert len(calls) == 2
 
 
 def test_norm_multiplicativity_on_ideals(q23, sqrt2):
@@ -351,3 +391,29 @@ def test_ideal_checks_survive_python_O():
         "rejected: PrimeIdeal(p=2, e=2, f=1) does not divide the ideal",
         "rejected: quotient by PrimeIdeal(p=2, e=2, f=1) has norm 4, "
         "expected 2"], lines
+
+
+_INDEX_SPLIT_UNDER_O = """
+from fractions import Fraction
+
+from classgroup import ideals
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+# Q(i) as x^2 + 4 with basis {1, theta/2}: 2 divides the index; a valuation
+# that overcounts by one gives the prime above 2 the wrong ram_e
+K = parse_field([4, 0, 1], basis=[[1, 0], [0, Fraction(1, 2)]])
+valuation = ideals.valuation
+ideals.valuation = lambda target, P, field=None: valuation(target, P, field) + 1
+try:
+    ideals._index_divisor_primes(2, K)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_index_divisor_product_check_survives_python_O():
+    lines = run_under_O(_INDEX_SPLIT_UNDER_O)
+    assert lines == ["rejected: product of the primes above 2 is not 2O_K"], \
+        lines

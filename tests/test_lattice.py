@@ -4,6 +4,7 @@ import random
 import pytest
 
 from oracles import brute_shortest
+from under_O import run_under_O
 from classgroup.errors import DeterminantTooLarge, DimensionCap
 from classgroup.intlinalg import identity
 from classgroup.lattice import (LatticeBasis, bkz, cheon_reduce, enumerate_svp,
@@ -186,3 +187,24 @@ def test_matrix_file_roundtrip(tmp_path):
     B2 = read_matrix_file(str(p))
     assert B2.columns == B.columns
     assert p.read_text().splitlines()[0] == "3 2"
+
+
+_BKZ_UNDER_O = """
+from classgroup import lattice
+from classgroup.errors import VerificationFailed
+
+assert not __debug__, "run with python -O"
+# a quality check that always fails: the full-enumeration fallback cannot
+# satisfy it either, so bkz must refuse its output
+lattice.theorem_bound_holds = lambda *args: False
+try:
+    lattice.bkz(lattice.LatticeBasis([[3, 1], [1, 3]]), 2)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_bkz_quality_check_survives_python_O():
+    lines = run_under_O(_BKZ_UNDER_O)
+    assert lines == ["rejected: BKZ output violates the block-reduction "
+                     "quality bound"], lines

@@ -7,7 +7,7 @@ from under_O import run_under_O
 from classgroup.errors import RankDeficient
 from classgroup.ideals import _modp_kernel
 from classgroup.intlinalg import (hnf, hnf_with_transform, left_kernel,
-                                  mat_mul, rank, snf)
+                                  mat_mul, rank, snf, snf_of_hnf)
 from classgroup.polynomials import bareiss_det
 
 
@@ -88,6 +88,30 @@ def test_rank_deficient_signal(q5):
     matrix.rows.append(full.rows[0])
     with pytest.raises(RankDeficient):
         class_group_from_relations(matrix)
+
+
+def test_snf_of_hnf_drops_unit_pivots():
+    # rows and columns of unit pivots leave the cokernel alone: the divisors
+    # match the SNF of the whole HNF, for unimodular and other matrices
+    rng = random.Random(23)
+    unimodular = dropped = 0
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        M = [[rng.randint(-6, 6) for _ in range(n)]
+             for _ in range(n + rng.randint(0, 3))]
+        if rng.random() < 0.3:  # scale a column so the group is larger
+            j = rng.randrange(n)
+            for row in M:
+                row[j] *= rng.randint(2, 6)
+        H = [row for row in hnf(M) if any(row)]
+        if len(H) < n:
+            continue
+        got = snf_of_hnf(H)
+        assert got == snf(H), M
+        unimodular += got.class_number == 1
+        dropped += any(H[j][j] == 1 for j in range(n))
+    assert snf_of_hnf([]) == snf([[1]])
+    assert unimodular >= 5 and dropped >= 30
 
 
 def test_rank():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import threading
 
 import pytest
 
@@ -217,6 +218,24 @@ def test_rank_checked_only_at_target(q23, monkeypatch):
     windows = -(-stats["trials"] // relations._WINDOW)
     assert seen and all(n >= target for n in seen), seen
     assert len(seen) <= windows + 1
+
+
+def test_collect_runs_on_the_calling_thread(q23, monkeypatch):
+    # the thread count selects nothing: every trial is derived in place
+    fb = build_factor_base(q23, 15)
+    idents = []
+    inner = relations.derive_relations
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return inner(*args)
+
+    monkeypatch.setattr(relations, "derive_relations", recorded)
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=11,
+                           trial_budget=4000, threads=4)
+    _, stats = collect(q23, fb, cfg)
+    assert len(idents) == stats["trials"] > 0
+    assert set(idents) == {threading.get_ident()}
 
 
 def test_every_stored_relation_verifies(q23):
