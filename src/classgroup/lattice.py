@@ -82,7 +82,8 @@ class GramLLL:
         self.k = k
         self.G = [[int(x) for x in row] for row in gram]
         self.U = identity(k)
-        assert Fraction(1, 4) < delta < 1
+        if not Fraction(1, 4) < delta < 1:
+            raise ValueError(f"LLL delta {delta} outside (1/4, 1)")
         self.delta = Fraction(delta)
         self.d = [0] * k       # d[i] = det Gram(b_0..b_i) > 0
         self.lam = [[0] * k for _ in range(k)]
@@ -127,15 +128,27 @@ class GramLLL:
                 lam[i][t] -= q * lam[j][t]
 
     def _swap(self, i):
-        """Swap b_i and b_{i-1}, then rebuild the affected GSO rows."""
-        G, U, k = self.G, self.U, self.k
+        """Swap b_i and b_{i-1} and update (d, lambda) in O(k) exact steps
+        (Cohen, GTM 138, Alg. 2.6.7 SWAPI); every division is exact, so the
+        state equals a rebuild of the rows from i-1 on."""
+        G, U, k, d, lam = self.G, self.U, self.k, self.d, self.lam
         G[i], G[i - 1] = G[i - 1], G[i]
         for row in G:
             row[i], row[i - 1] = row[i - 1], row[i]
         for row in U:
             row[i], row[i - 1] = row[i - 1], row[i]
-        for t in range(i - 1, k):
-            self._gso_row(t)
+        li, lp = lam[i], lam[i - 1]
+        for j in range(i - 1):
+            li[j], lp[j] = lp[j], li[j]
+        lm = li[i - 1]
+        di, dp = d[i], d[i - 1]
+        b = ((d[i - 2] if i >= 2 else 1) * di + lm * lm) // dp
+        for t in range(i + 1, k):
+            lt = lam[t]
+            x = lt[i]
+            lt[i] = (di * lt[i - 1] - lm * x) // dp
+            lt[i - 1] = (b * x + lm * lt[i]) // di
+        d[i - 1] = b
 
     def reduce(self):
         """Standard LLL sweep; exact Lovasz test with delta = a/b."""
@@ -167,15 +180,19 @@ class GramLLL:
         m = hi - lo
         out = [[0] * m for _ in range(m)]
         for ii in range(m):
+            li = lam[lo + ii]
             for jj in range(ii, m):
-                i, j = lo + ii, lo + jj
-                val = Fraction(G[i][j])
+                lj = lam[lo + jj]
+                # the _gso_row recurrence stopped at t = lo leaves
+                # d[lo-1] * <pi(b_i), pi(b_j)>
+                u = G[lo + ii][lo + jj]
                 for t in range(lo):
-                    prev = d[t - 1] if t else 1
-                    val -= Fraction(lam[i][t] * lam[j][t], d[t] * prev)
-                scaled = val * denom
-                assert scaled.denominator == 1
-                out[ii][jj] = out[jj][ii] = scaled.numerator
+                    u, r = divmod(d[t] * u - li[t] * lj[t],
+                                  d[t - 1] if t else 1)
+                    if r:
+                        raise VerificationFailed(
+                            "projected block Gram entry is not integral")
+                out[ii][jj] = out[jj][ii] = u
         return out, denom
 
     def insert_block_vector(self, lo, hi, w):
@@ -368,7 +385,8 @@ def bkz(basis, beta):
     |v| <= beta^((k-1)/(2(beta-1))) * det^(1/k) (checked exactly; a full
     enumeration fallback enforces it in the rare case tours stall early)."""
     k = basis.k
-    assert 2 <= beta <= k, f"block size {beta} outside [2, {k}]"
+    if not 2 <= beta <= k:
+        raise ValueError(f"block size {beta} outside [2, {k}]")
     red = GramLLL(basis.gram())
     red.reduce()
     nodes_total = 0
@@ -392,7 +410,9 @@ def bkz(basis, beta):
                 m = hi - kappa
                 w = [sum(sub.U[t][i] * w_red[i] for i in range(m)) for t in range(m)]
                 g = math.gcd(*w) if len(w) > 1 else abs(w[0])
-                assert g == 1, "shortest block vector must be primitive"
+                if g != 1:
+                    raise VerificationFailed(
+                        "shortest block vector must be primitive")
                 red.insert_block_vector(kappa, hi, w)
                 red.reduce()
                 improved = True

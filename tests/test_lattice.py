@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,10 +9,11 @@ from oracles import brute_shortest
 from under_O import run_under_O
 from classgroup.errors import DeterminantTooLarge, DimensionCap
 from classgroup.intlinalg import identity
-from classgroup.lattice import (LatticeBasis, bkz, cheon_reduce, enumerate_svp,
-                                hnf_lattice, lattice_member, lll, log_big,
-                                round_half_even, shortest_of_gram,
-                                theorem_bound_holds, _apply_transform, _gram_of)
+from classgroup.lattice import (GramLLL, LatticeBasis, bkz, cheon_reduce,
+                                enumerate_svp, hnf_lattice, lattice_member,
+                                lll, log_big, round_half_even,
+                                shortest_of_gram, theorem_bound_holds,
+                                _apply_transform, _gram_of)
 from classgroup.polynomials import bareiss_det
 
 
@@ -208,3 +211,179 @@ def test_bkz_quality_check_survives_python_O():
     lines = run_under_O(_BKZ_UNDER_O)
     assert lines == ["rejected: BKZ output violates the block-reduction "
                      "quality bound"], lines
+
+
+_OUT_OF_RANGE_UNDER_O = """
+from classgroup import lattice
+
+assert not __debug__, "run with python -O"
+for call in (lambda: lattice.bkz(lattice.LatticeBasis([[3, 1], [1, 3]]), 3),
+             lambda: lattice.bkz(lattice.LatticeBasis([[3, 1], [1, 3]]), 1),
+             lambda: lattice.GramLLL([[1]], delta=1)):
+    try:
+        call()
+    except ValueError as e:
+        print("rejected:", e)
+"""
+
+_NOT_PRIMITIVE_UNDER_O = """
+from classgroup import lattice
+from classgroup.errors import VerificationFailed
+
+assert not __debug__, "run with python -O"
+# a block "shortest vector" of norm 0 with gcd 2 always looks like an
+# improvement, so only the primitivity check stands between it and the basis
+lattice.enumerate_gram = lambda red: ([((2,) + (0,) * (red.k - 1), 0)], 1)
+try:
+    lattice.bkz(lattice.LatticeBasis([[3, 1], [1, 3]]), 2)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_range_and_primitivity_checks_survive_python_O():
+    assert run_under_O(_OUT_OF_RANGE_UNDER_O) == [
+        "rejected: block size 3 outside [2, 2]",
+        "rejected: block size 1 outside [2, 2]",
+        "rejected: LLL delta 1 outside (1/4, 1)"]
+    assert run_under_O(_NOT_PRIMITIVE_UNDER_O) == [
+        "rejected: shortest block vector must be primitive"]
+
+
+def _seeded_bases(seed, count):
+    """Independent integer columns of three shapes, in turn: small random
+    square bases, square bases with one long column, and regulator-shaped
+    rows [2^64-scaled unit logs | I] whose logs are small integer
+    combinations of a few fundamental ones, so that LLL must find the
+    dependencies."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        shape = len(out) % 3
+        if shape == 0:
+            n = rng.randint(3, 10)
+            cols = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        elif shape == 1:
+            n = rng.randint(3, 8)
+            cols = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            cols[0] = [rng.randint(-2 ** 40, 2 ** 40) for _ in range(n)]
+        else:
+            r = rng.randint(2, 4)
+            k = rng.randint(r, r + 4)
+            fund = []
+            for _ in range(r - 1):
+                v = [rng.uniform(-5, 5) for _ in range(r - 1)]
+                fund.append(v + [-sum(v)])
+            cols = []
+            for i in range(k):
+                c = [rng.randint(-3, 3) for _ in fund]
+                logs = [sum(cj * f[t] for cj, f in zip(c, fund))
+                        for t in range(r)]
+                cols.append([round(x * 2 ** 64) for x in logs]
+                            + [int(i == j) for j in range(k)])
+        if bareiss_det(_gram_of(cols)) > 0:
+            out.append(cols)
+    return out
+
+
+def _record_swaps(monkeypatch, after=None):
+    """Wrap GramLLL._swap; the returned list gets the index of every swap,
+    and after(state) runs once each swap is done."""
+    swaps = []
+    orig = GramLLL._swap
+
+    def wrapped(self, i):
+        orig(self, i)
+        swaps.append(i)
+        if after is not None:
+            after(self)
+
+    monkeypatch.setattr(GramLLL, "_swap", wrapped)
+    return swaps
+
+
+def test_swap_update_matches_rebuild(monkeypatch):
+    def check(red):
+        fresh = GramLLL(red.G)  # every GSO row rebuilt from the current G
+        assert (red.d, red.lam) == (fresh.d, fresh.lam)
+
+    swaps = _record_swaps(monkeypatch, check)
+    for cols in _seeded_bases(23, 30):
+        GramLLL(_gram_of(cols)).reduce()
+    assert len(swaps) > 500 and max(swaps) >= 6
+    # BKZ also swaps right after inserting a block vector
+    del swaps[:]
+    for cols in _seeded_bases(29, 6):
+        if len(cols) >= 3:
+            bkz(LatticeBasis(cols), 3)
+    assert swaps
+
+
+def test_projected_block_gram_matches_fractions():
+    blocks = 0
+    for cols in _seeded_bases(31, 15):
+        red = GramLLL(_gram_of(cols))
+        red.reduce()
+        d, lam, G, k = red.d, red.lam, red.G, red.k
+        for lo in range(k - 1):
+            for hi in range(lo + 2, k + 1):
+                got, denom = red.projected_block_gram(lo, hi)
+                assert denom == (d[lo - 1] if lo else 1)
+                for i in range(lo, hi):
+                    for j in range(lo, hi):
+                        val = Fraction(G[i][j]) - sum(
+                            Fraction(lam[i][t] * lam[j][t],
+                                     d[t] * (d[t - 1] if t else 1))
+                            for t in range(lo))
+                        assert got[i - lo][j - lo] == val * denom
+                blocks += 1
+    assert blocks > 200
+
+
+# (swap count, sha256 of repr(U)) of LLL on _seeded_bases(17, 30), recorded
+# while every swap still rebuilt the GSO rows: the swap update must take the
+# same decisions
+_PINNED_TRANSFORMS = [
+    (49, "39695604cce1d402e2759fde0668b29399decb17ad61089a7a554754a67ee70b"),
+    (13, "5d0a7b9ddc481f20fe3b65541688c539c9d704e78abcda9152984fc2cf9a2b76"),
+    (6, "0e31c7315d04bb231450d6985ff75c066a40a031d712f1272df6ea981d526990"),
+    (8, "89094d09199230d3788ee1d169b0880a9a786b5009e4cc309303add58a6c9e99"),
+    (2, "0e91067352d71aa82e360f69196fa8556b58514f600e943b185b4a8f772ab8a8"),
+    (49, "dd1b973f015e06527960c71f16afceef992b685608d51ae9e5b18c5324e8fe50"),
+    (43, "c967ca3d6964902e2777395e3f9a492be6b7233bc982d9156d6b7098915d2cb6"),
+    (28, "7674954e5af3be9d0f59f68880ee43d3a6f99235e0fec73eadee819d318d23fc"),
+    (6, "c561fee760d4f8313ea71dcceb88dd494cb31d8ea1aff070710e9b3c81028f12"),
+    (18, "2dc0ef28b18dd1465f0720ea85be49bcae492922aa24ca503d67b42873d4433f"),
+    (10, "0ee44e541c78337683bd90e3a35428a6540dc97b2c9450fa9e0a10d6cb47251a"),
+    (7, "cf5b94a46a56917a86f98462fd678072e7a520f2a26ea688f6a60c2c14bf08f1"),
+    (3, "73271763b9d12f5bfb4f718d561fbe52d6dc074bfe55a7ea050847282e38a020"),
+    (3, "1118d199f5dd35b0a7706c34d9966a0cd80f0e2169114b66831caa14afed2a10"),
+    (23, "cc3c46e6b47bbf37e590e7a1bd2b1a1764bffae4b8332cff79e757ec7da22fc2"),
+    (81, "060d044f073b9b1d28182f5970e89d16f2c3d10a038a647be9382a3cd9a385bf"),
+    (7, "2db70c5c86d23c7743e89540d5ae640b7acbe56b1d21589a152b330462c89c12"),
+    (7, "ad60deefc863d8e4007a8804808b76b819d5e46f7ec2200f7209bc96570f06b7"),
+    (4, "bf5128100a15e485aed7dea110796d2c8d96690158a730d57e4066139e089934"),
+    (33, "f62b0a787eb8b6341caddeb0f8c0e90a95d607ba8c56bd0fac7912469fb1b1e9"),
+    (4, "718d7d0ab389241310942feb92007944f0b41fb28ad45b8e4703229a50cc7f57"),
+    (3, "ef949e2da9d56178b4a712fbe54b6e2246ce155bbb5691d93a10d3387969c115"),
+    (19, "8019e7667400e75068dfe7f8ac26b827af3fcba83829281c2758aaf54c520059"),
+    (3, "f73ad6b57620f8620da802276ca1b9a409e607eeb0b58a44387ab19c6db321b9"),
+    (16, "ae6d40d248a0d8860d338aef0a2a42671bdeeafdc5f41085fa80c299cd5e0491"),
+    (2, "62093a54fb932c906e8fe6154155f2f9e2d2beecf80d24b3570ea0600efcfee4"),
+    (76, "a840292993bb0015a5a916e6dacfe8e731a0d487bcc4c9ada3fa757cdc5ae47e"),
+    (67, "3a4e2183e63c0d3cd816832b48a3cd1781e18a4423aff77e8734d88092c3cab2"),
+    (15, "4ddcb63f54bd429742948c8ca5d5147add28a9e162b195604e54c6a03b127298"),
+    (0, "96e2842b61378b276457934f786303cbfc11a17102c65dd5bc9d51d975d21e79"),
+]
+
+
+def test_lll_transforms_pinned(monkeypatch):
+    swaps = _record_swaps(monkeypatch)
+    got = []
+    for cols in _seeded_bases(17, 30):
+        del swaps[:]
+        red = GramLLL(_gram_of(cols))
+        red.reduce()
+        got.append((len(swaps),
+                     hashlib.sha256(repr(red.U).encode()).hexdigest()))
+    assert got == _PINNED_TRANSFORMS
