@@ -131,7 +131,7 @@ _LOG_SCALE_BITS = 64
 _UNIT_LOG_TOL = 1e-9
 
 
-def regulator_from_kernel(kernel, generators, field):
+def regulator_from_kernel(kernel, generators, field, logs=None):
     """Regulator (or an integer multiple) of the unit-log lattice generated by
     the kernel units u_v = prod generators^v.
 
@@ -141,7 +141,11 @@ def regulator_from_kernel(kernel, generators, field):
     (torsion/dependencies, verified against the intervals) are removed, and
     the regulator is the absolute determinant of the first unit_rank
     coordinates of what remains.  Raises ZeroVolume when fewer than unit_rank
-    independent vectors survive."""
+    independent vectors survive.
+
+    `logs` maps generators to their log vectors and is filled in as it goes;
+    a caller that passes the same dict to every round computes each
+    generator's log_embedding once."""
     r1, r2 = field.signature
     r = r1 + r2
     unit_rank = r - 1
@@ -150,13 +154,17 @@ def regulator_from_kernel(kernel, generators, field):
     if not kernel:
         raise ZeroVolume("no kernel vectors")
     ctx = field.iv
-    logs = [log_embedding(field, g) for g in generators]
+    if logs is None:
+        logs = {}
+    for g in generators:
+        if g not in logs:
+            logs[g] = log_embedding(field, g)
     unit_logs = []
     for v in kernel:
         acc = [ctx.mpf(0) for _ in range(r)]
         for j, c in enumerate(v):
             if c:
-                lj = logs[j]
+                lj = logs[generators[j]]
                 for t in range(r):
                     acc[t] += c * lj[t]
         unit_logs.append(acc)

@@ -105,6 +105,7 @@ def run_compute(cfg):
     reg = None
     ratio = None
     verdict = "REJECT"
+    unit_logs = {}  # generator -> log vector, kept across rounds
     for rnd in range(MAX_ROUNDS):
         ccfg = CollectionConfig(
             bound_B=B, k=min(cfg.k, fb.size), A=cfg.A, beta=beta,
@@ -124,7 +125,7 @@ def run_compute(cfg):
         kernel = left_kernel(matrix.dense_rows()) if an.unit_rank > 0 else []
         try:
             reg = analytic.regulator_from_kernel(
-                kernel, [r.generator for r in matrix.rows], field)
+                kernel, [r.generator for r in matrix.rows], field, unit_logs)
         except ZeroVolume as e:
             logger.info("round %d: %s", rnd, e)
             K *= 2

@@ -148,6 +148,8 @@ class NumberField:
         self._iv = MPIntervalContext()
         self._iv.prec = self.precision + _GUARD_BITS
         self._roots = None
+        self._embedding_table = None
+        self._doubled = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -178,6 +180,13 @@ class NumberField:
 
     def with_precision(self, precision):
         return NumberField(list(self.poly), [list(r) for r in self.basis], precision)
+
+    def doubled(self):
+        """This field at twice the precision, built on first use and kept, so
+        an escalating caller certifies its roots and tables only once."""
+        if self._doubled is None:
+            self._doubled = self.with_precision(2 * self.precision)
+        return self._doubled
 
     # -- elements ------------------------------------------------------------
 
@@ -320,6 +329,29 @@ class NumberField:
                 raise PrecisionExhausted(
                     "embedding interval wider than 2^-precision")
         return out
+
+    def embedding_table(self):
+        """Scaled-integer canonical embedding of the integral basis, built
+        from canonical_embedding on first use: (centres, radii, guard) with
+        |2^(precision+guard) * sigma_j(omega_i) - centres[j][i]| <= radii[j][i]
+        for coordinate j of basis element omega_i.  Since sigma is Z-linear,
+        sigma_j(x) for integer coordinates x lies within sum |x_i| radii[j][i]
+        of sum x_i centres[j][i] at that scale."""
+        if self._embedding_table is None:
+            scale = 1 << (self.precision + _GUARD_BITS)
+            n = self.degree
+            centres = [[0] * n for _ in range(n)]
+            radii = [[0] * n for _ in range(n)]
+            for i in range(n):
+                unit = [int(i == k) for k in range(n)]
+                for j, v in enumerate(self.canonical_embedding(self.element(unit))):
+                    lo, hi = iv_endpoints(v)
+                    lo, hi = lo * scale, hi * scale
+                    c = math.floor((lo + hi) / 2)
+                    centres[j][i] = c
+                    radii[j][i] = max(math.ceil(hi) - c, c - math.floor(lo))
+            self._embedding_table = (centres, radii, _GUARD_BITS)
+        return self._embedding_table
 
     def minkowski_bound(self):
         n, (r1, r2) = self.degree, self.signature

@@ -17,6 +17,14 @@ constants.  Valuations and divisions by P use an anti-uniformizer tau in
 p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
 exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
 Norm checks on products and divisions raise VerificationFailed.
+
+Ideal lattices are integer too.  The field certifies the canonical
+embedding of its integral basis once, as an integer table of centres and
+radii 64 guard bits below the lattice scale; a lattice coordinate is the
+integer combination of that table by the HNF column, rounded only when the
+whole enclosing interval rounds to one integer.  An ambiguous rounding
+raises PrecisionExhausted, and the relation search retries in the field's
+doubled-precision copy.
 """
 
 import itertools
@@ -24,12 +32,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from fractions import Fraction
 
 from . import polynomials as poly
 from .errors import (BasisNotMaximal, EmptyFactorBase, PrecisionExhausted,
                      VerificationFailed)
-from .field import iv_endpoints
 from .intlinalg import column_hnf
 from .lattice import LatticeBasis
 from .smoothness import smooth_part
@@ -551,28 +557,31 @@ def is_smooth_ideal(ideal, fb, field):
 # Ideal lattices
 
 def ideal_lattice(ideal, field):
-    """Scaled-integer basis of the canonical embedding of the ideal.
-
-    Columns are round(2^prec * sigma(g_j)) for the HNF generators g_j; the
-    scale is recorded in the result.  Gram determinant of the unrounded
-    embedding satisfies det = |disc| * N(ideal)^2 (Lemma-level contract,
-    asserted in the tests via interval arithmetic).
+    """Scaled-integer basis of the canonical embedding of the ideal: column
+    j is round(2^s * sigma(g_j)) for the HNF generator g_j, where s is the
+    field precision, recorded as scale_bits.  Each coordinate combines the
+    field's embedding table by g_j in integers, V = sum g_i*c_i within
+    R = sum |g_i|*r_i, and is rounded only when V - R and V + R round to
+    the same integer.  Otherwise PrecisionExhausted asks the caller to retry
+    in field.doubled().  The Gram determinant of the unrounded embedding is
+    |disc| * N(ideal)^2.
     """
-    s = field.precision
+    centres, radii, guard = field.embedding_table()
+    half = 1 << (guard - 1)
     cols = []
-    for col in ideal.hnf_basis:
-        x = field.element(list(col))
-        emb = field.canonical_embedding(x)
-        icol = []
-        for v in emb:
-            icol.append(_round_scaled(v, s))
-        cols.append(icol)
-    return LatticeBasis(cols, scale_bits=s)
-
-
-def _round_scaled(interval, s):
-    lo, hi = iv_endpoints(interval)
-    if (hi - lo) * (1 << s) >= Fraction(1, 4):
-        raise PrecisionExhausted("interval too wide for the lattice scale")
-    mid = (lo + hi) / 2 * (1 << s) + Fraction(1, 2)
-    return mid.numerator // mid.denominator
+    for g in ideal.hnf_basis:
+        col = []
+        for cj, rj in zip(centres, radii):
+            v = half
+            r = 0
+            for gi, c, rad in zip(g, cj, rj):
+                if gi:
+                    v += gi * c
+                    r += abs(gi) * rad
+            lo = (v - r) >> guard
+            if lo != (v + r) >> guard:
+                raise PrecisionExhausted(
+                    "embedding rounding ambiguous at the lattice scale")
+            col.append(lo)
+        cols.append(col)
+    return LatticeBasis(cols, scale_bits=field.precision)

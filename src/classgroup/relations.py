@@ -178,14 +178,24 @@ def _cofactor_ideal(x, idxs, exps, fb, field):
     return b
 
 
-def _reduce_ideal(a, beta, field):
-    """BKZ-reduce sigma(a); returns the reduced basis.  Precision escalates
-    once before giving up."""
+def _lattice_of(a, field):
+    """sigma(a) as a scaled-integer basis.  An ambiguous rounding escalates
+    once, to field.doubled(), which is built once per field; an ambiguity
+    there too raises PrecisionExhausted."""
     try:
-        L = ideal_lattice(a, field)
+        return ideal_lattice(a, field)
     except PrecisionExhausted:
-        L = ideal_lattice(a, field.with_precision(field.precision * 2))
-    return bkz(L, beta)[0]
+        pass
+    try:
+        return ideal_lattice(a, field.doubled())
+    except PrecisionExhausted as e:
+        raise PrecisionExhausted(
+            f"ideal lattice still ambiguous at {2 * field.precision} bits") from e
+
+
+def _reduce_ideal(a, beta, field):
+    """BKZ-reduce sigma(a); returns the reduced basis."""
+    return bkz(_lattice_of(a, field), beta)[0]
 
 
 def _shortest_column(red):
@@ -286,7 +296,7 @@ def cheon_presmooth_tail(b, cfg, field, fb):
     results = []
     beta = max(2, min(cfg.beta, field.degree))
     for P, _v in factors:
-        L = ideal_lattice(P.as_ideal(), field)
+        L = _lattice_of(P.as_ideal(), field)
         try:
             coeffs = _solve_int_columns(L.columns, cheon_reduce(L, beta)[0])
         except DeterminantTooLarge:

@@ -7,6 +7,7 @@ from oracles import (cubic_unit_search, pell_fundamental_unit,
                      torsion_count_direct)
 from test_acceptance import IMAG_DISCS, poly_for_disc
 from under_O import run_under_O
+from classgroup import analytic
 from classgroup.analytic import (compute_analytic, count_roots_of_unity,
                                  euler_residue, regulator_from_kernel, verify)
 from classgroup.errors import ZeroVolume
@@ -150,6 +151,23 @@ def test_regulator_cubic(cubic):
     reg = regulator_from_kernel(kern, [r.generator for r in M.rows], cubic)
     oracle = cubic_unit_search(cubic)
     assert abs(reg - oracle) < 1e-6
+
+
+def test_regulator_log_cache_computes_each_generator_once(cubic,
+                                                          monkeypatch):
+    M, kern = _pipeline(cubic, 25, 5)
+    gens = [r.generator for r in M.rows]
+    want = regulator_from_kernel(kern, gens, cubic)
+    calls = []
+    log_embedding = analytic.log_embedding
+    monkeypatch.setattr(analytic, "log_embedding",
+                        lambda K, x: calls.append(x) or log_embedding(K, x))
+    logs = {}
+    assert regulator_from_kernel(kern, gens, cubic, logs) == want
+    assert len(calls) == len(set(gens))
+    # a later round over the same rows embeds nothing again
+    assert regulator_from_kernel(kern, gens, cubic, logs) == want
+    assert len(calls) == len(set(gens))
 
 
 def test_regulator_multiple_property(sqrt2):

@@ -6,7 +6,7 @@ import pytest
 from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
-from classgroup.field import iv_endpoints, parse_field
+from classgroup.field import canonical_embedding, iv_endpoints, parse_field
 from classgroup.ideals import (Ideal, _index_divisor_primes, bach_bound,
                                build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
@@ -417,3 +417,98 @@ def test_index_divisor_product_check_survives_python_O():
     lines = run_under_O(_INDEX_SPLIT_UNDER_O)
     assert lines == ["rejected: product of the primes above 2 is not 2O_K"], \
         lines
+
+
+# -- ideal lattices from the embedding table ---------------------------------
+
+def _midpoint_lattice(ideal, K):
+    """Reference columns: each HNF generator embedded on its own with
+    canonical_embedding and rounded at its interval midpoint."""
+    s = K.precision
+    cols = []
+    for g in ideal.hnf_basis:
+        col = []
+        for v in canonical_embedding(K.element(list(g))):
+            lo, hi = iv_endpoints(v)
+            assert (hi - lo) * (1 << s) < Fraction(1, 4)
+            mid = (lo + hi) / 2 * (1 << s) + Fraction(1, 2)
+            col.append(mid.numerator // mid.denominator)
+        cols.append(col)
+    return cols
+
+
+@pytest.mark.parametrize("coeffs,basis,B", [
+    ([1, 0, 1], None, 60),                        # Q(i)
+    ([-2, 0, 1], None, 60),                       # Q(sqrt 2)
+    ([-1, -1, 0, 1], None, 40),                   # cubic, disc -23
+    ([1, 1, 1, 1, 1], None, 40),                  # Q(zeta5)
+    ([1, 1, 1, 1, 1, 1, 1], None, 30),            # Q(zeta7)
+    ([4, 0, 1], [[1, 0], [0, Fraction(1, 2)]], 60),  # basis {1, theta/2}
+])
+def test_ideal_lattice_matches_midpoint_reference(coeffs, basis, B):
+    K = parse_field(coeffs, basis=basis)
+    # the table and the doubled field's both enclose each sigma_j(omega_i)
+    centres, radii, guard = K.embedding_table()
+    centres2, radii2, guard2 = K.doubled().embedding_table()
+    shift = K.precision + guard2 - guard
+    for cj, rj, cj2, rj2 in zip(centres, radii, centres2, radii2):
+        for c, r, c2, r2 in zip(cj, rj, cj2, rj2):
+            assert (c - r) << shift <= c2 + r2 and c2 - r2 <= (c + r) << shift
+    fb = build_factor_base(K, B)
+    ideals_ = [unit_ideal(K)] + [P.as_ideal() for P in fb.primes]
+    rng = random.Random(29)
+    for _ in range(40 if K.degree <= 3 else 12):
+        k = rng.randint(1, min(3, fb.size))
+        idxs = rng.sample(range(fb.size), k)
+        exps = [rng.randint(1, 3) for _ in idxs]
+        ideals_.append(ideal_from_power_product(fb, idxs, exps, K))
+    for a in ideals_:
+        L = ideal_lattice(a, K)
+        assert L.scale_bits == K.precision
+        assert L.columns == _midpoint_lattice(a, K), a
+
+
+_ESCALATION_UNDER_O = """
+from classgroup import relations
+from classgroup.errors import PrecisionExhausted
+from classgroup.field import NumberField, parse_field
+from classgroup.ideals import build_factor_base, ideal_lattice
+
+assert not __debug__, "run with python -O"
+K = parse_field([1, 0, 1])
+a = build_factor_base(K, 13).primes[-1].as_ideal()
+
+
+def widen(field):
+    # one radius as wide as the guard: no coordinate over omega_0 rounds
+    centres, radii, guard = field.embedding_table()
+    radii[0][0] = 1 << guard
+
+
+widen(K)
+try:
+    ideal_lattice(a, K)
+except PrecisionExhausted as e:
+    print("ambiguous:", e)
+built = []
+with_precision = NumberField.with_precision
+NumberField.with_precision = lambda f, s: built.append(s) or with_precision(f, s)
+red = relations._reduce_ideal(a, 2, K)
+want = relations.bkz(ideal_lattice(a, parse_field([1, 0, 1], precision=256)), 2)[0]
+print("recovered:", red.scale_bits, red.columns == want.columns)
+relations._reduce_ideal(a, 2, K)
+print("doubled fields built:", built)
+widen(K.doubled())
+try:
+    relations._reduce_ideal(a, 2, K)
+except PrecisionExhausted as e:
+    print("gave up:", e)
+"""
+
+
+def test_ambiguous_rounding_escalates_once_under_python_O():
+    assert run_under_O(_ESCALATION_UNDER_O) == [
+        "ambiguous: embedding rounding ambiguous at the lattice scale",
+        "recovered: 256 True",
+        "doubled fields built: [256]",
+        "gave up: ideal lattice still ambiguous at 256 bits"]
