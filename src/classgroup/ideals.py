@@ -129,14 +129,21 @@ def _element_of_gen_poly(gen_poly, field):
     return [c.numerator for c in coords]
 
 
+def integral_norm(x):
+    """(|N(x)|, integer multiplication-by-x columns) for integral x."""
+    if not x.is_integral:
+        raise VerificationFailed("element is not integral")
+    cols = _mult_columns([c.numerator for c in x.coords], x.field)
+    return abs(poly.bareiss_det(cols)), cols
+
+
 def ideal_from_element(x):
     """Principal ideal <x> for integral x; its norm is checked against
     |N(x)|, the determinant of the multiplication-by-x columns."""
-    assert x.is_integral and not x.is_zero
-    field = x.field
-    cols = _mult_columns([c.numerator for c in x.coords], field)
-    ideal = _hnf_ideal(cols, field)
-    if ideal.norm != abs(poly.bareiss_det(cols)):
+    assert not x.is_zero
+    nx, cols = integral_norm(x)
+    ideal = _hnf_ideal(cols, x.field)
+    if ideal.norm != nx:
         raise VerificationFailed("HNF determinant of <x> differs from |N(x)|")
     return ideal
 

@@ -4,7 +4,9 @@ vector enumeration, and reduction of HNF prefix sublattices.
 All reduction state is exact.  The Gram matrix and the transform are big
 integers; Gram-Schmidt data uses the classical integral (d_i, lambda_ij)
 representation with mu_ij = lambda_ij/d_j and |b*_i|^2 = d_i/d_{i-1}, so the
-Lovasz condition and all block comparisons are integer comparisons.  Floating
+Lovasz condition and all block comparisons are integer comparisons.  BKZ
+reads each block's GSO off the reduced basis's (d, lambda) with no sub-LLL:
+a projected block of an LLL-reduced basis is already LLL-reduced.  Floating
 point appears only inside the enumeration kernel, whose candidate vectors are
 re-scored exactly before anything is accepted, with the search radius opened
 by a safety margin so the true minimum cannot be pruned away.
@@ -63,30 +65,45 @@ class ReductionReport:
 
 
 def log_big(n):
-    """math.log for arbitrarily large positive ints/Fractions."""
-    if isinstance(n, Fraction):
-        return log_big(n.numerator) - log_big(n.denominator)
+    """math.log for arbitrarily large positive ints."""
     n = int(n)
-    assert n > 0
     if n.bit_length() <= 900:
         return math.log(n)
     sh = n.bit_length() - 64
     return math.log(n >> sh) + sh * math.log(2)
 
 
-class GramLLL:
+class GramGSO:
+    """Gram matrix G with its integral GSO (d, lam): what enumeration reads."""
+
+    def __init__(self, G, d, lam):
+        self.k, self.G, self.d, self.lam = len(G), G, d, lam
+
+    def norms(self):
+        return [self.G[i][i] for i in range(self.k)]
+
+    def float_gso(self):
+        """(mu, rr, scale_log2): floats, rr scaled by 2^-scale_log2; row mu[i]
+        holds mu_ij for j < i by int true division, which rounds correctly."""
+        k, d, lam = self.k, self.d, self.lam
+        rr = [Fraction(d[i], d[i - 1] if i else 1) for i in range(k)]
+        e = max(f.numerator.bit_length() - f.denominator.bit_length() for f in rr)
+        rrf = [float(f / Fraction(2) ** e) for f in rr]
+        mu = [[lam[i][j] / d[j] for j in range(i)] for i in range(k)]
+        return mu, rrf, e
+
+
+class GramLLL(GramGSO):
     """LLL state over an exact integer Gram matrix with tracked transform."""
 
     def __init__(self, gram, delta=Fraction(99, 100)):
         k = len(gram)
-        self.k = k
-        self.G = [[int(x) for x in row] for row in gram]
+        super().__init__([[int(x) for x in row] for row in gram], [0] * k,
+                         [[0] * k for _ in range(k)])
         self.U = identity(k)
         if not Fraction(1, 4) < delta < 1:
             raise ValueError(f"LLL delta {delta} outside (1/4, 1)")
         self.delta = Fraction(delta)
-        self.d = [0] * k       # d[i] = det Gram(b_0..b_i) > 0
-        self.lam = [[0] * k for _ in range(k)]
         for i in range(k):
             self._gso_row(i)
 
@@ -166,9 +183,6 @@ class GramLLL:
                     self._red(i, j)
                 i += 1
 
-    def norms(self):
-        return [self.G[i][i] for i in range(self.k)]
-
     def det_gram(self):
         return self.d[self.k - 1]
 
@@ -195,6 +209,18 @@ class GramLLL:
                 out[ii][jj] = out[jj][ii] = u
         return out, denom
 
+    def block_gso(self, lo, hi):
+        """GSO of the projected block b_lo..b_{hi-1}, read off self: for denom
+        = d[lo-1], the Gram of projected_block_gram, d'_i = denom^i d[lo+i] and
+        lam'_ij = denom^j lam[lo+i][lo+j], as GramLLL of that Gram would give;
+        its reduce() would change nothing once self is reduced (Cohen 2.6)."""
+        gp, denom = self.projected_block_gram(lo, hi)
+        m = hi - lo
+        d = [denom ** i * self.d[lo + i] for i in range(m)]
+        lam = [[denom ** j * self.lam[lo + i][lo + j] if j < i else 0
+                for j in range(m)] for i in range(m)]
+        return GramGSO(gp, d, lam)
+
     def insert_block_vector(self, lo, hi, w):
         """Replace b_lo by sum w_t b_{lo+t} via a unimodular transform of the
         block; gcd(w) must be 1."""
@@ -217,18 +243,6 @@ class GramLLL:
                 G[lo + j][col] = sum(M[t][j] * seg[t] for t in range(m))
         for t in range(lo - 1 if lo else 0, k):
             self._gso_row(t)
-
-    def float_gso(self):
-        """(mu, rr) as lists of floats, rr scaled by a common power of two.
-        Returns (mu, rr, scale_log2); row mu[i] holds mu_ij for j < i."""
-        k, d, lam = self.k, self.d, self.lam
-        rr = [Fraction(d[i], d[i - 1] if i else 1) for i in range(k)]
-        e = max(f.numerator.bit_length() - f.denominator.bit_length() for f in rr)
-        scale = Fraction(2) ** e
-        rrf = [float(f / scale) for f in rr]
-        mu = [[float(Fraction(lam[i][j], d[j])) for j in range(i)]
-              for i in range(k)]
-        return mu, rrf, e
 
 
 def _unimodular_first_col(w):
@@ -336,8 +350,7 @@ def shortest_of_gram(gram, cap=ENUM_DIM_CAP):
     red = GramLLL(gram)
     red.reduce()
     cands, nodes = enumerate_gram(red)
-    best = min(cands, key=lambda t: (t[1], t[0]))
-    coeffs, n2 = best
+    coeffs, n2 = min(cands, key=lambda t: (t[1], t[0]))
     # map back through the LLL transform
     out = tuple(sum(red.U[t][i] * coeffs[i] for i in range(k)) for t in range(k))
     return out, n2, nodes
@@ -398,19 +411,12 @@ def bkz(basis, beta):
             hi = min(kappa + beta, k)
             if hi - kappa < 2:
                 continue
-            gp, denom = red.projected_block_gram(kappa, hi)
-            sub = GramLLL(gp)
-            sub.reduce()
-            cands, nodes = enumerate_gram(sub)
+            cands, nodes = enumerate_gram(red.block_gso(kappa, hi))
             nodes_total += nodes
-            w_red, n2 = min(cands, key=lambda t: (t[1], t[0]))
-            # exact improvement test: n2/denom < |b*_kappa|^2 = d[kappa]/d[kappa-1]
-            dprev = red.d[kappa - 1] if kappa else 1
-            if n2 * dprev < red.d[kappa] * denom:
-                m = hi - kappa
-                w = [sum(sub.U[t][i] * w_red[i] for i in range(m)) for t in range(m)]
-                g = math.gcd(*w) if len(w) > 1 else abs(w[0])
-                if g != 1:
+            w, n2 = min(cands, key=lambda t: (t[1], t[0]))
+            # exact: n2 / d[kappa-1] < |b*_kappa|^2 = d[kappa] / d[kappa-1]
+            if n2 < red.d[kappa]:
+                if math.gcd(*w) != 1:
                     raise VerificationFailed(
                         "shortest block vector must be primitive")
                 red.insert_block_vector(kappa, hi, w)
@@ -419,8 +425,7 @@ def bkz(basis, beta):
         if not improved:
             break
     fallback = False
-    norms = red.norms()
-    v2 = min(norms)
+    v2 = min(red.norms())
     det_gram = red.det_gram()
     if not theorem_bound_holds(v2, beta, k, det_gram):
         # enforce the guarantee with the true shortest vector (always valid
@@ -488,9 +493,7 @@ def cheon_reduce(basis, beta):
     reduced, report = bkz(sub, beta)
     norms = [sum(c * c for c in col) for col in reduced.columns]
     jmin = norms.index(min(norms))
-    v = [0] * n
-    for i in range(m):
-        v[i] = reduced.columns[jmin][i]
+    v = reduced.columns[jmin] + [0] * (n - m)  # back to ambient coordinates
     report.m_sub = m
     report.first_vector_norm = math.exp(0.5 * log_big(min(norms)))
     return v, report

@@ -28,10 +28,10 @@ from .errors import (DeterminantTooLarge, PrecisionExhausted, Stalled,
                      VerificationFailed)
 from .field import invert_fractions
 from .ideals import (factor_prime, ideal_divide_prime, ideal_from_element,
-                     ideal_from_power_product, ideal_lattice, is_smooth_ideal,
-                     valuation)
+                     ideal_from_power_product, ideal_lattice, integral_norm,
+                     is_smooth_ideal, valuation)
 from .intlinalg import rank as matrix_rank
-from .lattice import bkz, cheon_reduce, theorem_bound_holds
+from .lattice import _exact_quadratic, bkz, cheon_reduce, theorem_bound_holds
 from .polynomials import bareiss_det
 from .smoothness import heuristic_probability, smooth_part
 
@@ -130,13 +130,10 @@ class RelationMatrix:
 
 def verify_relation(x, prime_exponents, field):
     """Exact check of <x> = prod P^e: norm identity and every valuation."""
-    nx = abs(x.norm())
+    nx = integral_norm(x)[0]
     if nx == 0:
         raise VerificationFailed("relation generator is zero")
-    prod = 1
-    for P, e in prime_exponents.items():
-        prod *= P.norm ** e
-    if prod != nx:
+    if math.prod(P.norm ** e for P, e in prime_exponents.items()) != nx:
         return False
     for P, e in prime_exponents.items():
         if valuation(x, P) != e:
@@ -221,9 +218,7 @@ def _candidates(red, mode, beta):
         if next((v for v in rev if v), 0) <= 0:
             continue
         w = rev[::-1]
-        n2 = sum(w[i] * w[j] * gram[i][j]
-                 for i in range(k) if w[i] for j in range(k) if w[j])
-        if theorem_bound_holds(n2, beta, k, det_gram):
+        if theorem_bound_holds(_exact_quadratic(gram, w), beta, k, det_gram):
             yield [sum(w[t] * red.transform[t2][t] for t in range(k))
                    for t2 in range(k)]
 

@@ -25,6 +25,7 @@ from functools import lru_cache
 
 from . import kernels
 from .errors import AlphaOrder, DomainTooSmall
+from .lattice import log_big
 from .polynomials import primes_up_to
 
 RHO_CAP = 20
@@ -144,18 +145,10 @@ def eval_L(expr, N):
     """exp(c (log N)^alpha (log log N)^(1-alpha)); needs N >= 16."""
     if N < 16:
         raise DomainTooSmall(f"N = {N} < 16")
-    ln = _log_big(N)
+    ln = log_big(N)
     lln = math.log(ln)
     a = float(expr.alpha)
     return math.exp(expr.c * ln ** a * lln ** (1 - a))
-
-
-def _log_big(n):
-    n = int(n)
-    if n.bit_length() <= 900:
-        return math.log(n)
-    sh = n.bit_length() - 64
-    return math.log(n >> sh) + sh * math.log(2)
 
 
 def smooth_probability(x, y):
@@ -170,7 +163,7 @@ def smooth_probability(x, y):
 
 def heuristic_probability(x_bound, y_bound):
     """Raw u^-u lower estimate: exp(-u log u) with u = log x / log y."""
-    u = _log_big(x_bound) / _log_big(y_bound)
+    u = log_big(x_bound) / log_big(y_bound)
     if u <= 1:
         return 1.0
     return math.exp(-u * math.log(u))

@@ -387,3 +387,110 @@ def test_lll_transforms_pinned(monkeypatch):
         got.append((len(swaps),
                      hashlib.sha256(repr(red.U).encode()).hexdigest()))
     assert got == _PINNED_TRANSFORMS
+
+
+def _fraction_gso(G):
+    """(mu, |b*|^2) of a Gram matrix by Gram-Schmidt over the rationals."""
+    k = len(G)
+    mu = [[Fraction(0)] * k for _ in range(k)]
+    bb = []
+    for i in range(k):
+        for j in range(i):
+            mu[i][j] = (Fraction(G[i][j]) - sum(
+                mu[i][t] * mu[j][t] * bb[t] for t in range(j))) / bb[j]
+        bb.append(Fraction(G[i][i])
+                  - sum(mu[i][t] ** 2 * bb[t] for t in range(i)))
+    return mu, bb
+
+
+def test_block_gso_is_the_reduced_sub_lll_state():
+    blocks = 0
+    for cols in _seeded_bases(37, 15):
+        red = GramLLL(_gram_of(cols))
+        red.reduce()
+        for lo in range(red.k):
+            for hi in range(lo + 1, red.k + 1):
+                block = red.block_gso(lo, hi)
+                sub = GramLLL(red.projected_block_gram(lo, hi)[0])
+                assert (block.G, block.d, block.lam) == (sub.G, sub.d, sub.lam)
+                sub.reduce()
+                assert (block.G, block.d, block.lam) == (sub.G, sub.d, sub.lam)
+                assert sub.U == identity(hi - lo)
+                mu, bb = _fraction_gso(block.G)
+                e = max(b.numerator.bit_length() - b.denominator.bit_length()
+                        for b in bb)
+                assert block.float_gso() == (
+                    [[float(mu[i][j]) for j in range(i)]
+                     for i in range(hi - lo)],
+                    [float(b / Fraction(2) ** e) for b in bb], e)
+                blocks += 1
+    assert blocks > 300
+
+
+# (tours, enumeration nodes, sha256 of repr(U)) of bkz with beta = 3 and 4
+# on _seeded_bases(43, 30), recorded while each block was still LLL-reduced
+# on its own before enumeration: reading the block's GSO from the reduced
+# basis must take the same decisions
+_PINNED_BKZ = [
+    (1, 14, 'eb099f052092aa52b6d287c27ffbe4fab2f85cab3e4c69dc7fa9a23b641adffb'),
+    (1, 14, '25cbfd8a7a544de432f87f28e03d716b6117bb52c5b1ef91d30ac4f8cdadc688'),
+    (1, 52, 'ed2d73ce0db8ae2fe62f64b7b4ba0dc8331e5fae5f9336c32c1db89fb061ad0c'),
+    (1, 58, 'ed2d73ce0db8ae2fe62f64b7b4ba0dc8331e5fae5f9336c32c1db89fb061ad0c'),
+    (1, 38, 'c481dbe53e5c80636ec80b1413ffb687aa2e573ef4e449329b16052806de10e1'),
+    (1, 44, 'c481dbe53e5c80636ec80b1413ffb687aa2e573ef4e449329b16052806de10e1'),
+    (1, 14, '11f792de22c64280d765e4c990e4bd7fb45f0b3f3b1810667de04bb81698c59b'),
+    (2, 72, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
+    (2, 80, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
+    (1, 56, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
+    (1, 72, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
+    (1, 46, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
+    (1, 54, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
+    (1, 14, 'f07ebdb18952fcc2ac8fdb44858bc750e165940df5c3ce7c14bb18d93af73cb8'),
+    (1, 50, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
+    (1, 58, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
+    (1, 58, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
+    (1, 68, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
+    (1, 22, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
+    (1, 24, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
+    (1, 14, '0efe6963b3360fe82b4c99835f88c6fb8fd80c8108734f477be393d2605bf16e'),
+    (1, 50, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
+    (1, 58, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
+    (1, 14, '7b0e2d77fc70a225369cf50d105339a49e5e334c1ba88929c54c99e2a88d5646'),
+    (1, 50, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
+    (1, 58, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
+    (1, 60, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
+    (1, 70, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
+    (2, 193, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
+    (2, 256, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
+    (1, 14, 'e9100f630b78400bd5c3f2670da280322d8bb6245995f5dd86d26d6615a24dc6'),
+    (1, 54, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
+    (1, 64, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
+    (2, 120, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
+    (2, 144, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
+    (1, 14, '0cee650ac15cdb096fed0a6ad6107b7ed688f0be7c1254c9324d4701a5deab7b'),
+    (1, 28, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
+    (1, 30, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
+    (2, 166, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
+    (2, 238, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
+    (1, 18, '07bf670df5e2e0fb8b53de226c9f80cbe257c9aa21437488fdaff93fe2b6dcad'),
+    (1, 58, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
+    (1, 68, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
+    (1, 40, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
+    (1, 46, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
+    (2, 76, '4b34eacd6cb2d0bd9f55a039084a83c2ce61582d9352b920f5375e23cc453aa6'),
+    (2, 88, '4b34eacd6cb2d0bd9f55a039084a83c2ce61582d9352b920f5375e23cc453aa6'),
+    (2, 126, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
+    (2, 152, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
+]
+
+
+def test_bkz_decisions_pinned():
+    got = []
+    for cols in _seeded_bases(43, 30):
+        for beta in (3, 4):
+            if len(cols) >= beta:
+                out, report = bkz(LatticeBasis(cols), beta)
+                got.append((report.tours, report.enumeration_nodes,
+                            hashlib.sha256(repr(out.transform).encode())
+                            .hexdigest()))
+    assert got == _PINNED_BKZ

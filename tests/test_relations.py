@@ -1,12 +1,13 @@
 import hashlib
 import random
 import threading
+from fractions import Fraction
 
 import pytest
 
 from under_O import run_under_O
 from classgroup import ideals, relations
-from classgroup.errors import Stalled
+from classgroup.errors import Stalled, VerificationFailed
 from classgroup.field import parse_field
 from classgroup.ideals import (build_factor_base, factor_prime,
                                ideal_from_element, ideal_from_power_product,
@@ -344,3 +345,18 @@ def test_exact_check_survives_python_O():
                      "rejected: k=5 larger than the factor base (4 primes)",
                      "rejected: prime bound 1 is below 2"
                      ], lines
+
+
+def test_verify_relation_takes_the_integer_norm(qi, q23, cubic):
+    rng = random.Random(11)
+    dedekind = parse_field([-8, -2, -1, 1], basis=[
+        [1, 0, 0], [0, 1, 0], [0, Fraction(1, 2), Fraction(1, 2)]])
+    for K in (qi, q23, cubic, dedekind):
+        for _ in range(20):
+            x = K.element([rng.randint(-40, 40) for _ in range(K.degree)])
+            if not x.is_zero:
+                assert ideals.integral_norm(x)[0] == abs(x.norm())
+    fb = build_factor_base(qi, 10)
+    half = qi.element([Fraction(1, 2), 0])
+    with pytest.raises(VerificationFailed, match="not integral"):
+        verify_relation(half, {fb.primes[0]: 1}, qi)
