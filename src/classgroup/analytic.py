@@ -18,12 +18,13 @@ from dataclasses import dataclass
 from . import polynomials as poly
 from .errors import PrecisionExhausted, ZeroVolume
 from .field import iv_endpoints
-from .ideals import factor_prime, ideal_lattice, unit_ideal
+from .ideals import factor_prime, ideal_lattice, integral_norm, unit_ideal
 from .lattice import GramLLL, _gram_of, enumerate_gram
 from .polynomials import primes_up_to
 
 ACCEPT_LO = 2 ** -0.5
 ACCEPT_HI = 2 ** 0.5
+_ROOT_ORDER_CAP = 100  # largest order m tried in the power test x^m = 1
 
 
 @dataclass
@@ -36,32 +37,42 @@ class AnalyticData:
 
 
 def euler_residue(field, prime_bound):
-    """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)),
-    evaluated with interval arithmetic.  The residue degrees are the degree
-    pattern of T mod p (distinct-degree factorization, or the Legendre symbol
-    of disc(T) for quadratics), or, for primes dividing the index, come from
-    the prime ideals that factor_prime splits off O_K/pO_K."""
+    """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)) as the
+    exact fraction prod (p-1) prod N(P) / (prod p prod (N(P)-1)), rounded
+    once to a float: int true division rounds correctly.  The residue
+    degrees are the degree pattern of T mod p (distinct-degree
+    factorization, or the Legendre symbol of disc(T) for quadratics), or,
+    for primes dividing the index, come from the prime ideals that
+    factor_prime splits off O_K/pO_K."""
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2")
     T = list(field.poly)
-    ctx = field.iv
-    acc = ctx.mpf(1)
-    one = ctx.mpf(1)
+    num, den = [], []
     for p in primes_up_to(prime_bound):
-        num = one - one / ctx.mpf(p)
-        den = one
+        num.append(p - 1)
+        den.append(p)
         if field.index % p == 0:
-            norms = (P.norm for P in factor_prime(p, field))
+            norms = [P.norm for P in factor_prime(p, field)]
         else:
-            norms = (p ** d for d in poly.degree_pattern(T, p))
-        for norm in norms:
-            den *= one - one / ctx.mpf(norm)
-        acc *= num / den
-    lo, hi = iv_endpoints(acc)
-    return float((lo + hi) / 2)
+            norms = [p ** d for d in poly.degree_pattern(T, p)]
+        num.extend(norms)
+        den.extend(norm - 1 for norm in norms)
+    return _balanced_product(num) / _balanced_product(den)
 
 
-def count_roots_of_unity(field, order_cap=100):
+def _balanced_product(xs):
+    """Product of a list of ints by pairing neighbours level by level, so
+    that large factors meet only near the top; a running product would be
+    quadratic in the total size."""
+    while len(xs) > 1:
+        pairs = [a * b for a, b in zip(xs[::2], xs[1::2])]
+        if len(xs) % 2:
+            pairs.append(xs[-1])
+        xs = pairs
+    return xs[0] if xs else 1
+
+
+def count_roots_of_unity(field):
     """Number of torsion units: lattice points of sigma(O_K) with squared
     norm exactly n (all conjugates on the unit circle), filtered by an exact
     power test x^m = 1 over candidate orders m with phi(m) | n."""
@@ -72,14 +83,14 @@ def count_roots_of_unity(field, order_cap=100):
     red = GramLLL(L.gram())
     red.reduce()
     cands, _ = enumerate_gram(red, bound2_exact=radius2)
-    orders = [m for m in range(1, order_cap + 1) if n % _phi(m) == 0]
+    orders = [m for m in range(1, _ROOT_ORDER_CAP + 1) if n % _phi(m) == 0]
     one = field.one()
     count = 0
     for coeffs, _n2 in cands:
         coords = [sum(red.U[t][i] * coeffs[i] for i in range(len(coeffs)))
                   for t in range(n)]
         x = field.element(coords)
-        if abs(x.norm()) != 1:
+        if integral_norm(x)[0] != 1:
             continue
         for m in orders:
             if x ** m == one:
@@ -159,15 +170,8 @@ def regulator_from_kernel(kernel, generators, field, logs=None):
     for g in generators:
         if g not in logs:
             logs[g] = log_embedding(field, g)
-    unit_logs = []
-    for v in kernel:
-        acc = [ctx.mpf(0) for _ in range(r)]
-        for j, c in enumerate(v):
-            if c:
-                lj = logs[generators[j]]
-                for t in range(r):
-                    acc[t] += c * lj[t]
-        unit_logs.append(acc)
+    gen_logs = [logs[g] for g in generators]
+    unit_logs = [_combine(ctx, v, gen_logs, r) for v in kernel]
     scale = 1 << _LOG_SCALE_BITS
     rows = []
     for vec in unit_logs:
@@ -192,11 +196,7 @@ def regulator_from_kernel(kernel, generators, field, logs=None):
         norm2 = sum(v * v for v in vec)
         if norm2 <= (1 << (_LOG_SCALE_BITS + 20)):
             # candidate dependency: confirm against exact intervals
-            exact = [ctx.mpf(0) for _ in range(r)]
-            for t in range(k):
-                if combo[t]:
-                    for c in range(r):
-                        exact[c] += combo[t] * unit_logs[t][c]
+            exact = _combine(ctx, combo, unit_logs, r)
             his = [max(abs(lo), abs(hi)) for lo, hi in map(iv_endpoints, exact)]
             if max(his) > _UNIT_LOG_TOL:
                 raise PrecisionExhausted(
@@ -210,20 +210,25 @@ def regulator_from_kernel(kernel, generators, field, logs=None):
         raise PrecisionExhausted(
             "more independent unit-log vectors than the unit rank")
     # determinant of the first unit_rank coordinates, exact intervals
-    minor = []
-    for combo in survivors:
-        exact = [ctx.mpf(0) for _ in range(r)]
-        for t in range(k):
-            if combo[t]:
-                for c in range(r):
-                    exact[c] += combo[t] * unit_logs[t][c]
-        minor.append(exact[:unit_rank])
+    minor = [_combine(ctx, combo, unit_logs, r)[:unit_rank]
+             for combo in survivors]
     det = _interval_det(ctx, minor)
     lo, hi = iv_endpoints(det)
     val = abs(float((lo + hi) / 2))
     if val <= _UNIT_LOG_TOL:
         raise ZeroVolume("unit-log determinant vanishes")
     return val
+
+
+def _combine(ctx, coeffs, vecs, r):
+    """sum_j coeffs[j] * vecs[j] over intervals of length r, from zero in
+    the order of j, skipping zero coefficients."""
+    acc = [ctx.mpf(0) for _ in range(r)]
+    for c, vec in zip(coeffs, vecs):
+        if c:
+            for t in range(r):
+                acc[t] += c * vec[t]
+    return acc
 
 
 def _interval_det(ctx, mat):

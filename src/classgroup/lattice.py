@@ -23,7 +23,8 @@ from .intlinalg import column_hnf, identity
 from .polynomials import bareiss_det
 
 ENUM_DIM_CAP = 30
-_ENUM_MARGIN = 1e-3
+_ENUM_MARGIN = 1e-3  # relative opening of the float search radius
+_ENUM_MAX_OUT = 20000  # candidates kept per kernel call before tightening
 _MAX_TOURS = 64
 
 
@@ -83,12 +84,19 @@ class GramGSO:
         return [self.G[i][i] for i in range(self.k)]
 
     def float_gso(self):
-        """(mu, rr, scale_log2): floats, rr scaled by 2^-scale_log2; row mu[i]
-        holds mu_ij for j < i by int true division, which rounds correctly."""
+        """(mu, rr, scale_log2): floats, rr scaled by 2^-scale_log2.  rr[i] is
+        |b*_i|^2 = d[i]/d[i-1] in lowest terms a/b, scale_log2 the largest
+        bit-length difference of a and b (at least 0, since d[0] is a
+        positive integer), and rr[i] = a/(b << scale_log2); row mu[i] holds
+        mu_ij for j < i.  Both by int true division, which rounds correctly."""
         k, d, lam = self.k, self.d, self.lam
-        rr = [Fraction(d[i], d[i - 1] if i else 1) for i in range(k)]
-        e = max(f.numerator.bit_length() - f.denominator.bit_length() for f in rr)
-        rrf = [float(f / Fraction(2) ** e) for f in rr]
+        rr = []
+        for i in range(k):
+            a, b = d[i], d[i - 1] if i else 1
+            g = math.gcd(a, b)
+            rr.append((a // g, b // g))
+        e = max(a.bit_length() - b.bit_length() for a, b in rr)
+        rrf = [a / (b << e) for a, b in rr]
         mu = [[lam[i][j] / d[j] for j in range(i)] for i in range(k)]
         return mu, rrf, e
 
@@ -292,7 +300,7 @@ def _exact_quadratic(G, c):
     return s
 
 
-def enumerate_gram(red, bound2_exact=None, margin=_ENUM_MARGIN, max_out=20000):
+def enumerate_gram(red, bound2_exact=None):
     """All coefficient vectors (w.r.t. red's current basis) with exact norm^2
     at most bound2_exact, via the float kernel with an opened radius.
 
@@ -303,8 +311,9 @@ def enumerate_gram(red, bound2_exact=None, margin=_ENUM_MARGIN, max_out=20000):
     if bound2_exact is None:
         bound2_exact = min(red.norms())
     nodes_total = 0
+    max_out = _ENUM_MAX_OUT
     while True:
-        bf = float(Fraction(bound2_exact) / Fraction(2) ** e) * (1 + margin)
+        bf = bound2_exact / (1 << e) * (1 + _ENUM_MARGIN)
         count, out, nodes = kernels.enum_collect(mu, rrf, bf, max_out)
         nodes_total += nodes
         if count <= max_out:

@@ -51,7 +51,6 @@ class CollectionConfig:
     multiplier_K: int = 2
     rng_seed: int = 0
     mode: str = "plain"  # plain | multi | cheon
-    presmooth_bound: int = None  # cheon mode; defaults to |disc| (= Lnot(1,1))
     trial_budget: int = 10 ** 6
     threads: int = 1
 
@@ -270,12 +269,11 @@ def derive_relations(idxs, exps, cfg, field, fb):
 
 def cheon_presmooth_tail(b, cfg, field, fb):
     """Section-6 tail: factor a non-base-smooth ideal b over the presmoothing
-    bound and derive one relation per prime factor whose own reduction (HNF
-    sublattice trick where the determinant permits, plain BKZ otherwise) has
-    a base-smooth cofactor.  Prime factors outside the base become auxiliary
-    columns."""
-    btilde = cfg.presmooth_bound or abs(field.discriminant)
-    res = smooth_part(b.norm, max(btilde, 2))
+    bound |disc| (= Lnot(1, 1)) and derive one relation per prime factor
+    whose own reduction (HNF sublattice trick where the determinant permits,
+    plain BKZ otherwise) has a base-smooth cofactor.  Prime factors outside
+    the base become auxiliary columns."""
+    res = smooth_part(b.norm, max(abs(field.discriminant), 2))
     if res.cofactor != 1:
         return []
     factors = []

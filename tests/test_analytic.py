@@ -12,7 +12,7 @@ from classgroup.analytic import (compute_analytic, count_roots_of_unity,
                                  euler_residue, regulator_from_kernel, verify)
 from classgroup.errors import ZeroVolume
 from classgroup.field import parse_field
-from classgroup.ideals import build_factor_base
+from classgroup.ideals import build_factor_base, factor_prime
 from classgroup.intlinalg import left_kernel
 from classgroup.polynomials import (degree, degree_pattern, factor_mod_p,
                                     primes_up_to)
@@ -55,9 +55,37 @@ def test_euler_residue_pinned():
             (-10, 0, 1): "1.1528646610482407",
             (-1, -1, 0, 1): "0.3686700850146775",
             (-1, -3, 0, 1): "0.37730719282238323",
-            (1, 1, 1, 1, 1): "0.340486213436192"}
+            (1, 1, 1, 1, 1): "0.340486213436192",
+            # recorded from the interval product, before the exact fraction
+            (1, 1, 1, 1, 1, 1, 1): "0.2876984195039121",
+            (25001, -1, 1): "0.38884858025523217",
+            (250001, -1, 1): "0.331274111232384"}
     for coeffs, r in want.items():
         assert repr(euler_residue(parse_field(list(coeffs)), 10 ** 4)) == r
+
+
+def test_euler_residue_is_the_exact_product_rounded_once():
+    # the truncated product as one Fraction, with the local norms taken from
+    # the full factorization of T mod p, or from factor_prime above the
+    # index divisors of Dedekind's cubic
+    half = Fraction(1, 2)
+    fields = [parse_field(poly_for_disc(D)) for D in IMAG_DISCS] + [
+        parse_field(T) for T in ([-2, 0, 1], [-10, 0, 1], [-1, -1, 0, 1],
+                                 [-1, -3, 0, 1], [1, 1, 1, 1, 1])] + [
+        parse_field([-8, -2, -1, 1],
+                    basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])]
+    for K in fields:
+        want = Fraction(1)
+        for p in primes_up_to(10 ** 3):
+            if K.index % p == 0:
+                norms = [P.norm for P in factor_prime(p, K)]
+            else:
+                norms = [p ** degree(g)
+                         for g, _ in factor_mod_p(list(K.poly), p)]
+            want *= Fraction(p - 1, p)
+            for norm in norms:
+                want *= Fraction(norm, norm - 1)
+        assert euler_residue(K, 10 ** 3) == float(want), K.poly
 
 
 def test_degree_pattern_matches_factor_mod_p():
