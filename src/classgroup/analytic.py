@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import polynomials as poly
-from .errors import PrecisionExhausted, ZeroVolume
+from .errors import PrecisionExhausted, VerificationFailed, ZeroVolume
 from .field import iv_endpoints
 from .ideals import factor_prime, ideal_lattice, integral_norm, unit_ideal
 from .lattice import GramLLL, _gram_of, enumerate_gram
@@ -49,14 +49,16 @@ def euler_residue(field, prime_bound):
     T = list(field.poly)
     num, den = [], []
     for p in primes_up_to(prime_bound):
-        num.append(p - 1)
-        den.append(p)
         if field.index % p == 0:
             norms = [P.norm for P in factor_prime(p, field)]
         else:
             norms = [p ** d for d in poly.degree_pattern(T, p)]
-        num.extend(norms)
-        den.extend(norm - 1 for norm in norms)
+        top, bottom = p - 1, p
+        for norm in norms:
+            top *= norm
+            bottom *= norm - 1
+        num.append(top)
+        den.append(bottom)
     return _balanced_product(num) / _balanced_product(den)
 
 
@@ -96,7 +98,9 @@ def count_roots_of_unity(field):
             if x ** m == one:
                 count += 2  # the enumeration is sign-canonical: x and -x
                 break
-    assert count % 2 == 0 and count >= 2
+    if count < 2:
+        raise VerificationFailed(
+            f"found {count} roots of unity; -1 and 1 are always there")
     return count
 
 

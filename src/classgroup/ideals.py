@@ -203,18 +203,22 @@ def _anti_uniformizer(p, inv_basis, field):
     return tau, tuple(tuple(c) for c in _mult_columns(tau, field))
 
 
+def _check_norm(ideal, expected, what):
+    if ideal.norm != expected:
+        raise VerificationFailed(
+            f"{what} has determinant {ideal.norm}, expected {expected}")
+
+
 def _prime_from_gen(p, gen_poly, e, f, field):
     n = field.degree
     g_mult = _mult_columns(_element_of_gen_poly(gen_poly, field), field)
     p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
     ideal = _hnf_ideal(p_cols + g_mult, field)
-    assert ideal.norm == p ** f, \
-        f"prime ideal above {p} has determinant {ideal.norm}, expected {p**f}"
+    _check_norm(ideal, p ** f, f"prime ideal above {p}")
     # p * P^(-1) = (pO : P) = { x in O : x*g in pO } + pO, via mod-p kernel
     kern = _modp_kernel(_columns_to_rows(g_mult), p)
     inv_ideal = _hnf_ideal(p_cols + kern, field)
-    assert inv_ideal.norm == p ** (n - f), \
-        "inverse complement has wrong norm (index divisor leaked through?)"
+    _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
     tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
     return PrimeIdeal(p=p, gen_poly=tuple(int(c) % p for c in gen_poly),
                       ram_e=e, res_f=f, norm=p ** f,
@@ -374,8 +378,7 @@ def _index_divisor_primes(p, field):
         gens = list(J.values())
         f = n - len(gens)
         ideal = _hnf_ideal(p_cols + gens, field)
-        assert ideal.norm == p ** f, \
-            f"prime ideal above {p} has determinant {ideal.norm}, expected {p**f}"
+        _check_norm(ideal, p ** f, f"prime ideal above {p}")
         # p * P^(-1) = { x in O : x*P in pO }, via mod-p kernel over P's HNF
         rows = [r for g in ideal.hnf_basis for r in _mult_rows_modp(list(g), table, p)]
         inv_ideal = _hnf_ideal(p_cols + _modp_kernel(rows, p), field)
@@ -383,7 +386,7 @@ def _index_divisor_primes(p, field):
         # valuation below relies on it
         if _ideal_product(ideal, inv_ideal, field) != pO:
             raise BasisNotMaximal(p)
-        assert inv_ideal.norm == p ** (n - f), "inverse complement has wrong norm"
+        _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
         alpha = _second_generator(gens, table, p, n)
         tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
         P = PrimeIdeal(p=p, gen_poly=tuple(alpha), ram_e=0, res_f=f,

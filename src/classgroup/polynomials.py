@@ -226,8 +226,6 @@ def check_irreducible(T, trials=25):
             if not possible:
                 return  # modular degree patterns rule out proper factors
         p = next_prime(p)
-    if {1} & possible:
-        pass  # already excluded by the rational-root test above
     if {2} & possible or n <= 5:
         if _quadratic_factor(T) is not None:
             raise Reducible("polynomial has a quadratic factor")
@@ -329,62 +327,111 @@ def pmod(c, p):
 
 
 def pmod_divmod(a, b, p):
-    b = normalize(b)
+    """Quotient and remainder of a by b over F_p (b nonzero mod p).  The
+    division runs by the monic multiple of b, so no row needs an inverse."""
+    b = pmod(b, p)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero mod p")
     inv = pow(b[-1], -1, p)
-    r = list(a)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(r) >= len(b):
-        r = normalize(r)
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = (r[-1] * inv) % p
-        q[k] = f
-        for i in range(len(b)):
-            r[k + i] = (r[k + i] - f * b[i]) % p
+    if inv != 1:
+        b = [c * inv % p for c in b]
+    q, r = _divmod_monic(pmod(a, p), b, p)
+    if inv != 1:
+        q = [c * inv % p for c in q]
+    return q, r
+
+
+def _divmod_monic(r, b, p):
+    """(q, r mod b) for normalized r reduced mod p and monic b; r is
+    consumed."""
+    n = len(b) - 1
+    q = []
+    for k in range(len(r) - 1 - n, -1, -1):
+        c = r[k + n] % p
+        q.append(c)
+        if c:
+            for i in range(n):
+                r[k + i] -= c * b[i]
+    q.reverse()
+    r = [x % p for x in r[:n]]
+    while r and r[-1] == 0:
         r.pop()
-    return normalize(q), normalize(r)
+    return q, r
 
 
 def pmod_gcd(a, b, p):
+    """Monic gcd over F_p; [] when both inputs vanish mod p."""
     a, b = pmod(a, p), pmod(b, p)
     while b:
-        _, r = pmod_divmod(a, b, p)
-        a, b = b, r
-    if a:
+        inv = pow(b[-1], -1, p)
+        if inv != 1:
+            b = [c * inv % p for c in b]
+        a, b = b, _divmod_monic(a, b, p)[1]
+    if a and a[-1] != 1:
         inv = pow(a[-1], -1, p)
-        a = [(x * inv) % p for x in a]
+        a = [c * inv % p for c in a]
     return a
 
 
-def pmod_pow(base, e, mod, p):
-    """base^e modulo (mod, p), as the canonical remainder."""
-    mod = normalize(mod)
-    n = degree(mod)
-    inv = pow(mod[-1], -1, p)
+class _QuotientRing:
+    """F_p[x]/(f) for monic f of degree n >= 1 on Kronecker-packed ints:
+    c_0 + c_1 x + ... + c_(n-1) x^(n-1), each c_i in [0, p), is the int
+    sum c_i 2^(w i).  A slot holds n^2 p^3 without carrying, so the product
+    of up to three elements is one int multiplication."""
 
-    def mulmod(a, b):
-        # schoolbook product, then in-place reduction from the top degree
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        for k in range(len(out) - 1, n - 1, -1):
-            c = out[k] * inv % p
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.n, self.p = n, p
+        self.w = (2 * n * n * p ** 3).bit_length()
+        self.mask = (1 << self.w) - 1
+        self.tail = self.pack([(-c) % p for c in f[:n]])  # x^n mod f
+
+    def pack(self, a):
+        out = 0
+        for c in reversed(a):
+            out = (out << self.w) | c
+        return out
+
+    def unpack(self, h):
+        w, mask = self.w, self.mask
+        return normalize([(h >> (w * i)) & mask for i in range(self.n)])
+
+    def reduce(self, s):
+        """The element packed in s (slots below 2^w, degree <= 3n - 3):
+        from the top, slot k >= n adds (s_k mod p) x^(k-n) (x^n mod f)
+        below itself, then the low n slots are taken mod p."""
+        w, mask, p, n = self.w, self.mask, self.p, self.n
+        for k in range((s.bit_length() - 1) // w, n - 1, -1):
+            c = ((s >> (w * k)) & mask) % p
             if c:
-                for i in range(n):
-                    out[k - n + i] -= c * mod[i]
-        return normalize([x % p for x in out[:n]])
+                s += (c * self.tail) << (w * (k - n))
+        out = 0
+        for i in range(n):
+            out |= ((s & mask) % p) << (w * i)
+            s >>= w
+        return out
 
-    result = [1]
-    base = mulmod(base, [1])
-    while e:
-        if e & 1:
-            result = mulmod(result, base)
-        base = mulmod(base, base)
-        e >>= 1
-    return result
+    def pow(self, h, e):
+        """h^e by square-and-multiply from the top bit of e."""
+        if e == 0:
+            return 1
+        out = h
+        for bit in bin(e)[3:]:
+            s = out * out
+            if bit == "1":
+                s *= h
+            out = self.reduce(s)
+        return out
+
+
+def pmod_pow(base, e, mod, p):
+    """base^e modulo (mod, p), as the canonical remainder; mod has degree
+    at least 1."""
+    mod = pmod(mod, p)
+    inv = pow(mod[-1], -1, p)
+    ring = _QuotientRing([c * inv % p for c in mod], p)
+    base = pmod_divmod(base, mod, p)[1]
+    return ring.unpack(ring.pow(ring.pack(base), e))
 
 
 def _sqf_decomp_modp(f, p):
@@ -397,41 +444,57 @@ def _sqf_decomp_modp(f, p):
         # f = g(x^p) = g(x)^p over F_p
         g = normalize([f[i] for i in range(0, len(f), p)])
         return [(h, m * p) for h, m in _sqf_decomp_modp(g, p)]
-    out = []
     g = pmod_gcd(f, df, p)
+    if g == [1]:
+        return [(f, 1)]
+    out = []
     w = pmod_divmod(f, g, p)[0]
     i = 1
-    while normalize(w) != [1]:
+    while w != [1]:
         y = pmod_gcd(w, g, p)
         z = pmod_divmod(w, y, p)[0]
-        if normalize(z) != [1]:
+        if z != [1]:
             out.append((z, i))
         w = y
         g = pmod_divmod(g, y, p)[0]
         i += 1
-    if normalize(g) != [1]:
+    if g != [1]:
         h = normalize([g[i] for i in range(0, len(g), p)])
         out.extend((q, m * p) for q, m in _sqf_decomp_modp(h, p))
     return out
 
 
 def _ddf(f, p):
-    """Distinct-degree factorization of squarefree monic f: [(product, d)]."""
+    """Distinct-degree factorization of squarefree monic f: [(product, d)].
+
+    h runs through x^(p^d) mod f.  x^p costs one square-and-multiply, whose
+    multiply step by x is a shift; each later power is h -> sum_j h_j Q[j]
+    with the Frobenius matrix Q[j] = x^(pj) mod f (Cohen, GTM 138,
+    Sec. 3.4), built when d = 2 is reached.  h stays reduced mod f: the
+    unsplit part v divides f, so gcd(h - x, v) is unchanged."""
     out = []
-    h = [0, 1]  # x
-    v = list(f)
+    v = f
+    ring = h = Q = None
     d = 0
     while degree(v) > 0:
         d += 1
         if 2 * d > degree(v):
             out.append((v, degree(v)))
             break
-        h = pmod_pow(h, p, v, p)
-        g = pmod_gcd(sub(h, [0, 1]), v, p)
+        if h is None:
+            ring = _QuotientRing(f, p)
+            h = ring.pow(ring.pack([0, 1]), p)
+        else:
+            if Q is None:
+                Q = [1, h]
+                while len(Q) < ring.n:
+                    Q.append(ring.reduce(Q[-1] * h))
+            h = ring.reduce(sum(c * row for c, row in zip(coeffs, Q)))
+        coeffs = ring.unpack(h)
+        g = pmod_gcd(v, sub(coeffs, [0, 1]), p)
         if degree(g) > 0:
             out.append((g, d))
             v = pmod_divmod(v, g, p)[0]
-            h = pmod_divmod(h, v, p)[1]
     return out
 
 

@@ -6,7 +6,8 @@ fundamental units by continued fractions or bounded-height search, HNF/SNF and
 ranks mod p by plain elementary operations, shortest vectors by exhaustive
 coefficient boxes, Dickman rho by marching quadrature, and ideal valuations
 and prime divisions by lattice containment and products with p*P^(-1) over
-Fraction arithmetic.
+Fraction arithmetic, degree patterns mod p by the kernels of powers of
+Berlekamp's matrix.
 """
 
 import itertools
@@ -125,6 +126,46 @@ def rank_mod_p(M, p):
         r += 1
     return r
 
+
+
+def degree_pattern_by_frobenius_kernel(T, p):
+    """Ascending degrees of the irreducible factors of monic T mod p, for T
+    square-free mod p, from Berlekamp's matrix alone.
+
+    Row j of Q is x^(pj) mod T, read off the powers x^0, x^1, ... formed one
+    multiplication by x at a time.  On F_p[x]/(T), the product of the fields
+    F_(p^m) over the factors of degree m, Q^d fixes F_(p^gcd(m, d)) in each,
+    so K(d) = dim ker(Q^d - I) = sum_m c_m gcd(m, d) for c_m factors of
+    degree m.  With N(e) = sum of c_m over e | m, K(d) = sum_(e|d) phi(e)
+    N(e), which gives N and then c from the top degree down."""
+    n = len(T) - 1
+    power = [1] + [0] * (n - 1)
+    Q = []
+    for k in range(p * (n - 1) + 1):
+        if k % p == 0:
+            Q.append(list(power))
+        top = power[-1]
+        power = [(lo - top * t) % p for lo, t in zip([0] + power[:-1], T)]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    kernel_dims = {}
+    for d in range(1, n + 1):
+        M = [[sum(row[k] * Q[k][j] for k in range(n)) % p for j in range(n)]
+             for row in M]
+        shifted = [[x - (i == j) for j, x in enumerate(row)]
+                   for i, row in enumerate(M)]
+        kernel_dims[d] = n - rank_mod_p(shifted, p)
+
+    def phi(m):
+        return sum(1 for k in range(1, m + 1) if math.gcd(k, m) == 1)
+
+    N = {}
+    for d in range(1, n + 1):
+        N[d] = (kernel_dims[d] - sum(phi(e) * N[e] for e in range(1, d)
+                                     if d % e == 0)) // phi(d)
+    counts = {}
+    for m in range(n, 0, -1):
+        counts[m] = N[m] - sum(counts[j] for j in range(2 * m, n + 1, m))
+    return [m for m in sorted(counts) for _ in range(counts[m])]
 
 def naive_row_hnf(M):
     """Textbook row HNF by elementary operations only (no pivot strategy):

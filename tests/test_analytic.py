@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import (cubic_unit_search, pell_fundamental_unit,
-                     torsion_count_direct)
+from oracles import (cubic_unit_search, degree_pattern_by_frobenius_kernel,
+                     pell_fundamental_unit, torsion_count_direct)
 from test_acceptance import IMAG_DISCS, poly_for_disc
 from under_O import run_under_O
 from classgroup import analytic
@@ -14,8 +14,8 @@ from classgroup.errors import ZeroVolume
 from classgroup.field import parse_field
 from classgroup.ideals import build_factor_base, factor_prime
 from classgroup.intlinalg import left_kernel
-from classgroup.polynomials import (degree, degree_pattern, factor_mod_p,
-                                    primes_up_to)
+from classgroup.polynomials import (degree, degree_pattern, discriminant,
+                                    factor_mod_p, primes_up_to)
 from classgroup.relations import CollectionConfig, collect
 
 
@@ -59,7 +59,13 @@ def test_euler_residue_pinned():
             # recorded from the interval product, before the exact fraction
             (1, 1, 1, 1, 1, 1, 1): "0.2876984195039121",
             (25001, -1, 1): "0.38884858025523217",
-            (250001, -1, 1): "0.331274111232384"}
+            (250001, -1, 1): "0.331274111232384",
+            # degree >= 5, recorded before x^(p^d) came from Berlekamp's matrix
+            (1, 0, 0, 1, 0, 0, 1): "0.33437819229796156",
+            (1,) * 11: "0.24120792228374285",
+            (-2, 0, 0, 0, 0, 1): "0.8550465324472933",
+            (1, -1, 0, 0, 0, 0, 1): "0.39166925865470387",
+            (1, 0, 0, 0, 0, 0, 0, 0, 1): "0.4643571608346939"}
     for coeffs, r in want.items():
         assert repr(euler_residue(parse_field(list(coeffs)), 10 ** 4)) == r
 
@@ -101,6 +107,19 @@ def test_degree_pattern_matches_factor_mod_p():
             assert degree_pattern(T, p) == want, (T, p)
 
 
+
+def test_degree_pattern_matches_frobenius_kernel():
+    # degrees 5 to 10, at every p < 400 where T stays square-free: patterns
+    # from dim ker(Q^d - I), with no gcd and no distinct-degree step
+    polys = [[1] * 7, [1, 0, 0, 1, 0, 0, 1], [1] * 11, [-2, 0, 0, 0, 0, 1],
+             [1, -1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, 0, 0, 0, 1]]
+    for T in polys:
+        disc = discriminant(T)
+        for p in primes_up_to(400):
+            if disc % p:
+                assert (degree_pattern(T, p)
+                        == degree_pattern_by_frobenius_kernel(T, p)), (T, p)
+
 _DROP_UNDER_O = """
 from fractions import Fraction
 
@@ -140,6 +159,27 @@ def test_factor_count_check_survives_python_O():
         "rejected: lost factors of T mod 2",
         "rejected: lost prime ideals above 2"], lines
 
+
+
+_NO_TORSION_UNDER_O = """
+from classgroup import analytic
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+# an enumeration that misses every lattice point misses 1 and -1 too
+analytic.enumerate_gram = lambda red, bound2_exact: ([], 0)
+try:
+    print("accepted", analytic.count_roots_of_unity(parse_field([1, 0, 1])))
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_torsion_count_check_survives_python_O():
+    lines = run_under_O(_NO_TORSION_UNDER_O)
+    assert lines == ["rejected: found 0 roots of unity; -1 and 1 are "
+                     "always there"], lines
 
 def test_roots_of_unity(qi, sqrt2):
     assert count_roots_of_unity(qi) == 4

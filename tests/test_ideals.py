@@ -419,6 +419,63 @@ def test_index_divisor_product_check_survives_python_O():
         lines
 
 
+
+_PRIME_NORMS_UNDER_O = """
+from dataclasses import replace
+from fractions import Fraction
+
+from classgroup import ideals
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+
+def rejected(check):
+    try:
+        check()
+    except VerificationFailed as e:
+        print("rejected:", e)
+    else:
+        print("accepted")
+
+K = parse_field([1, 0, 1])
+# Q(i) as x^2 + 4 with basis {1, theta/2}: 2 divides the index
+J = parse_field([4, 0, 1], basis=[[1, 0], [0, Fraction(1, 2)]])
+
+hnf_ideal = ideals._hnf_ideal
+ideals._hnf_ideal = lambda cols, field: replace(hnf_ideal(cols, field), norm=1)
+rejected(lambda: ideals.factor_prime(2, K))
+rejected(lambda: ideals._index_divisor_primes(2, J))
+ideals._hnf_ideal = hnf_ideal
+
+# an empty kernel leaves p * P^(-1) = pO
+modp_kernel = ideals._modp_kernel
+ideals._modp_kernel = lambda mat, p: []
+rejected(lambda: ideals.factor_prime(2, K))
+ideals._modp_kernel = modp_kernel
+
+# above an index divisor P * (p P^(-1)) = pO is checked first, so it is
+# stubbed to hold while every x in O_K passes the kernel test
+pO = ideals.Ideal(((2, 0), (0, 2)), 4)
+ideal_product = ideals._ideal_product
+mult_rows = ideals._mult_rows_modp
+ideals._ideal_product = lambda a, b, field: pO
+ideals._mult_rows_modp = lambda x, table, p: [[0, 0]]
+rejected(lambda: ideals._index_divisor_primes(2, J))
+ideals._ideal_product = ideal_product
+ideals._mult_rows_modp = mult_rows
+"""
+
+
+def test_prime_norm_checks_survive_python_O():
+    lines = run_under_O(_PRIME_NORMS_UNDER_O)
+    assert lines == [
+        "rejected: prime ideal above 2 has determinant 1, expected 2",
+        "rejected: prime ideal above 2 has determinant 1, expected 2",
+        "rejected: inverse complement above 2 has determinant 4, expected 2",
+        "rejected: inverse complement above 2 has determinant 1, "
+        "expected 2"], lines
+
 # -- ideal lattices from the embedding table ---------------------------------
 
 def _midpoint_lattice(ideal, K):
