@@ -498,13 +498,24 @@ def _ddf(f, p):
     return out
 
 
+# Random splits _edf tries before giving up on a part.  A product of two or
+# more degree-d irreducibles splits on each try with probability about 1/2,
+# so a genuine part fails them all with probability about 2^-64.
+EDF_TRIES = 64
+
+
 def _edf(f, d, p, rng):
     """Cantor-Zassenhaus equal-degree split of squarefree f into degree-d
-    irreducible factors."""
+    irreducible factors.  Raises VerificationFailed when deg f is not a
+    multiple of d, or when EDF_TRIES random splits all fail: then f is not a
+    product of degree-d irreducibles."""
     n = degree(f)
+    if n % d:
+        raise VerificationFailed(
+            f"degree {n} part is not a product of degree-{d} factors mod {p}")
     if n == d:
         return [f]
-    while True:
+    for _ in range(EDF_TRIES):
         a = [rng.randrange(p) for _ in range(n)]
         a = normalize(a)
         if degree(a) < 1:
@@ -525,6 +536,9 @@ def _edf(f, d, p, rng):
             left = _edf(g, d, p, rng)
             right = _edf(pmod_divmod(f, g, p)[0], d, p, rng)
             return left + right
+    raise VerificationFailed(
+        f"degree {n} part did not split into degree-{d} factors mod {p} in "
+        f"{EDF_TRIES} tries")
 
 
 def _sqf_ddf(T, p):

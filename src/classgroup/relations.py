@@ -98,24 +98,21 @@ class RelationMatrix:
         self.rows.append(rel)
         return rel
 
-    def dense_rows(self, col_filter=None):
-        cols = range(len(self.columns)) if col_filter is None else col_filter
-        cols = list(cols)
-        pos = {c: i for i, c in enumerate(cols)}
+    def dense_rows(self):
         out = []
         for rel in self.rows:
-            row = [0] * len(cols)
+            row = [0] * len(self.columns)
             for idx, e in rel.exponents.items():
-                if idx in pos:
-                    row[pos[idx]] = e
+                row[idx] = e
             out.append(row)
         return out
 
     def bach_rank(self):
-        cols = [j for j, P in enumerate(self.columns) if P.norm <= self.bach_bound]
+        cols = {j for j, P in enumerate(self.columns) if P.norm <= self.bach_bound}
         if not cols:
             return 0, 0
-        rows = self.dense_rows(cols)
+        rows = [{j: e for j, e in rel.exponents.items() if j in cols}
+                for rel in self.rows]
         return matrix_rank(rows), len(cols)
 
     def dump_jsonl(self, fh):

@@ -161,6 +161,38 @@ def test_factor_count_check_survives_python_O():
 
 
 
+_UNSPLIT_UNDER_O = """
+import random
+
+from classgroup import polynomials as poly
+from classgroup.errors import VerificationFailed
+
+assert not __debug__, "run with python -O"
+f = [1, 1, 1, 1, 1]
+for p in (2, 3):
+    # irreducible mod 2 and mod 3, passed off as a product of quadratics
+    if poly.factor_mod_p(f, p) != [(f, 1)]:
+        print("reducible mod", p)
+    for d in (2, 3):
+        try:
+            poly._edf(f, d, p, random.Random(1))
+        except VerificationFailed as e:
+            print("rejected:", e)
+"""
+
+
+def test_equal_degree_split_gives_up_under_python_O():
+    # a part that is not a product of degree-d irreducibles never splits;
+    # the split must give up instead of drawing forever
+    lines = run_under_O(_UNSPLIT_UNDER_O, timeout=60)
+    assert lines == [
+        line for p in (2, 3) for line in (
+            f"rejected: degree 4 part did not split into degree-2 factors "
+            f"mod {p} in 64 tries",
+            f"rejected: degree 4 part is not a product of degree-3 factors "
+            f"mod {p}")], lines
+
+
 _NO_TORSION_UNDER_O = """
 from classgroup import analytic
 from classgroup.errors import VerificationFailed

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -6,8 +7,9 @@ from oracles import naive_row_hnf, naive_snf_divisors, rank_mod_p
 from under_O import run_under_O
 from classgroup.errors import RankDeficient
 from classgroup.ideals import _modp_kernel
-from classgroup.intlinalg import (hnf, hnf_with_transform, left_kernel,
-                                  mat_mul, rank, snf, snf_of_hnf)
+from classgroup.intlinalg import (class_group_from_relations, hnf,
+                                  hnf_with_transform, left_kernel, mat_mul,
+                                  rank, snf, snf_of_hnf, unit_eliminate)
 from classgroup.polynomials import bareiss_det
 
 
@@ -135,6 +137,71 @@ def test_rank():
     assert deficient >= 10
 
 
+def _sparse_relations(rng, n, m, units):
+    """m rows over n columns, 2-5 entries each in +-1..+-3 (no +-1 unless
+    `units`)."""
+    values = [1, 2, 3, -1, -2, -3] if units else [2, 3, -2, -3]
+    return [{j: rng.choice(values)
+             for j in rng.sample(range(n), rng.randint(2, min(5, n)))}
+            for _ in range(m)]
+
+
+def test_unit_elimination_matches_full_hnf():
+    # the +-1 pivots of structured elimination change neither the rank nor
+    # the cokernel: rank, class group and rank shortfall all agree with the
+    # HNF of the whole matrix
+    rng = random.Random(41)
+    seen = {"no unit": 0, "deficient": 0, "empty column": 0, "group": 0,
+            "eliminated": 0}
+    for t in range(100):
+        n = rng.randint(2, 9)
+        rows = _sparse_relations(rng, n, rng.randint(1, 2 * n), t % 5 != 0)
+        if t % 4 == 1:  # rows that are combinations of a few others
+            base = rows[:rng.randint(1, max(1, n - 2))]
+            rows = base + [{j: a * x.get(j, 0) + b * y.get(j, 0)
+                            for j in set(x) | set(y)
+                            if a * x.get(j, 0) + b * y.get(j, 0)}
+                           for x, y, a, b in (
+                               (rng.choice(base), rng.choice(base),
+                                rng.choice([-1, 1]), rng.randint(-2, 2))
+                               for _ in range(rng.randint(1, n)))]
+            rows = [r for r in rows if r]
+        if t % 3 == 2:  # a column no relation touches
+            gone = rng.randrange(n)
+            rows = [r for r in ({j: e for j, e in r.items() if j != gone}
+                                for r in rows) if r]
+        if not rows:
+            continue
+        before = [dict(r) for r in rows]
+        dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+        want_rank = sum(1 for row in naive_row_hnf(dense) if any(row))
+        eliminated, core = unit_eliminate(rows)
+        assert rows == before
+        assert not any(abs(x) == 1 for row in core for x in row), rows
+        assert rank(rows) == rank(dense) == want_rank, rows
+
+        used = sorted(set().union(*rows))
+        full = [row for row in hnf([[r.get(j, 0) for j in used]
+                                    for r in rows]) if any(row)]
+        R = SimpleNamespace(rows=[SimpleNamespace(exponents=r) for r in rows],
+                            columns=[SimpleNamespace(norm=2)] * n,
+                            bach_bound=1)
+        if len(full) < len(used):
+            with pytest.raises(RankDeficient, match=f"rank {len(full)} <"):
+                class_group_from_relations(R)
+            seen["deficient"] += 1
+        else:
+            g = class_group_from_relations(R)
+            want = snf(full)
+            assert (g.class_number, g.elementary_divisors) == \
+                (want.class_number, want.elementary_divisors), rows
+            seen["group"] += want.class_number > 1
+        seen["no unit"] += t % 5 == 0
+        seen["empty column"] += len(used) < n
+        seen["eliminated"] += eliminated > 0
+    assert min(seen.values()) >= 10, seen
+
+
 def test_modp_kernel():
     # one vector per free column: each in the kernel mod p, n - rank of them,
     # independent mod p
@@ -202,3 +269,31 @@ def test_linear_algebra_checks_survive_python_O():
     assert lines == ["rejected: left kernel vector v has v*M != 0",
                      "rejected: SNF class number 2 differs from the HNF "
                      "diagonal product 1"], lines
+
+
+_GHOST_UNDER_O = """
+from classgroup.errors import VerificationFailed
+from classgroup.intlinalg import column_hnf
+
+assert not __debug__, "run with python -O"
+
+
+class Ghost(int):
+    # nonzero, yet compares equal to 0: the row-1 step files its column as
+    # cleared there, and it is the lone pivot candidate of row 0
+    __eq__ = lambda self, other: True
+    __ne__ = lambda self, other: False
+    __hash__ = int.__hash__
+
+
+try:
+    print("accepted", column_hnf([[1, Ghost(1)], [0, 1]], 2))
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_column_hnf_pivot_check_survives_python_O():
+    lines = run_under_O(_GHOST_UNDER_O)
+    assert lines == ["rejected: column HNF pivot for row 0 is not zero "
+                     "below it"], lines

@@ -5,6 +5,7 @@ import json
 import math
 
 from conftest import field_file
+from oracles import class_number_imag_quadratic
 from classgroup import cli
 
 
@@ -40,6 +41,15 @@ def test_explicit_basis_field_file(tmp_path):
     assert res.verdict == "ACCEPT"
     assert int(res.group.class_number) == 1
     assert res.statistics["w"] == 4
+
+
+def test_large_imaginary_quadratic(tmp_path):
+    # x^2 - x + 750001, D = -3000003: 208 primes below the Bach bound, whose
+    # relation matrices are reduced by unit-pivot elimination first
+    res = run(tmp_path, [750001, -1, 1])
+    assert res.group.class_number == 388 == class_number_imag_quadratic(
+        -3000003)
+    assert res.group.elementary_divisors == (2, 194)
 
 
 def test_dedekind_cubic_common_index_divisor(tmp_path):
