@@ -87,15 +87,21 @@ def _desk_bound_floor(field):
     return max(12 + 10 * unit_rank, math.ceil(field.minkowski_bound()) + 1)
 
 
+def _bound_and_block(field, B, beta):
+    """Factor-base bound and BKZ block size of `compute` and `collect`: the
+    given values, else the parameter plan's, with B raised to the desk floor;
+    beta is clamped to 2..degree."""
+    plan = params.select_params(field)
+    B = B or max(plan.B, _desk_bound_floor(field))
+    return B, max(2, min(beta or plan.beta_block, field.degree))
+
+
 def run_compute(cfg):
     t0 = time.monotonic()
     field = load_field_file(cfg.field_path)
     if cfg.precision:
         field = field.with_precision(cfg.precision)
-    plan = params.select_params(field)
-    B = cfg.B if cfg.B else max(plan.B, _desk_bound_floor(field))
-    beta = cfg.beta if cfg.beta else plan.beta_block
-    beta = max(2, min(beta, field.degree))
+    B, beta = _bound_and_block(field, cfg.B, cfg.beta)
     fb = build_factor_base(field, B)
     an = analytic.compute_analytic(field, cfg.prime_bound)
     matrix = None
@@ -188,9 +194,7 @@ def _cmd_factorbase(args):
 def _cmd_collect(args):
     logging.getLogger("classgroup.relations").setLevel(logging.INFO)
     field = load_field_file(args.field)
-    plan = params.select_params(field)
-    B = args.B or max(plan.B, _desk_bound_floor(field))
-    beta = max(2, min(args.beta or plan.beta_block, field.degree))
+    B, beta = _bound_and_block(field, args.B, args.beta)
     fb = build_factor_base(field, B)
     ccfg = CollectionConfig(bound_B=B, k=min(args.k, fb.size), A=args.A,
                             beta=beta, multiplier_K=args.K,

@@ -540,11 +540,12 @@ def ideal_from_power_product(fb, indices, exponents, field):
 # ---------------------------------------------------------------------------
 # Smoothness of ideals
 
-def is_smooth_ideal(ideal, fb, field):
-    """Exponent dict {factor base index: valuation} if the ideal factors
-    completely over fb, else None.  Reconstruction is verified exactly:
-    prod norm(P)^e must equal N(ideal)."""
-    N = ideal.norm
+def is_smooth_ideal(target, fb, field):
+    """Exponent dict {factor base index: valuation} if the Ideal, or the
+    principal ideal of an integral element, factors completely over fb, else
+    None.  Reconstruction is verified exactly: prod norm(P)^e must equal the
+    norm."""
+    N = integral_norm(target)[0] if hasattr(target, "coords") else target.norm
     if N == 1:
         return {}
     res = smooth_part(N, fb.bound)
@@ -554,12 +555,12 @@ def is_smooth_ideal(ideal, fb, field):
     check = 1
     for p in res.smooth_part:
         for P in fb.primes_above(p):
-            v = valuation(ideal, P, field)
+            v = valuation(target, P, field)
             if v:
                 exps[fb.index_of(P)] = v
                 check *= P.norm ** v
     if check != N:
-        return None  # a prime of norm > B over a smooth p divides the ideal
+        return None  # a prime of norm > B over a smooth p divides it
     return exps
 
 

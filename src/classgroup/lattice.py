@@ -544,14 +544,23 @@ def lattice_member(hnf_basis, vec):
 
 
 def read_matrix_file(path):
-    """Text format: first line "n m", then n rows of m integers."""
+    """Text format: first line "n m", then n rows of m integers; a file that
+    does not match its header raises ValueError."""
     with open(path) as f:
         head = f.readline().split()
+        if len(head) != 2:
+            raise ValueError(f"{path}: header must be \"n m\", got {head}")
         n, m = int(head[0]), int(head[1])
+        if n < 1 or m < 1:
+            raise ValueError(f"{path}: matrix size {n} x {m} is empty")
         rows = []
-        for _ in range(n):
+        for i in range(n):
             rows.append([int(x) for x in f.readline().split()])
-            assert len(rows[-1]) == m
+            if len(rows[-1]) != m:
+                raise ValueError(f"{path}: row {i + 1} has {len(rows[-1])} "
+                                 f"entries, expected {m}")
+        if f.read().strip():
+            raise ValueError(f"{path}: more than {n} rows")
     cols = [[rows[i][j] for i in range(n)] for j in range(m)]
     return LatticeBasis(cols)
 

@@ -149,7 +149,8 @@ def predicted_complexity(params, omega, mode):
 def select_params(field, omega=math.log2(7), mode_override=None, n0=1.5, d0=1.0):
     """Factor-base bound and block size per the optimal schedule, with
     desk-scale caps (B <= 10^6, beta <= 30) and floors recorded as clamps."""
-    assert 2 <= omega <= 3
+    if not 2 <= omega <= 3:
+        raise ValueError(f"omega = {omega} is outside [2, 3]")
     cd = classify_D(field, n0=n0, d0=d0)
     alpha = cd.alpha
     if mode_override:

@@ -1,6 +1,7 @@
-"""Relation collection: random power products of factor-base primes are
+"""Relation collection: random power products a of factor-base primes are
 BKZ-reduced as ideal lattices; each short vector x_v with <x_v> = a*b and b
-smooth over the base yields a row of the relation matrix.
+smooth over the base yields a row of the relation matrix: the valuations of
+x_v.  N(b) = |N(x_v)|/N(a) is checked against eq. (5).
 
 Every stored relation passes an exact verification (norm identity plus
 per-prime valuations) before it enters the matrix; nothing heuristic is
@@ -13,7 +14,7 @@ also tries the small +-1 combinations of the reduced basis whose embedding
 norm stays under the block-reduction bound (Remark 4.4).  In "cheon" mode a
 non-smooth cofactor ideal goes to the presmoothing tail (Section 6), which
 reduces each of its prime factors' own lattices and adjoins those primes as
-auxiliary columns when they fall outside the base.
+auxiliary columns when they fall outside the base; only that tail builds b.
 """
 
 import itertools
@@ -219,25 +220,12 @@ def _candidates(red, mode, beta):
                    for t2 in range(k)]
 
 
-def _relation_exponents(b, idxs, exps, field, fb):
-    """{PrimeIdeal: e} of a*b, for a = prod fb[idxs]^exps, when the cofactor
-    b is smooth over the base; None otherwise."""
-    e2 = is_smooth_ideal(b, fb, field)
-    if e2 is None:
-        return None
-    out = {}
-    for i, e in zip(idxs, exps):
-        out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
-    for i, e in e2.items():
-        out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
-    return out
-
-
 def derive_relations(idxs, exps, cfg, field, fb):
     """Algorithm-1 step in every mode: reduce a = prod fb[idxs]^exps once and
-    try each candidate vector x; <x> = a*b gives a relation when b is smooth
-    over the base.  In cheon mode a non-smooth b goes to the presmoothing
-    tail.  Returns [(x_v, {PrimeIdeal: e})] without duplicate relations."""
+    try each candidate vector x; <x> = a*b gives a relation, the factorization
+    of <x>, when <x> is smooth over the base.  In cheon mode a non-smooth b
+    goes to the presmoothing tail.  Returns [(x_v, {PrimeIdeal: e})] without
+    duplicate relations."""
     a = ideal_from_power_product(fb, idxs, exps, field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
@@ -248,15 +236,19 @@ def derive_relations(idxs, exps, cfg, field, fb):
         x = _readback(a, col, field)
         if x.is_zero:
             raise VerificationFailed("reduced vector is zero")
-        b = _cofactor_ideal(x, idxs, exps, fb, field)
-        if not eq5_bound_holds(b.norm, beta, n, abs(field.discriminant)):
+        norm_b, r = divmod(integral_norm(x)[0], a.norm)
+        if r:
+            raise VerificationFailed("N(a) does not divide N(x)")
+        if not eq5_bound_holds(norm_b, beta, n, abs(field.discriminant)):
             raise VerificationFailed(
                 "reduced cofactor ideal violates the norm bound")
-        out = _relation_exponents(b, idxs, exps, field, fb)
-        if out is None:
+        smooth = is_smooth_ideal(x, fb, field)
+        if smooth is None:
             if cfg.mode == "cheon":
+                b = _cofactor_ideal(x, idxs, exps, fb, field)
                 return cheon_presmooth_tail(b, cfg, field, fb)
             continue
+        out = {fb.primes[i]: v for i, v in smooth.items()}
         key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
         if key not in seen:
             seen.add(key)

@@ -133,8 +133,9 @@ class LExpr:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-        assert self.alpha >= 0
-        assert self.c >= 0
+        if self.alpha < 0 or self.c < 0:
+            raise ValueError(f"L-expression needs alpha >= 0 and c >= 0, got "
+                             f"alpha = {self.alpha}, c = {self.c}")
 
     def __str__(self):
         tag = "L" if self.with_o1 else "Lnot"

@@ -7,7 +7,7 @@ ranks mod p by plain elementary operations, shortest vectors by exhaustive
 coefficient boxes, Dickman rho by marching quadrature, and ideal valuations
 and prime divisions by lattice containment and products with p*P^(-1) over
 Fraction arithmetic, degree patterns mod p by the kernels of powers of
-Berlekamp's matrix.
+Berlekamp's matrix, relations through the cofactor ideal b = <x>/a.
 """
 
 import itertools
@@ -248,6 +248,35 @@ def divide_prime_by_inverse(field, hnf, P):
     if any(v % P.p for c in prod for v in c):
         return None
     return column_hnf_naive([[v // P.p for v in c] for c in prod])
+
+
+def relations_by_cofactor(idxs, exps, cfg, field, fb):
+    """The relation step in plain and multi modes through the cofactor: for
+    each candidate x, b = <x> * a^(-1) is built by exact prime divisions, and
+    the relation is a's exponents plus b's when b is smooth over the base.
+    Returns (relations [(x, {PrimeIdeal: e})] without duplicates, candidates
+    x rejected as not smooth)."""
+    from classgroup import relations
+    from classgroup.ideals import ideal_from_power_product, is_smooth_ideal
+    a = ideal_from_power_product(fb, idxs, exps, field)
+    beta = max(2, min(cfg.beta, field.degree))
+    red = relations._reduce_ideal(a, beta, field)
+    found, rejected, seen = [], [], set()
+    for col in relations._candidates(red, cfg.mode, beta):
+        x = relations._readback(a, col, field)
+        b = relations._cofactor_ideal(x, idxs, exps, fb, field)
+        b_exps = is_smooth_ideal(b, fb, field)
+        if b_exps is None:
+            rejected.append(x)
+            continue
+        out = {}
+        for i, e in itertools.chain(zip(idxs, exps), b_exps.items()):
+            out[fb.primes[i]] = out.get(fb.primes[i], 0) + e
+        key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
+        if key not in seen:
+            seen.add(key)
+            found.append((x, out))
+    return found, rejected
 
 
 def valuation_by_containment(field, hnf, P):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from conftest import field_file
+from under_O import run_under_O
 from classgroup import cli
 from classgroup.errors import Stalled
 
@@ -212,3 +213,76 @@ def test_kernel_computed_only_with_units(tmp_path, monkeypatch):
     assert res.verdict == "ACCEPT" and len(verdicts) == 2
     assert calls["regulator"] == 2
     assert calls["left_kernel"] == calls["hnf_with_transform"] == 2, calls
+
+
+def _malformed_matrices(tmp_path):
+    """Matrix files that do not match their header: a long row, a short row,
+    a missing row, an extra row, a header without m, a header that is not
+    numeric, an empty matrix."""
+    texts = ["2 2\n1 0 7\n0 1\n", "2 2\n1 0\n0\n", "2 2\n1 0\n",
+             "2 2\n1 0\n0 1\n5 5\n", "2\n1 0\n", "two 2\n1 0\n0 1\n",
+             "2 0\n\n\n"]
+    paths = []
+    for i, text in enumerate(texts):
+        m = tmp_path / f"bad{i}.txt"
+        m.write_text(text)
+        paths.append(str(m))
+    return paths
+
+
+def test_bad_cli_input_is_input_error(tmp_path, capsys):
+    path = field_file(tmp_path, [5, 0, 1])
+    for omega in ("5", "1.5"):
+        code, out, err = run_cli(capsys, ["params", path, "--omega", omega])
+        assert (code, out) == (cli.EXIT_INPUT, ""), err
+        assert "outside [2, 3]" in err
+    for argv in (["0.5", "-1", "100"], ["-0.5", "1", "100"]):
+        code, out, err = run_cli(capsys, ["lnot"] + argv)
+        assert (code, out) == (cli.EXIT_INPUT, ""), err
+        assert "alpha >= 0 and c >= 0" in err
+    for m in _malformed_matrices(tmp_path):
+        code, out, err = run_cli(capsys, ["reduce", m])
+        assert (code, out) == (cli.EXIT_INPUT, ""), (m, err)
+
+
+_BAD_INPUT_UNDER_O = """
+import json, sys, tempfile
+from classgroup import cli
+
+assert not __debug__, "run with python -O"
+with tempfile.NamedTemporaryFile("w", suffix=".json", delete=False) as f:
+    json.dump({"poly": [5, 0, 1]}, f)
+with tempfile.NamedTemporaryFile("w", suffix=".txt", delete=False) as g:
+    g.write("2 2\\n1 0 7\\n0 1\\n")
+for argv in (["params", f.name, "--omega", "5"], ["lnot", "0.5", "-1", "100"],
+             ["reduce", g.name]):
+    print(argv[0], cli.main(argv))
+"""
+
+
+def test_bad_cli_input_is_input_error_under_python_O():
+    assert run_under_O(_BAD_INPUT_UNDER_O) == [
+        f"{cmd} {cli.EXIT_INPUT}" for cmd in ("params", "lnot", "reduce")]
+
+
+def test_collect_and_compute_choose_same_bound_and_block(tmp_path, capsys,
+                                                          monkeypatch):
+    # both subcommands hand collect the same B and beta on the same field
+    seen = []
+
+    def stop(field, fb, ccfg, **kwargs):
+        seen.append((ccfg.bound_B, ccfg.beta))
+        raise Stalled("stopped", {"trials": 0})
+
+    monkeypatch.setattr(cli, "collect", stop)
+    for coeffs in ([5, 0, 1], [1, 1, 1, 1, 1], [-1, -1, 0, 1]):
+        path = field_file(tmp_path, coeffs)
+        for extra in ([], ["--B", "17", "--beta", "9"]):
+            seen.clear()
+            assert run_cli(capsys, ["compute", path] + extra)[0] == \
+                cli.EXIT_STALLED
+            assert run_cli(capsys, ["collect", path] + extra)[0] == \
+                cli.EXIT_INPUT
+            assert len(seen) == 2 and seen[0] == seen[1], (coeffs, seen)
+            if extra:
+                assert seen[0] == (17, len(coeffs) - 1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import relations_by_cofactor
 from under_O import run_under_O
 from classgroup import ideals, relations
 from classgroup.errors import Stalled, VerificationFailed
@@ -269,6 +270,74 @@ def test_smooth_test_and_verify_make_no_ideal_products(q23, monkeypatch):
     assert {fb.primes[i]: e for i, e in exps.items()} == pe
     assert verify_relation(x, pe, q23)
     assert calls == []
+
+
+def _dedekind_cubic():
+    # x^3 - x^2 - 2x - 8 with basis {1, theta, (theta + theta^2)/2}; index 2
+    half = Fraction(1, 2)
+    return parse_field([-8, -2, -1, 1],
+                       basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])
+
+
+def test_relations_match_cofactor_reference(monkeypatch):
+    # the relation read off <x> is the one through b = <x>/a, and the same
+    # candidates are rejected as not smooth
+    fields = [([1, 0, 1], 10), ([6, -1, 1], 15), ([-1, -1, 0, 1], 20),
+              ([1, 1, 1, 1, 1], 31)]
+    fields = [(parse_field(c), B) for c, B in fields] + [(_dedekind_cubic(), 20)]
+    tested = []
+    inner = relations.is_smooth_ideal
+
+    def recorded(x, fb, field):
+        out = inner(x, fb, field)
+        tested.append((x, out))
+        return out
+
+    monkeypatch.setattr(relations, "is_smooth_ideal", recorded)
+
+    def coords(x):
+        return tuple(x.coords)
+
+    totals = {"relations": 0, "rejected": 0}
+    for K, B in fields:
+        fb = build_factor_base(K, B)
+        for mode in ("plain", "multi"):
+            cfg = CollectionConfig(bound_B=B, k=2, A=2, beta=2, mode=mode)
+            rng = random.Random(B)
+            for _ in range(12):
+                idxs, exps = sample_ideal(fb, cfg, rng)
+                want, rejected = relations_by_cofactor(idxs, exps, cfg, K, fb)
+                tested.clear()
+                got = derive_relations(idxs, exps, cfg, K, fb)
+                assert ([(coords(x), rel_key(pe)) for x, pe in got]
+                        == [(coords(x), rel_key(pe)) for x, pe in want])
+                assert ([coords(x) for x, out in tested if out is None]
+                        == [coords(x) for x in rejected])
+                totals["relations"] += len(want)
+                totals["rejected"] += len(rejected)
+    assert totals["relations"] > 0 and totals["rejected"] > 0, totals
+
+
+def test_plain_and_multi_build_no_cofactor_ideal(q23, monkeypatch):
+    # plain and multi read relations off <x> alone; only cheon's tail builds
+    # the cofactor ideal, which the disc -47 samples below reach
+    calls = []
+    for name in ("ideal_from_element", "ideal_divide_prime"):
+        fn = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *a, fn=fn, name=name: (
+            calls.append(name), fn(*a))[1])
+    fb = build_factor_base(q23, 15)
+    for mode in ("plain", "multi"):
+        cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=2,
+                               mode=mode, trial_budget=4000)
+        collect(q23, fb, cfg, target_rows=80)
+    assert calls == []
+    K = parse_field([12, -1, 1])
+    fb = build_factor_base(K, 2)
+    cfg = CollectionConfig(bound_B=2, k=1, A=2, beta=2, mode="cheon")
+    for e in (1, 2):
+        derive_relations([0], [e], cfg, K, fb)
+    assert "ideal_from_element" in calls and "ideal_divide_prime" in calls
 
 
 def test_relation_dump(qi, tmp_path):
