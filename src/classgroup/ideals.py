@@ -484,13 +484,18 @@ class FactorBase:
         return len(self.primes)
 
     def primes_above(self, p):
-        return [P for P in self.primes if P.p == p]
+        """The base primes above the rational prime p, in base order."""
+        return self._above.get(p, ())
 
     def index_of(self, P):
         return self._index[(P.p, P.gen_poly)]
 
     def __post_init__(self):
         self._index = {(P.p, P.gen_poly): i for i, P in enumerate(self.primes)}
+        above = {}
+        for P in self.primes:
+            above.setdefault(P.p, []).append(P)
+        self._above = {p: tuple(Ps) for p, Ps in above.items()}
 
     def dump_jsonl(self, fh):
         for P in self.primes:
@@ -530,8 +535,10 @@ def build_factor_base(field, B):
 
 def ideal_from_power_product(fb, indices, exponents, field):
     """prod fb.primes[i]^e by sum(e) - 1 products; empty product is the
-    unit ideal."""
-    assert all(e >= 1 for e in exponents)
+    unit ideal.  Raises ValueError for an exponent below 1."""
+    if any(e < 1 for e in exponents):
+        raise ValueError(f"power-product exponents {list(exponents)} must "
+                         "all be at least 1")
     return _fold_product([fb.primes[i].as_ideal()
                           for i, e in zip(indices, exponents, strict=True)
                           for _ in range(e)], field)

@@ -3,6 +3,14 @@ BKZ-reduced as ideal lattices; each short vector x_v with <x_v> = a*b and b
 smooth over the base yields a row of the relation matrix: the valuations of
 x_v.  N(b) = |N(x_v)|/N(a) is checked against eq. (5).
 
+The rows generate the relation lattice from the first window on (Hafner-
+McCurley; Buchmann; Cohen GTM 138, Section 6.5).  A fresh matrix starts with
+the free relations <p> = prod P^(e_P), one for each rational p whose primes
+all lie in the base; they need no reduction.  Then, in each collection call,
+trial t < |base| samples base prime t with exponent 1 (the sweep), so every
+base prime enters some relation with exponent 1; later trials are drawn
+uniformly.
+
 Every stored relation passes an exact verification (norm identity plus
 per-prime valuations) before it enters the matrix; nothing heuristic is
 persisted.  Collection stops once the row count reaches K*|base| and the
@@ -138,12 +146,31 @@ def verify_relation(x, prime_exponents, field):
     return True
 
 
-def sample_ideal(fb, cfg, rng):
+def sample_ideal(fb, cfg, rng, sweep=None):
     """k distinct primes, exponents uniform in 1..A; returns (indices,
-    exponents).  Ideal norm is at most bound^(k*A) by construction."""
-    idxs = sorted(rng.sample(range(fb.size), cfg.k))
-    exps = [rng.randint(1, cfg.A) for _ in idxs]
-    return idxs, exps
+    exponents).  Ideal norm is at most bound^(k*A) by construction.  With
+    `sweep`, base prime `sweep` is one of the k, with exponent 1, and the
+    other k-1 primes and their exponents are drawn from the rest."""
+    if sweep is None:
+        idxs = sorted(rng.sample(range(fb.size), cfg.k))
+        return idxs, [rng.randint(1, cfg.A) for _ in idxs]
+    others = rng.sample(range(fb.size - 1), cfg.k - 1)
+    idxs = sorted([sweep] + [i + (i >= sweep) for i in others])
+    return idxs, [1 if i == sweep else rng.randint(1, cfg.A) for i in idxs]
+
+
+def free_relations(field, fb):
+    """The free relations <p> = prod P^(e_P), one per rational p whose
+    primes all lie in the base (sum e_P*f_P = n over the base primes above
+    p); returns [(p as a field element, {PrimeIdeal: e_P})] by increasing p."""
+    one = field.one().coords
+    out = []
+    for p in sorted({P.p for P in fb.primes}):
+        above = fb.primes_above(p)
+        if sum(P.ram_e * P.res_f for P in above) == field.degree:
+            out.append((field.element([p * c for c in one]),
+                        {P: P.ram_e for P in above}))
+    return out
 
 
 def _readback(a, transform_col, field):
@@ -313,16 +340,30 @@ def _solve_int_columns(cols, target):
 
 def collect(field, fb, cfg, matrix=None, target_rows=None):
     """Run sample/derive until the row target and the Bach-prefix rank are
-    both met.  Deterministic for a fixed (field, fb, cfg) including seed;
-    every trial runs on the calling thread, and cfg.threads has no effect."""
+    both met.  A fresh matrix (matrix=None) first gets the free relations,
+    which count toward the row target but not as trials or hits (stats
+    "free"); trial t < |base| sweeps base prime t with exponent 1.
+    Deterministic for a fixed (field, fb, cfg) including seed; every trial
+    runs on the calling thread, and cfg.threads has no effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
-    matrix = matrix or RelationMatrix(fb)
+    free = 0
+    if matrix is None:
+        matrix = RelationMatrix(fb)
+        for x, prime_exps in free_relations(field, fb):
+            if not verify_relation(x, prime_exps, field):
+                raise VerificationFailed(
+                    f"free relation of {next(iter(prime_exps)).p} failed "
+                    "exact verification")
+            matrix.add(x, prime_exps,
+                       (None, "free", tuple(map(fb.index_of, prime_exps)),
+                        tuple(prime_exps.values())))
+        free = len(matrix.rows)
     if target_rows is None:
         target_rows = cfg.multiplier_K * fb.size
     trials = 0
     hits = 0
-    stats = {"trials": 0, "hits": 0, "mode": cfg.mode}
+    stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode}
     while True:
         # the one stop check; the rank is computed only at the row target
         rank = None
@@ -341,7 +382,8 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                 f"budget {cfg.trial_budget} exhausted: {hits} relations "
                 f"from {trials} trials", stats)
         for _ in range(_WINDOW):
-            idxs, exps = sample_ideal(fb, cfg, rng)
+            idxs, exps = sample_ideal(fb, cfg, rng,
+                                      trials if trials < fb.size else None)
             # a module-global lookup, so a replaced deriver takes effect
             for x, prime_exps in derive_relations(idxs, exps, cfg, field, fb):
                 if not verify_relation(x, prime_exps, field):

@@ -569,3 +569,35 @@ def test_ambiguous_rounding_escalates_once_under_python_O():
         "recovered: 256 True",
         "doubled fields built: [256]",
         "gave up: ideal lattice still ambiguous at 256 bits"]
+
+
+_POWER_EXPONENT_UNDER_O = """
+from classgroup.field import parse_field
+from classgroup.ideals import build_factor_base, ideal_from_power_product
+
+assert not __debug__, "run with python -O"
+K = parse_field([1, 0, 1])
+fb = build_factor_base(K, 10)
+for exps in ([0], [2, -1]):
+    try:
+        ideal_from_power_product(fb, list(range(len(exps))), exps, K)
+    except ValueError as e:
+        print("rejected:", e)
+"""
+
+
+def test_power_product_exponent_check_survives_python_O(qi):
+    fb = build_factor_base(qi, 10)
+    with pytest.raises(ValueError, match="at least 1"):
+        ideal_from_power_product(fb, [0], [0], qi)
+    assert run_under_O(_POWER_EXPONENT_UNDER_O) == [
+        "rejected: power-product exponents [0] must all be at least 1",
+        "rejected: power-product exponents [2, -1] must all be at least 1"]
+
+
+def test_primes_above_matches_a_scan_of_the_base(q23, cubic):
+    for K, B in ((q23, 60), (cubic, 60), (dedekind_cubic(), 40)):
+        fb = build_factor_base(K, B)
+        for p in range(B + 2):
+            assert list(fb.primes_above(p)) == [P for P in fb.primes
+                                                if P.p == p], (K.poly, p)

@@ -87,3 +87,18 @@ def test_multi_and_cheon_end_to_end(tmp_path):
         res = run(tmp_path, [5, 0, 1], mode=mode)
         assert int(res.group.class_number) == 2
         assert res.group.elementary_divisors == (2,)
+
+
+def test_first_round_accepts(tmp_path):
+    # free relations plus the exponent-1 sweep give a relation set that
+    # generates the lattice at once: no spurious (Z/2)^k survives to be
+    # rejected by the ratio test
+    for D, divisors in ((-3000003, (2, 194)), (-10000003, (706,))):
+        res = run(tmp_path, [(1 - D) // 4, -1, 1])
+        assert res.group.class_number == class_number_imag_quadratic(D)
+        assert res.group.elementary_divisors == divisors
+        assert len(res.statistics["rounds"]) == 1, D
+    res = run(tmp_path, [1, 1, 1, 1, 1, 1, 1])  # Q(zeta7)
+    assert int(res.group.class_number) == 1
+    assert repr(res.regulator) == "2.1018187284902896"
+    assert len(res.statistics["rounds"]) == 1

@@ -182,9 +182,9 @@ def test_collect_deterministic(q23):
 
 # (trials, hits, sha256 over the rows) of q23, B=15, seed 2, 80 target rows
 _PINNED = {
-    "plain": (96, 96, "12fa39d4a7936d154f72e0fa5c7a254033baa63fd69972e6773b70524ddf1c09"),
-    "multi": (64, 128, "028bf0908ebb002302e49ffb1fe3fbaa42d0e7b1c31e8304c43768e0360d679c"),
-    "cheon": (96, 96, "b261ae91df268ee32cd028bc0b269f476e8e17b20d89eb2eabb52fa03880d0dd"),
+    "plain": (96, 96, "1e5e7bc2c3718165918c81d8992f221a2630cf16d443d566e01da09296c070a1"),
+    "multi": (64, 126, "281b96856c647a98c7834cdf3496f854ec9cf82684ad4b06214933cee7c8c78e"),
+    "cheon": (96, 96, "e7902f1b574638dba70abc80fbb46a7996344ae2dfa3ef3e78056bf299f03a74"),
 }
 
 
@@ -199,7 +199,92 @@ def test_collect_modes_pinned(q23):
             h.update(repr((sorted(r.exponents.items()),
                            [str(c) for c in r.generator.coords],
                            r.provenance)).encode())
+            pe = {M.columns[i]: e for i, e in r.exponents.items()}
+            assert verify_relation(r.generator, pe, q23), (mode, r.provenance)
         assert (stats["trials"], stats["hits"], h.hexdigest()) == want, mode
+
+
+def test_free_rows_one_per_fully_based_prime(q23, monkeypatch):
+    # q23: every base p is free; the Dedekind cubic: 2 splits completely
+    # only in O_K, and a p = P*Q with N(P) <= B < N(Q) gives no free row;
+    # zeta5: 2 is inert of norm 16 and 5 totally ramified
+    left_out = set()
+    for K, B in [(q23, 15), (_dedekind_cubic(), 20),
+                 (parse_field([1, 1, 1, 1, 1]), 31)]:
+        fb = build_factor_base(K, B)
+        want = [p for p in sorted({P.p for P in fb.primes})
+                if all(P.norm <= B for P in factor_prime(p, K))]
+        left_out |= {P.p for P in fb.primes} - set(want)
+        samples = []
+        inner = relations.derive_relations
+
+        def recorded(idxs, exps, *args):
+            samples.append((tuple(idxs), tuple(exps)))
+            return inner(idxs, exps, *args)
+
+        monkeypatch.setattr(relations, "derive_relations", recorded)
+        cfg = CollectionConfig(bound_B=B, k=2, A=2, beta=2, rng_seed=5,
+                               trial_budget=4000)
+        M, stats = collect(K, fb, cfg)
+        free = [r for r in M.rows if r.provenance[1] == "free"]
+        assert M.rows[:len(free)] == free
+        assert stats["free"] == len(free) == len(want)
+        assert stats["hits"] == len(M.rows) - len(free)
+        for p, rel in zip(want, free):
+            assert rel.generator == K.one() * p
+            above = factor_prime(p, K)
+            assert rel.exponents == {fb.index_of(P): P.ram_e for P in above}
+            pe = {M.columns[i]: e for i, e in rel.exponents.items()}
+            assert verify_relation(rel.generator, pe, K)
+        # the sweep: trial t < |base| samples base prime t with exponent 1,
+        # and every row of a trial records that trial's sample
+        assert len(samples) == stats["trials"] >= fb.size
+        for t in range(min(fb.size, stats["trials"])):
+            idxs, exps = samples[t]
+            assert t in idxs and exps[idxs.index(t)] == 1, (K.poly, t)
+        for rel in M.rows[len(free):]:
+            assert rel.provenance[2:] == samples[rel.provenance[0]]
+        # a second call on the same matrix adds trial rows only
+        n_rows = len(M.rows)
+        M2, stats2 = collect(K, fb, cfg, matrix=M,
+                             target_rows=n_rows + fb.size)
+        assert M2 is M and stats2["free"] == 0
+        assert [r for r in M.rows if r.provenance[1] == "free"] == free
+        assert len(M.rows) == n_rows + stats2["hits"]
+        monkeypatch.undo()
+    assert left_out, "some base prime has a prime above it outside the base"
+
+
+def test_corrupt_free_row_is_rejected(q23, monkeypatch):
+    inner = relations.free_relations
+    monkeypatch.setattr(relations, "free_relations", lambda K, fb: [
+        (x, {P: e + 1 for P, e in pe.items()}) for x, pe in inner(K, fb)])
+    fb = build_factor_base(q23, 15)
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=5)
+    with pytest.raises(VerificationFailed, match="free relation of 2 failed"):
+        collect(q23, fb, cfg)
+
+
+def test_sample_ideal_sweep(q23):
+    fb = build_factor_base(q23, 15)
+    for k, A in ((1, 3), (2, 2), (fb.size, 2)):
+        cfg = CollectionConfig(bound_B=15, k=k, A=A, rng_seed=3)
+        rng = random.Random(9)
+        seen = set()
+        for t in list(range(fb.size)) * 20:
+            idxs, exps = sample_ideal(fb, cfg, rng, t)
+            assert idxs == sorted(set(idxs)) and len(idxs) == k
+            assert exps[idxs.index(t)] == 1
+            assert all(1 <= e <= A for e in exps)
+            seen.update(i for i in idxs if i != t)
+        assert seen == set(range(fb.size)) or k == 1
+    # without a swept prime the draws are the uniform ones
+    cfg = CollectionConfig(bound_B=15, k=2, A=2)
+    rng, ref = random.Random(4), random.Random(4)
+    for _ in range(50):
+        idxs = sorted(ref.sample(range(fb.size), 2))
+        assert sample_ideal(fb, cfg, rng) == (
+            idxs, [ref.randint(1, 2) for _ in idxs])
 
 
 def test_rank_checked_only_at_target(q23, monkeypatch):
