@@ -33,7 +33,6 @@ class AnalyticData:
     prime_bound: int
     w_K: int
     unit_rank: int
-    regulator: float = None
 
 
 def euler_residue(field, prime_bound):

@@ -158,7 +158,6 @@ def run_compute(cfg):
         "prime_bound": cfg.prime_bound, "threads": cfg.threads,
         "precision": field.precision,
     }
-    an.regulator = reg
     return ClassGroupResult(group=group, regulator=reg, ratio=ratio,
                             verdict=verdict, statistics=statistics,
                             config=config_echo)
@@ -243,7 +242,6 @@ def _cmd_classify(args):
 def _cmd_verify(args):
     field = load_field_file(args.field)
     an = analytic.compute_analytic(field, args.prime_bound)
-    an.regulator = args.reg
     ratio, verdict = analytic.verify(args.h, args.reg, an, field)
     print(json.dumps({"ratio": ratio, "verdict": verdict,
                       "residue": an.residue_approx,

@@ -5,11 +5,18 @@ integral basis given over the power basis of a root theta.  When no basis is
 supplied the equation order Z[theta] is assumed maximal (the caller asserts
 this; all bundled test fields satisfy it).
 
+Elements multiply one way: by the field's integer structure constants,
+whose row j holds the coordinates of omega_j*omega_i, through
+`NumberField.mult_columns` (the columns of multiplication by x) and
+`combine_columns`.  Element products, norms, ideal products and the mod-p
+algebra of the ideals module all go through it.
+
 Real arithmetic is interval arithmetic (mpmath's interval context) at a
-per-field precision.  Root enclosures are certified: real roots by Sturm
-bisection with exact rational endpoints, complex roots by exact-rational
-Newton disks of radius n*|T(z)/T'(z)| around high-precision approximations,
-checked pairwise disjoint so each disk provably holds one simple root.
+per-field precision.  Root enclosures are certified: every root, real or
+complex, gets an exact-rational Newton disk of radius n*|T(z)/T'(z)| around
+a high-precision approximation, and the n disks, conjugates included, are
+checked pairwise disjoint, so each provably holds one simple root.  The r1
+disks centred on the real axis (r1 from a Sturm count) hold the real roots.
 
 Embedding convention: a complex conjugate pair contributes the two real
 coordinates (sqrt(2)*Re, sqrt(2)*Im), which makes det sigma(O_K) equal to
@@ -30,7 +37,7 @@ from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
 _GUARD_BITS = 64
 
 
-def _frac_sqrt_upper(q, bits=320):
+def _frac_sqrt_upper(q, bits):
     """Rational upper bound on sqrt of a nonnegative Fraction, with absolute
     slack below 2^-bits."""
     if q == 0:
@@ -42,29 +49,12 @@ def _frac_sqrt_upper(q, bits=320):
 
 
 def det_fractions(mat):
-    """Exact determinant of a square matrix of Fractions (Gaussian)."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    n = len(a)
-    det = Fraction(1)
-    for k in range(n):
-        piv = None
-        for i in range(k, n):
-            if a[i][k] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+    """Exact determinant of a square rational matrix: the integer Bareiss
+    determinant of d*mat, for d the common denominator, over d^n."""
+    rows = [[Fraction(x) for x in row] for row in mat]
+    d = math.lcm(*(x.denominator for row in rows for x in row))
+    det = poly.bareiss_det([[int(x * d) for x in row] for row in rows])
+    return Fraction(det, d ** len(rows))
 
 
 def invert_fractions(mat):
@@ -81,6 +71,18 @@ def invert_fractions(mat):
                 f = a[i][k]
                 a[i] = [x - f * y for x, y in zip(a[i], a[k])]
     return [row[n:] for row in a]
+
+
+def combine_columns(cols, coeffs):
+    """sum_j coeffs[j]*cols[j], skipping zero terms: the coordinates of x*y
+    for cols = field.mult_columns(x) and coeffs the coordinates of y."""
+    out = [0] * len(cols)
+    for c, col in zip(coeffs, cols):
+        if c:
+            for k, t in enumerate(col):
+                if t:
+                    out[k] += c * t
+    return out
 
 
 class _RootBall:
@@ -164,7 +166,7 @@ class NumberField:
                 prod = poly.mul(list(self.basis[i]), list(self.basis[j]))
                 _, rem = poly.divmod_exact(prod, T)
                 rem = rem + [Fraction(0)] * (n - len(rem))
-                coords = self._power_to_basis(rem)
+                coords = self.power_to_basis(rem)
                 if any(c.denominator != 1 for c in coords):
                     raise BasisNotClosed(
                         f"basis element {i} times element {j} has coordinates "
@@ -172,11 +174,24 @@ class NumberField:
                 table[i][j] = table[j][i] = tuple(c.numerator for c in coords)
         return table
 
-    def _power_to_basis(self, vec):
+    def power_to_basis(self, vec):
         """Coordinates over the integral basis of a power-basis vector."""
         inv = self._basis_inv
         n = self.degree
         return [sum(Fraction(vec[i]) * inv[i][j] for i in range(n)) for j in range(n)]
+
+    def mult_columns(self, x):
+        """Columns x*omega_j over the integral basis, for x given by its
+        coordinates: row j of the structure-constant table holds the products
+        omega_j*omega_i, so combining it by x gives x*omega_j.  Integer
+        coordinates give integer columns."""
+        return [combine_columns(row, x) for row in self._mult_table]
+
+    def multiply(self, x, y):
+        """Coordinates of x*y = sum_j y_j*(x*omega_j), for x and y given by
+        their coordinates; only the columns with y_j != 0 are formed."""
+        return combine_columns([combine_columns(row, x) if c else None
+                                for row, c in zip(self._mult_table, y)], y)
 
     def with_precision(self, precision):
         return NumberField(list(self.poly), [list(r) for r in self.basis], precision)
@@ -198,11 +213,11 @@ class NumberField:
 
     def one(self):
         one_pb = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
-        return self.element(self._power_to_basis(one_pb))
+        return self.element(self.power_to_basis(one_pb))
 
     def theta(self):
         pb = [Fraction(0), Fraction(1)] + [Fraction(0)] * (self.degree - 2)
-        return self.element(self._power_to_basis(pb))
+        return self.element(self.power_to_basis(pb))
 
     # -- embeddings ------------------------------------------------------------
 
@@ -219,84 +234,70 @@ class NumberField:
         return self._roots
 
     def _certify_roots(self):
-        ctx = self._iv
-        n = self.degree
-        r1, r2 = self.signature
-        T = list(self.poly)
-        wprec = ctx.prec
-        target = Fraction(1, 1 << (self.precision + _GUARD_BITS // 2))
-
-        reals = []
-        for lo, hi in poly.isolate_real_roots(T):
-            lo, hi = poly.refine_root(T, lo, hi, target)
-            reals.append((lo, hi))
-        assert len(reals) == r1
-        reals.sort(key=lambda ivl: ivl[0], reverse=True)
-
-        balls = [_RootBall(self._frac_iv(lo, hi)) for lo, hi in reals]
-        if r2:
-            balls.extend(self._certify_complex_roots(reals, wprec))
-        return balls
-
-    def _certify_complex_roots(self, real_intervals, wprec):
+        """Newton disks around mpmath.polyroots' approximations.  The r1
+        approximations of smallest |Im| are centred on the real axis, the
+        others with Im > 0 stand for the conjugate pairs, and each disk has
+        the exact rational radius n*|T(z)/T'(z)|, so it holds a root of T.
+        When all n disks, conjugates included, are pairwise disjoint (which
+        keeps each complex disk off the real axis), each holds exactly one
+        root, and a disk centred on R holds a real one because it is closed
+        under conjugation.  Each disk must also be narrower than
+        2^-(precision+32).  A failed certificate retries at doubled working
+        precision, up to 4 attempts."""
         n = self.degree
         r1, r2 = self.signature
         T = list(self.poly)
         dT = poly.derivative(T)
-        attempts = 0
-        while True:
-            attempts += 1
-            with mpmath.workprec(wprec * (1 << (attempts - 1))):
+        wprec = self._iv.prec
+        width = Fraction(1, 1 << (self.precision + _GUARD_BITS // 2))
+        # the radius' rounding slack stays far below the disk widths
+        bits = max(320, self.precision + 2 * _GUARD_BITS)
+        for attempt in range(4):
+            with mpmath.workprec(wprec << attempt):
                 try:
-                    approx = mpmath.polyroots([mpmath.mpf(c) for c in reversed(T)],
-                                              maxsteps=200, extraprec=wprec)
+                    approx = mpmath.polyroots(
+                        [mpmath.mpf(c) for c in reversed(T)], maxsteps=200,
+                        extraprec=wprec)
                 except mpmath.libmp.NoConvergence:
-                    if attempts >= 4:
-                        raise PrecisionExhausted("root finding did not converge")
                     continue
-            cand = []
-            for z in approx:
-                b = _mpf_to_fraction(mpmath.im(z))
-                if b > 0:
-                    cand.append((_mpf_to_fraction(mpmath.re(z)), b))
-            if len(cand) != r2:
-                if attempts >= 4:
-                    raise PrecisionExhausted("could not separate complex roots")
+            approx.sort(key=lambda z: abs(mpmath.im(z)))
+            centres = [(_mpf_to_fraction(mpmath.re(z)), Fraction(0))
+                       for z in approx[:r1]]
+            centres += [(_mpf_to_fraction(mpmath.re(z)),
+                         _mpf_to_fraction(mpmath.im(z)))
+                        for z in approx[r1:] if mpmath.im(z) > 0]
+            if len(centres) != r1 + r2:
                 continue
             disks = []
-            ok = True
-            for a, b in cand:
+            for a, b in centres:
                 tv = _eval_complex_rational(T, a, b)
                 dv = _eval_complex_rational(dT, a, b)
-                t2 = tv[0] ** 2 + tv[1] ** 2
                 d2 = dv[0] ** 2 + dv[1] ** 2
                 if d2 == 0:
-                    ok = False
                     break
-                r_up = _frac_sqrt_upper(Fraction(n * n) * t2 / d2)
-                disks.append((a, b, r_up))
-            if ok:
-                for i, (a, b, r) in enumerate(disks):
-                    if b <= r:  # disk may touch the real axis
-                        ok = False
-                    for a2, b2, s in disks[i + 1:]:
-                        if (a - a2) ** 2 + (b - b2) ** 2 <= (r + s) ** 2:
-                            ok = False
-                    for lo, hi in real_intervals:
-                        if lo - r <= a <= hi + r and b <= r:
-                            ok = False
-            if ok:
-                disks.sort(key=lambda d: (-d[0], d[1]))
-                return [_RootBall(self._frac_iv(a - r, a + r),
-                                  self._frac_iv(b - r, b + r))
-                        for a, b, r in disks]
-            if attempts >= 4:
-                raise PrecisionExhausted("complex root disks failed certification")
+                r = _frac_sqrt_upper(n * n * (tv[0] ** 2 + tv[1] ** 2) / d2,
+                                     bits)
+                if 2 * r >= width:
+                    break
+                disks.append((a, b, r))
+            if len(disks) != r1 + r2:
+                continue
+            every = disks + [(a, -b, r) for a, b, r in disks[r1:]]
+            if all((a - a2) ** 2 + (b - b2) ** 2 > (r + s) ** 2
+                   for i, (a, b, r) in enumerate(every)
+                   for a2, b2, s in every[i + 1:]):
+                reals = sorted(disks[:r1], reverse=True)
+                pairs = sorted(disks[r1:], key=lambda d: (-d[0], d[1]))
+                return ([_RootBall(self._frac_iv(a - r, a + r))
+                         for a, _, r in reals] +
+                        [_RootBall(self._frac_iv(a - r, a + r),
+                                   self._frac_iv(b - r, b + r))
+                         for a, b, r in pairs])
+        raise PrecisionExhausted(
+            "root disks failed certification after 4 attempts")
 
-    def _frac_iv(self, lo, hi=None):
+    def _frac_iv(self, lo, hi):
         ctx = self._iv
-        if hi is None:
-            hi = lo
         a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
         b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
         return ctx.mpf([a.a, b.b])
@@ -453,21 +454,8 @@ class AlgebraicNumber:
         if isinstance(other, (int, Fraction)):
             return AlgebraicNumber(self.field, [a * other for a in self.coords])
         assert self.field is other.field
-        n = self.field.degree
-        table = self.field._mult_table
-        out = [Fraction(0)] * n
-        for i, a in enumerate(self.coords):
-            if not a:
-                continue
-            for j, b in enumerate(other.coords):
-                if not b:
-                    continue
-                ab = a * b
-                row = table[i][j]
-                for k in range(n):
-                    if row[k]:
-                        out[k] += ab * row[k]
-        return AlgebraicNumber(self.field, out)
+        return AlgebraicNumber(self.field,
+                               self.field.multiply(self.coords, other.coords))
 
     __rmul__ = __mul__
 
@@ -492,17 +480,11 @@ class AlgebraicNumber:
     def mult_matrix(self):
         """Matrix of multiplication by self on the integral basis (columns are
         the coordinates of self * omega_j)."""
-        n = self.field.degree
-        cols = []
-        for j in range(n):
-            ej = [Fraction(0)] * n
-            ej[j] = Fraction(1)
-            cols.append((self * AlgebraicNumber(self.field, ej)).coords)
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
+        return [list(r) for r in zip(*self.field.mult_columns(self.coords))]
 
     def norm(self):
         """Field norm, exact (product of all conjugates)."""
-        return det_fractions(self.mult_matrix())
+        return det_fractions(self.field.mult_columns(self.coords))
 
     def __repr__(self):
         return f"AlgebraicNumber({[str(c) for c in self.coords]})"

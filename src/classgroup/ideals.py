@@ -12,8 +12,9 @@ by either route is checked exactly (sum e*f = n, and prod P^e equals pO_K as
 an HNF on the Buchmann-Lenstra route), so no splitting-theory edge case can
 silently corrupt a division.
 
-Products multiply coordinate columns with the field's integer structure
-constants.  Valuations and divisions by P use an anti-uniformizer tau in
+Products multiply coordinate columns by the field's one product
+(NumberField.mult_columns, combine_columns), which the Buchmann-Lenstra route
+reduces mod p.  Valuations and divisions by P use an anti-uniformizer tau in
 p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
 exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
 Norm checks on products and divisions raise VerificationFailed.
@@ -29,18 +30,16 @@ doubled-precision copy.
 
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass, field as dc_field, replace
 
 from . import polynomials as poly
 from .errors import (BasisNotMaximal, EmptyFactorBase, PrecisionExhausted,
                      VerificationFailed)
+from .field import combine_columns
 from .intlinalg import column_hnf
 from .lattice import LatticeBasis
 from .smoothness import smooth_part
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -100,31 +99,13 @@ def unit_ideal(field):
     return Ideal(tuple(tuple(c) for c in cols), 1)
 
 
-def _apply(mult, y):
-    """x*y as integer coordinates, for mult = _mult_columns(x)."""
-    out = [0] * len(mult)
-    for c, col in zip(y, mult):
-        if c:
-            for k, t in enumerate(col):
-                if t:
-                    out[k] += c * t
-    return out
-
-
-def _mult_columns(x, field):
-    """Integer columns x*omega_j over the integral basis, for x given by its
-    integer coordinates: row j of the structure-constant table holds the
-    products omega_j*omega_i, so applying it to x gives x*omega_j."""
-    return [_apply(row, x) for row in field._mult_table]
-
-
 def _element_of_gen_poly(gen_poly, field):
     """Integer coordinates of g(theta) (g reduced mod T first; an inert prime
     has deg g = n and g(theta) lands in pO)."""
     n = field.degree
     _, rem = poly.divmod_exact([int(c) for c in gen_poly], list(field.poly))
     pb = list(rem) + [0] * (n - len(rem))
-    coords = field._power_to_basis(pb[:n])
+    coords = field.power_to_basis(pb[:n])
     assert all(c.denominator == 1 for c in coords)
     return [c.numerator for c in coords]
 
@@ -133,7 +114,7 @@ def integral_norm(x):
     """(|N(x)|, integer multiplication-by-x columns) for integral x."""
     if not x.is_integral:
         raise VerificationFailed("element is not integral")
-    cols = _mult_columns([c.numerator for c in x.coords], x.field)
+    cols = x.field.mult_columns([c.numerator for c in x.coords])
     return abs(poly.bareiss_det(cols)), cols
 
 
@@ -151,8 +132,8 @@ def ideal_from_element(x):
 def _ideal_product(a, b, field):
     cols = []
     for x in a.hnf_basis:
-        mult = _mult_columns(x, field)
-        cols.extend(_apply(mult, y) for y in b.hnf_basis)
+        mult = field.mult_columns(x)
+        cols.extend(combine_columns(mult, y) for y in b.hnf_basis)
     return _hnf_ideal(cols, field)
 
 
@@ -200,7 +181,7 @@ def _anti_uniformizer(p, inv_basis, field):
     """tau: the first column of p*P^(-1)'s HNF outside pO_K, with its
     multiplication columns."""
     tau = next(c for c in inv_basis if any(v % p for v in c))
-    return tau, tuple(tuple(c) for c in _mult_columns(tau, field))
+    return tau, tuple(tuple(c) for c in field.mult_columns(tau))
 
 
 def _check_norm(ideal, expected, what):
@@ -211,7 +192,7 @@ def _check_norm(ideal, expected, what):
 
 def _prime_from_gen(p, gen_poly, e, f, field):
     n = field.degree
-    g_mult = _mult_columns(_element_of_gen_poly(gen_poly, field), field)
+    g_mult = field.mult_columns(_element_of_gen_poly(gen_poly, field))
     p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
     ideal = _hnf_ideal(p_cols + g_mult, field)
     _check_norm(ideal, p ** f, f"prime ideal above {p}")
@@ -228,38 +209,19 @@ def _prime_from_gen(p, gen_poly, e, f, field):
 
 # Index divisors: Buchmann-Lenstra decomposition of O_K/pO_K (Cohen, GTM 138,
 # Sec. 6.2.2 and Alg. 6.2.9).  Elements of O_K/pO_K are coordinate lists mod p
-# over the integral basis; F_p-subspaces are reduced row echelon forms
-# {pivot column: row}.
+# over the integral basis, multiplied by the field's product reduced mod p;
+# F_p-subspaces are reduced row echelon forms {pivot column: row}.
 
-def _modp_table(field, p):
-    """Structure constants mod p: t[i][j][k] is coordinate k of w_i * w_j."""
-    n = field.degree
-    table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = [c % p for c in field._mult_table[i][j]]
-    return table
+def _modp_mul(x, y, field, p):
+    return [v % p for v in field.multiply(x, y)]
 
 
-def _modp_mul(x, y, table, p):
-    n = len(x)
-    out = [0] * n
-    for i, a in enumerate(x):
-        if a:
-            for j, b in enumerate(y):
-                if b:
-                    ab = a * b
-                    for k, t in enumerate(table[i][j]):
-                        out[k] += ab * t
-    return [v % p for v in out]
-
-
-def _modp_pow(x, e, one, table, p):
+def _modp_pow(x, e, one, field, p):
     result, base = one, x
     while e:
         if e & 1:
-            result = _modp_mul(result, base, table, p)
-        base = _modp_mul(base, base, table, p)
+            result = _modp_mul(result, base, field, p)
+        base = _modp_mul(base, base, field, p)
         e >>= 1
     return result
 
@@ -296,14 +258,13 @@ def _columns_to_rows(cols):
     return [list(r) for r in zip(*cols)]
 
 
-def _mult_rows_modp(x, table, p):
+def _mult_rows_modp(x, field, p):
     """Rows of the multiplication-by-x matrix mod p (column j is x * w_j)."""
-    n = len(x)
-    basis = [[int(i == j) for i in range(n)] for j in range(n)]
-    return _columns_to_rows([_modp_mul(x, w, table, p) for w in basis])
+    return _columns_to_rows([[v % p for v in col]
+                             for col in field.mult_columns(x)])
 
 
-def _maximal_ideals_modp(p, field, table):
+def _maximal_ideals_modp(p, field):
     """Maximal ideals of O_K/pO_K as echelon forms of their F_p-subspaces.
 
     The p-radical is the kernel of x -> x^(p^k) with p^k >= n.  An ideal J
@@ -319,8 +280,9 @@ def _maximal_ideals_modp(p, field, table):
     while q < n:
         q *= p
     radical = _modp_kernel(
-        _columns_to_rows([_modp_pow(w, q, one, table, p) for w in basis]), p)
-    berlekamp = [[(a - b) % p for a, b in zip(_modp_pow(w, p, one, table, p), w)]
+        _columns_to_rows([_modp_pow(w, q, one, field, p) for w in basis]), p)
+    berlekamp = [[(a - b) % p
+                  for a, b in zip(_modp_pow(w, p, one, field, p), w)]
                  for w in basis]
     pending = [_modp_echelon(radical, p)]
     maximal = []
@@ -335,7 +297,7 @@ def _maximal_ideals_modp(p, field, table):
         alpha = next(v for v in fixed if any(_modp_reduce(v, scalars, p)))
         powers = [one]
         while True:
-            powers.append(_modp_mul(powers[-1], alpha, table, p))
+            powers.append(_modp_mul(powers[-1], alpha, field, p))
             dep = _modp_kernel(_columns_to_rows(
                 [_modp_reduce(v, J, p) for v in powers]), p)
             if dep:
@@ -343,16 +305,17 @@ def _maximal_ideals_modp(p, field, table):
         for g, e in poly.factor_mod_p(dep[0], p):
             assert poly.degree(g) == 1 and e == 1, "minimal polynomial must split"
             shifted = [(a + g[0] * b) % p for a, b in zip(alpha, one)]
-            gens = list(J.values()) + [_modp_mul(shifted, w, table, p)
+            gens = list(J.values()) + [_modp_mul(shifted, w, field, p)
                                        for w in basis]
             pending.append(_modp_echelon(gens, p))
     return maximal
 
 
-def _second_generator(gens, table, p, n):
+def _second_generator(gens, field, p):
     """First alpha = sum c_i gens[i] with (p, alpha) = P, where gens span
     P/pO_K: alpha*O_K/pO_K must have the dimension of P/pO_K.  Coefficient
     vectors are tried by height, then lexicographically."""
+    n = field.degree
     d = len(gens)
     if d == 0:
         return [0] * n
@@ -361,7 +324,7 @@ def _second_generator(gens, table, p, n):
             if h not in cs:
                 continue
             alpha = [sum(c * g[k] for c, g in zip(cs, gens)) % p for k in range(n)]
-            if n - len(_modp_kernel(_mult_rows_modp(alpha, table, p), p)) == d:
+            if n - len(_modp_kernel(_mult_rows_modp(alpha, field, p), p)) == d:
                 return alpha
     raise AssertionError(f"no second generator for a prime above {p}")
 
@@ -370,24 +333,24 @@ def _index_divisor_primes(p, field):
     """Prime ideals above a p dividing the index, with inverse complements,
     ramification from the valuation of pO_K, and prod P^e = pO_K checked."""
     n = field.degree
-    table = _modp_table(field, p)
     p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
     pO = Ideal(tuple(tuple(c) for c in p_cols), p ** n)
     out = []
-    for J in _maximal_ideals_modp(p, field, table):
+    for J in _maximal_ideals_modp(p, field):
         gens = list(J.values())
         f = n - len(gens)
         ideal = _hnf_ideal(p_cols + gens, field)
         _check_norm(ideal, p ** f, f"prime ideal above {p}")
         # p * P^(-1) = { x in O : x*P in pO }, via mod-p kernel over P's HNF
-        rows = [r for g in ideal.hnf_basis for r in _mult_rows_modp(list(g), table, p)]
+        rows = [r for g in ideal.hnf_basis
+                for r in _mult_rows_modp(g, field, p)]
         inv_ideal = _hnf_ideal(p_cols + _modp_kernel(rows, p), field)
         # every P above p is invertible iff the basis is maximal at p; the
         # valuation below relies on it
         if _ideal_product(ideal, inv_ideal, field) != pO:
             raise BasisNotMaximal(p)
         _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
-        alpha = _second_generator(gens, table, p, n)
+        alpha = _second_generator(gens, field, p)
         tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
         P = PrimeIdeal(p=p, gen_poly=tuple(alpha), ram_e=0, res_f=f,
                        norm=p ** f, hnf_basis=ideal.hnf_basis,
@@ -427,7 +390,7 @@ def _tau_over_p(gens, P):
     out = []
     for g in gens:
         q = []
-        for c in _apply(P.tau_mult, g):
+        for c in combine_columns(P.tau_mult, g):
             d, r = divmod(c, P.p)
             if r:
                 return None
@@ -510,8 +473,7 @@ def bach_bound(field):
 
 
 def build_factor_base(field, B):
-    """All prime ideals of norm <= B.  Advisory warning when the size strays
-    more than 50% from the Landau estimate B/log B."""
+    """All prime ideals of norm <= B, sorted by (norm, p, gen_poly)."""
     if B < 2:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")
     primes = []
@@ -524,13 +486,8 @@ def build_factor_base(field, B):
     primes.sort(key=lambda P: (P.norm, P.p, P.gen_poly))
     bb = bach_bound(field)
     prefix = sum(1 for P in primes if P.norm <= bb)
-    fb = FactorBase(bound=B, primes=primes, bach_bound=bb, bach_prefix=prefix)
-    if B >= 8:
-        landau = B / math.log(B)
-        if not 0.5 * landau <= fb.size <= 1.5 * landau:
-            logger.warning("factor base size %d outside +-50%% of Landau "
-                           "estimate %.1f for B=%d", fb.size, landau, B)
-    return fb
+    return FactorBase(bound=B, primes=primes, bach_bound=bb,
+                      bach_prefix=prefix)
 
 
 def ideal_from_power_product(fb, indices, exponents, field):

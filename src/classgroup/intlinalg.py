@@ -1,6 +1,7 @@
 """Exact integer matrix normal forms: row HNF with or without its
-pre-multiplier, column HNF for lattice/ideal bases, Smith normal form,
-kernels, and structured elimination of sparse relation rows.
+pre-multiplier, column HNF for lattice/ideal bases, the Smith normal form
+from alternating row HNFs, kernels, and structured elimination of sparse
+relation rows.
 
 Matrices are lists of lists of Python ints (arbitrary precision); relation
 rows may also be sparse {column: entry} dicts.  The rank and the class group
@@ -10,6 +11,7 @@ the factor base shrink to 5-27.  Only that core goes through the HNF, which
 pivots on the smallest remaining entry of each column.
 """
 
+import math
 from dataclasses import dataclass
 
 from .errors import RankDeficient, VerificationFailed
@@ -233,69 +235,23 @@ def column_hnf(cols, n):
 
 
 def smith_normal_form(M):
-    """Diagonal entries d_1 | d_2 | ... of the Smith normal form (all, may
-    include zeros for rank-deficient input)."""
-    a = [[int(x) for x in row] for row in M]
-    r = len(a)
-    c = len(a[0]) if r else 0
-    m = min(r, c)
-    diag = []
-    top = 0
-    while top < m:
-        # move the smallest nonzero entry of the block to (top, top); every
-        # re-selection follows a strict decrease of that minimum, so the
-        # loops below terminate
-        piv = None
-        best = None
-        for i in range(top, r):
-            for j in range(top, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    piv, best = (i, j), abs(a[i][j])
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        for row in a:
-            row[top], row[j0] = row[j0], row[top]
-        p = a[top][top]
-        clean = True
-        for i in range(top + 1, r):
-            if a[i][top] != 0:
-                q = a[i][top] // p
-                for t in range(c):
-                    a[i][t] -= q * a[top][t]
-                if a[i][top] != 0:
-                    clean = False
-        if not clean:
-            continue
-        for j in range(top + 1, c):
-            if a[top][j] != 0:
-                q = a[top][j] // p
-                for i in range(r):
-                    a[i][j] -= q * a[i][top]
-                if a[top][j] != 0:
-                    clean = False
-        if not clean:
-            continue
-        d = abs(p)
-        # divisibility: d must divide the rest of the block, else fold a bad
-        # row into row `top` and redo this pivot
-        bad = None
-        for i in range(top + 1, r):
-            for j in range(top + 1, c):
-                if a[i][j] % d != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            for t in range(c):
-                a[top][t] += a[bad][t]
-            continue
-        diag.append(d)
-        top += 1
-    while len(diag) < m:
-        diag.append(0)
+    """Diagonal entries d_1 | d_2 | ... of the Smith normal form: all
+    min(rows, columns) of them, zeros last when the rank is short.
+
+    Row HNFs of the matrix and of its transpose alternate until it is
+    diagonal (Cohen, GTM 138, Sec. 2.4): the leading pivot divides the one
+    before it, and once it divides its whole row, that row and its column
+    are clear for good.  The diagonal then becomes a divisor chain by
+    (d_i, d_j) -> (gcd, lcm), which leaves the cokernel alone."""
+    A = [[int(x) for x in row] for row in M]
+    while any(x for i, row in enumerate(A) for j, x in enumerate(row)
+              if i != j):
+        A = [list(col) for col in zip(*hnf(A))]
+    diag = [abs(A[i][i]) for i in range(min(len(A), len(A[0]) if A else 0))]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = (math.gcd(diag[i], diag[j]),
+                                math.lcm(diag[i], diag[j]))
     return diag
 
 

@@ -1,4 +1,7 @@
-"""Exact univariate polynomial arithmetic over Z, Q and F_p.
+"""Exact univariate polynomial arithmetic over Z, Q and F_p: resultants and
+discriminants, an irreducibility screen, the Sturm count of real roots (the
+field's signature; field.py certifies the roots themselves), and
+factorization and degree patterns mod p.
 
 Coefficient lists are stored constant-term first and kept normalized (no
 trailing zeros, the zero polynomial is []).  Everything here is exact: big
@@ -237,7 +240,7 @@ def check_irreducible(T, trials=25):
 
 
 # ---------------------------------------------------------------------------
-# Real root isolation (Sturm sequences, exact rational arithmetic)
+# Real root count (Sturm sequences, exact rational arithmetic)
 
 def sturm_chain(T):
     chain = [[Fraction(c) for c in normalize(T)]]
@@ -250,73 +253,17 @@ def sturm_chain(T):
     return [normalize(c) for c in chain if normalize(c)]
 
 
-def _sign_changes(chain, x):
-    signs = []
-    for c in chain:
-        v = evaluate(c, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _sign_changes(values):
+    signs = [v > 0 for v in values if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(T):
-    bound = cauchy_bound(T)
+    """Number of distinct real roots of T: how many sign changes the Sturm
+    chain loses from -infinity to +infinity, read off its leading terms."""
     chain = sturm_chain(T)
-    return _sign_changes(chain, -bound) - _sign_changes(chain, bound)
-
-
-def cauchy_bound(T):
-    """All complex roots of monic T lie strictly within this rational bound."""
-    lead = T[-1]
-    return Fraction(1) + max(Fraction(abs(c), abs(lead)) for c in T[:-1]) if len(T) > 1 else Fraction(1)
-
-
-def isolate_real_roots(T):
-    """Disjoint rational intervals (lo, hi], one real root each, sorted
-    increasingly.  T must be squarefree."""
-    bound = cauchy_bound(T)
-    chain = sturm_chain(T)
-
-    def var(x):
-        return _sign_changes(chain, x)
-
-    out = []
-
-    def split(lo, hi, nlo, nhi):
-        k = nlo - nhi
-        if k == 0:
-            return
-        if k == 1:
-            out.append((lo, hi))
-            return
-        mid = (lo + hi) / 2
-        while evaluate(T, mid) == 0:
-            mid = (lo + mid) / 2
-        nmid = var(mid)
-        split(lo, mid, nlo, nmid)
-        split(mid, hi, nmid, nhi)
-
-    split(-bound, bound, var(-bound), var(bound))
-    return sorted(out)
-
-
-def refine_root(T, lo, hi, width):
-    """Bisect an isolating interval of squarefree T until hi - lo <= width."""
-    flo = evaluate(T, lo)
-    if flo == 0:
-        return lo, lo
-    sgn_lo = 1 if flo > 0 else -1
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fm = evaluate(T, mid)
-        if fm == 0:
-            eps = width / 4
-            return mid - eps, mid + eps
-        if (1 if fm > 0 else -1) == sgn_lo:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
+    return (_sign_changes([c[-1] * (-1) ** degree(c) for c in chain])
+            - _sign_changes([c[-1] for c in chain]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ Every stored relation passes an exact verification (norm identity plus
 per-prime valuations) before it enters the matrix; nothing heuristic is
 persisted.  Collection stops once the row count reaches K*|base| and the
 submatrix of columns with norm below the Bach bound has full rational rank.
+A trial keeps at most the rows still missing from that count, and at least
+one, so a multi-mode trial with many smooth candidates cannot overshoot it.
 
 One deriver serves every mode; a mode is a set of candidate vectors plus an
 optional tail.  "plain" and "cheon" try the shortest reduced vector, "multi"
@@ -385,7 +387,9 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
             idxs, exps = sample_ideal(fb, cfg, rng,
                                       trials if trials < fb.size else None)
             # a module-global lookup, so a replaced deriver takes effect
-            for x, prime_exps in derive_relations(idxs, exps, cfg, field, fb):
+            rels = derive_relations(idxs, exps, cfg, field, fb)
+            cap = max(1, target_rows - len(matrix.rows))
+            for x, prime_exps in rels[:cap]:
                 if not verify_relation(x, prime_exps, field):
                     raise VerificationFailed(
                         f"relation from trial {trials} failed exact "

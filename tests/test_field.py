@@ -7,6 +7,7 @@ import pytest
 
 from classgroup.errors import (BasisNotClosed, BasisNotUnimodularScaling,
                                NonMonic, PrecisionExhausted, Reducible)
+from classgroup import polynomials as poly
 from classgroup.field import (canonical_embedding, iv_endpoints, norm_of,
                               parse_field)
 
@@ -110,6 +111,57 @@ def test_norm_multiplicative_and_interval_containment(coeffs):
         lo, hi = iv_endpoints(prod)
         exact = norm_of(a)
         assert lo <= exact <= hi
+
+
+def test_norm_of_non_integral_elements():
+    # x^2 + 4 with basis {1, theta/2}: coordinates (a, b) stand for a + b*i
+    K = parse_field([4, 0, 1], basis=[[1, 0], [0, Fraction(1, 2)]])
+    rng = random.Random(4)
+    y = K.element([Fraction(1, 3), Fraction(-2, 5)])
+    for _ in range(50):
+        a, b = (Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                for _ in range(2))
+        x = K.element([a, b])
+        assert x.norm() == norm_of(x) == a * a + b * b
+        assert (x * y).norm() == x.norm() * y.norm()
+
+
+_ROOT_FIELDS = [
+    [1, 3, -3, -4, 1, 1],                # Q(zeta11)^+
+    [-1, 3, 6, -4, -5, 1, 1],            # Q(zeta13)^+
+    [1, -4, -10, 10, 15, -6, -7, 1, 1],  # Q(zeta17)^+
+    [-3, 0, 0, 0, 0, 0, 0, 0, 1],        # x^8 - 3
+    [-2, 400, -20000, 0, 0, 1],          # Mignotte: real roots 1.4e-7 apart
+]
+
+
+@pytest.mark.parametrize("coeffs", _ROOT_FIELDS)
+def test_root_balls_certified(coeffs):
+    K = parse_field(coeffs)
+    r1, r2 = K.signature
+    balls = K.root_balls()
+    assert [b.is_real for b in balls] == [True] * r1 + [False] * r2
+    zero = (Fraction(0), Fraction(0))
+    boxes = [(iv_endpoints(b.re), zero if b.is_real else iv_endpoints(b.im))
+             for b in balls]
+    width = Fraction(1, 2 ** (K.precision + 32))
+    for re, im in boxes:
+        assert re[1] - re[0] < width and im[1] - im[0] < width
+    # T changes sign across each real ball, and the complex ones lie above
+    # the real axis
+    for (lo, hi), _ in boxes[:r1]:
+        assert poly.evaluate(coeffs, lo) * poly.evaluate(coeffs, hi) < 0
+    assert all(im[0] > 0 for _, im in boxes[r1:])
+    # reals descending, then the pairs by descending real part
+    assert all(a[0][0] > b[0][1] for a, b in zip(boxes[:r1], boxes[1:r1]))
+    mids = [sum(re) for re, _ in boxes[r1:]]
+    assert mids == sorted(mids, reverse=True)
+    # all n balls, conjugates included, are pairwise disjoint
+    every = boxes + [(re, (-im[1], -im[0])) for re, im in boxes[r1:]]
+    for i, (re, im) in enumerate(every):
+        for re2, im2 in every[i + 1:]:
+            assert (re[1] < re2[0] or re2[1] < re[0]
+                    or im[1] < im2[0] or im2[1] < im[0]), (i, re2, im2)
 
 
 def test_embedding_additivity(cubic):

@@ -1,3 +1,4 @@
+import logging
 import random
 from fractions import Fraction
 
@@ -100,6 +101,16 @@ def test_factor_base_examples(qi, q5):
         build_factor_base(q5, 1)
     assert fb.bach_bound == bach_bound(qi)
     assert fb.bach_prefix == sum(1 for P in fb.primes if P.norm <= fb.bach_bound)
+
+
+def test_factor_base_logs_no_warning(caplog):
+    # Q(sqrt(-19)) and Q(sqrt(-6)) at B = 12 have 8 primes each, well off
+    # B/log B = 4.8; a size alone says nothing about whether a base is valid
+    for coeffs in ([5, -1, 1], [6, 0, 1]):
+        with caplog.at_level(logging.DEBUG):
+            fb = build_factor_base(parse_field(coeffs), 12)
+        assert fb.size == 8
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
 
 
 def test_prime_norm_is_p_to_f():

@@ -9,7 +9,8 @@ from classgroup.errors import RankDeficient
 from classgroup.ideals import _modp_kernel
 from classgroup.intlinalg import (class_group_from_relations, hnf,
                                   hnf_with_transform, left_kernel, mat_mul,
-                                  rank, snf, snf_of_hnf, unit_eliminate)
+                                  rank, smith_normal_form, snf, snf_of_hnf,
+                                  unit_eliminate)
 from classgroup.polynomials import bareiss_det
 
 
@@ -54,6 +55,26 @@ def test_hnf_snf_match_naive_oracle():
         mine = [d for d in snf(M).elementary_divisors]
         oracle = [d for d in naive_snf_divisors(M) if d != 1]
         assert mine == oracle
+    # non-square inputs, and rank-deficient ones: products through a thin
+    # middle dimension, and the zero matrix
+    for r, c in ((3, 7), (7, 3), (1, 4), (4, 1), (5, 5)):
+        for _ in range(20):
+            k = rng.randint(1, min(r, c))
+            A = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(r)]
+            B = [[rng.randint(-4, 4) for _ in range(c)] for _ in range(k)]
+            for M in ([[rng.randint(-10, 10) for _ in range(c)]
+                       for _ in range(r)], mat_mul(A, B)):
+                H, U = hnf_with_transform(M)
+                assert H == naive_row_hnf(M) == hnf(M)
+                assert mat_mul(U, M) == H
+                diag = smith_normal_form(M)
+                oracle = naive_snf_divisors(M)
+                assert len(diag) == min(r, c)
+                assert diag == oracle + [0] * (min(r, c) - rank(M))
+                assert list(snf(M).elementary_divisors) == [
+                    d for d in oracle if d != 1]
+        zero = [[0] * c for _ in range(r)]
+        assert smith_normal_form(zero) == [0] * min(r, c)
 
 
 def test_class_number_monotone_under_new_relations(q5):

@@ -102,3 +102,26 @@ def test_first_round_accepts(tmp_path):
     assert int(res.group.class_number) == 1
     assert repr(res.regulator) == "2.1018187284902896"
     assert len(res.statistics["rounds"]) == 1
+
+
+def test_multi_mode_ends_with_the_plain_answer(tmp_path):
+    # a multi-mode trial may find dozens of smooth +-1 combinations; it keeps
+    # only the rows still missing from the target, so the window cannot
+    # flood the matrix (and the regulator's kernel) far past it
+    from classgroup.relations import _WINDOW
+    dedekind = {"poly": [-8, -2, -1, 1],
+                "basis": ["1", "0", "0", "0", "1", "0", "0", "1/2", "1/2"]}
+    for name, spec in (("dedekind", dedekind),
+                       ("x5-2", {"poly": [-2, 0, 0, 0, 0, 1]})):
+        p = tmp_path / f"{name}.json"
+        p.write_text(json.dumps(spec))
+        plain, multi = (
+            cli.run_compute(cli.RunConfig(field_path=str(p), seed=3, mode=m))
+            for m in ("plain", "multi"))
+        assert multi.verdict == plain.verdict == "ACCEPT", name
+        assert multi.group == plain.group, name
+        assert repr(multi.regulator) == repr(plain.regulator), name
+        assert repr(multi.ratio) == repr(plain.ratio), name
+        (rnd,) = multi.statistics["rounds"]
+        target = rnd["K"] * multi.statistics["factor_base_size"]
+        assert multi.statistics["relations"] < target + _WINDOW, name

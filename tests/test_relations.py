@@ -183,7 +183,7 @@ def test_collect_deterministic(q23):
 # (trials, hits, sha256 over the rows) of q23, B=15, seed 2, 80 target rows
 _PINNED = {
     "plain": (96, 96, "1e5e7bc2c3718165918c81d8992f221a2630cf16d443d566e01da09296c070a1"),
-    "multi": (64, 126, "281b96856c647a98c7834cdf3496f854ec9cf82684ad4b06214933cee7c8c78e"),
+    "multi": (64, 103, "90a6833968798ff13654f89a5d86f1c49da643cedb2de184f869b17ee3e0fc32"),
     "cheon": (96, 96, "e7902f1b574638dba70abc80fbb46a7996344ae2dfa3ef3e78056bf299f03a74"),
 }
 
