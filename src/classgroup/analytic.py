@@ -10,14 +10,19 @@ Candidates are always integer multiples of the truth (both h and Reg shrink
 by integer factors as relations are added), so ACCEPT iff the ratio lies in
 (2^-1/2, 2^1/2): the geometric midpoint between the correct value 1 and the
 smallest possible corruption 2.
+
+The regulator works in integers: unit logs are interval logs of the field's
+integer embedding, kept as integer centres and radii, and their minor's
+determinant is a Bareiss determinant with a Hadamard error bound.
 """
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import polynomials as poly
 from .errors import PrecisionExhausted, VerificationFailed, ZeroVolume
-from .field import iv_endpoints
+from .field import combine_columns, combine_enclosures, iv_scaled
 from .ideals import factor_prime, ideal_lattice, integral_norm, unit_ideal
 from .lattice import GramLLL, _gram_of, enumerate_gram
 from .polynomials import primes_up_to
@@ -25,6 +30,9 @@ from .polynomials import primes_up_to
 ACCEPT_LO = 2 ** -0.5
 ACCEPT_HI = 2 ** 0.5
 _ROOT_ORDER_CAP = 100  # largest order m tried in the power test x^m = 1
+# Euler's phi(m) up to the cap: the residues mod m coprime to m
+_PHI = [sum(math.gcd(k, m) == 1 for k in range(m))
+        for m in range(_ROOT_ORDER_CAP + 1)]
 
 
 @dataclass
@@ -84,13 +92,12 @@ def count_roots_of_unity(field):
     red = GramLLL(L.gram())
     red.reduce()
     cands, _ = enumerate_gram(red, bound2_exact=radius2)
-    orders = [m for m in range(1, _ROOT_ORDER_CAP + 1) if n % _phi(m) == 0]
+    orders = [m for m in range(1, _ROOT_ORDER_CAP + 1) if n % _PHI[m] == 0]
     one = field.one()
+    u_cols = list(zip(*red.U))
     count = 0
     for coeffs, _n2 in cands:
-        coords = [sum(red.U[t][i] * coeffs[i] for i in range(len(coeffs)))
-                  for t in range(n)]
-        x = field.element(coords)
+        x = field.element(combine_columns(u_cols, coeffs))
         if integral_norm(x)[0] != 1:
             continue
         for m in orders:
@@ -103,42 +110,26 @@ def count_roots_of_unity(field):
     return count
 
 
-def _phi(m):
-    out = 1
-    mm = m
-    for p in range(2, m + 1):
-        if p * p > mm:
-            break
-        if mm % p == 0:
-            e = 0
-            while mm % p == 0:
-                mm //= p
-                e += 1
-            out *= (p - 1) * p ** (e - 1)
-    if mm > 1:
-        out *= mm - 1
-    return out
-
-
 def log_embedding(field, x):
-    """Unit-log vector of length r1 + r2: log|sigma_i(x)| at real places and
-    log(|sigma_i(x)|^2) at complex places (the usual d_i weights)."""
-    ctx = field.iv
-    reals, cplx = field.embedding_data(x)
-    out = []
-    for v in reals:
-        av = abs(v)
-        lo, _ = iv_endpoints(av)
-        if lo <= 0:
-            raise PrecisionExhausted("embedding interval touches zero")
-        out.append(ctx.log(av))
-    for re, im in cplx:
-        m2 = re * re + im * im
-        lo, _ = iv_endpoints(m2)
-        if lo <= 0:
-            raise PrecisionExhausted("embedding interval touches zero")
-        out.append(ctx.log(m2))
-    return out
+    """Unit-log vector of length r1 + r2 of an algebraic integer x:
+    log|sigma_i(x)| at real places and log(|sigma_i(x)|^2) at complex places
+    (the usual d_i weights), one interval log per place of the integer bounds
+    from field.embed: |V| -+ R at a real place, and at a pair the bounds of
+    (A^2 + B^2)/2 over its coordinates A = sqrt2*Re and B = sqrt2*Im."""
+    if not x.is_integral:
+        raise ValueError("log_embedding needs an algebraic integer")
+    r1 = field.signature[0]
+    scale = 1 << (field.precision + field.embedding_table()[2])
+    sigma = list(zip(*field.embed([c.numerator for c in x.coords])))
+    bounds = [(abs(v) - r, abs(v) + r, scale) for v, r in sigma[:r1]]
+    for (va, ra), (vb, rb) in zip(sigma[r1::2], sigma[r1 + 1::2]):
+        lo = max(abs(va) - ra, 0) ** 2 + max(abs(vb) - rb, 0) ** 2
+        hi = (abs(va) + ra) ** 2 + (abs(vb) + rb) ** 2
+        bounds.append((lo, hi, 2 * scale * scale))
+    if min(lo for lo, _, _ in bounds) <= 0:
+        raise PrecisionExhausted("embedding interval touches zero")
+    return [field.iv.log(field.frac_iv(Fraction(lo, den), Fraction(hi, den)))
+            for lo, hi, den in bounds]
 
 
 _LOG_SCALE_BITS = 64
@@ -149,103 +140,83 @@ def regulator_from_kernel(kernel, generators, field, logs=None):
     """Regulator (or an integer multiple) of the unit-log lattice generated by
     the kernel units u_v = prod generators^v.
 
-    Kernel rows combine the generators' log vectors exactly (intervals); a
-    scaled-integer LLL with an identity block recovers a reduced generating
-    set together with the combinations that produced it, near-zero vectors
-    (torsion/dependencies, verified against the intervals) are removed, and
-    the regulator is the absolute determinant of the first unit_rank
-    coordinates of what remains.  Raises ZeroVolume when fewer than unit_rank
-    independent vectors survive.
+    Logs are integer centres within integer radii at scale 2^(precision+64),
+    so kernel rows combine them exactly.  An LLL with an identity block, on
+    the logs rounded to 64 fractional bits, gives a reduced generating set
+    and its combinations; near-zero vectors (|centre| + radius <= 1e-9 at
+    every place) are dependencies, and the regulator is the Bareiss |det|
+    of the rest's first unit_rank centres, within det_error_bound.  Raises
+    ZeroVolume when fewer than unit_rank independent vectors survive.
 
-    `logs` maps generators to their log vectors and is filled in as it goes;
-    a caller that passes the same dict to every round computes each
+    `logs` maps generators to their scaled log vectors and is filled in as
+    it goes; a caller that passes the same dict to every round computes each
     generator's log_embedding once."""
     r1, r2 = field.signature
-    r = r1 + r2
-    unit_rank = r - 1
+    unit_rank = r1 + r2 - 1
     if unit_rank == 0:
         return 1.0
     if not kernel:
         raise ZeroVolume("no kernel vectors")
-    ctx = field.iv
+    bits = field.precision + _LOG_SCALE_BITS
     if logs is None:
         logs = {}
     for g in generators:
         if g not in logs:
-            logs[g] = log_embedding(field, g)
-    gen_logs = [logs[g] for g in generators]
-    unit_logs = [_combine(ctx, v, gen_logs, r) for v in kernel]
-    scale = 1 << _LOG_SCALE_BITS
-    rows = []
-    for vec in unit_logs:
-        row = []
-        for iv in vec:
-            lo, hi = iv_endpoints(iv)
-            if (hi - lo) * scale > 1:
-                raise PrecisionExhausted("unit log interval too wide")
-            mid = (lo + hi) / 2 * scale
-            row.append(round(mid))
-        rows.append(row)
+            logs[g] = tuple(zip(*(iv_scaled(v, 1 << bits)
+                                  for v in log_embedding(field, g))))
+    gen_c, gen_r = zip(*(logs[g] for g in generators))
+    unit_c, unit_r = zip(*(combine_enclosures(v, gen_c, gen_r) for v in kernel))
+    shift = bits - _LOG_SCALE_BITS
+    if 2 * max(map(max, unit_r)) > 1 << shift:
+        raise PrecisionExhausted("unit log interval too wide")
+    rows = [[(c + (1 << (shift - 1))) >> shift for c in cs] for cs in unit_c]
     k = len(rows)
     # [scaled logs | identity] keeps the rows independent and records the
     # combination each reduced vector came from
     aug = [row + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(rows)]
     red = GramLLL(_gram_of(aug))
     red.reduce()
+    tol = math.ldexp(_UNIT_LOG_TOL, bits)
     survivors = []
     for j in range(k):
         combo = [red.U[t][j] for t in range(k)]
-        vec = [sum(combo[t] * rows[t][c] for t in range(k)) for c in range(r)]
-        norm2 = sum(v * v for v in vec)
-        if norm2 <= (1 << (_LOG_SCALE_BITS + 20)):
-            # candidate dependency: confirm against exact intervals
-            exact = _combine(ctx, combo, unit_logs, r)
-            his = [max(abs(lo), abs(hi)) for lo, hi in map(iv_endpoints, exact)]
-            if max(his) > _UNIT_LOG_TOL:
-                raise PrecisionExhausted(
-                    "ambiguous unit-log vector between noise and signal")
-            continue
-        survivors.append(combo)
+        vec = combine_columns(rows, combo)
+        centres, radii = combine_enclosures(combo, unit_c, unit_r)
+        if sum(v * v for v in vec) > 1 << (_LOG_SCALE_BITS + 20):
+            survivors.append((centres[:unit_rank], radii[:unit_rank]))
+        elif any(abs(c) + r > tol for c, r in zip(centres, radii)):
+            raise PrecisionExhausted(
+                "ambiguous unit-log vector between noise and signal")
     if len(survivors) < unit_rank:
         raise ZeroVolume(
             f"kernel spans {len(survivors)} < {unit_rank} unit-log directions")
     if len(survivors) > unit_rank:
         raise PrecisionExhausted(
             "more independent unit-log vectors than the unit rank")
-    # determinant of the first unit_rank coordinates, exact intervals
-    minor = [_combine(ctx, combo, unit_logs, r)[:unit_rank]
-             for combo in survivors]
-    det = _interval_det(ctx, minor)
-    lo, hi = iv_endpoints(det)
-    val = abs(float((lo + hi) / 2))
-    if val <= _UNIT_LOG_TOL:
+    centres, radii = zip(*survivors)
+    det = abs(poly.bareiss_det(centres))
+    reg = det / (1 << (bits * unit_rank))
+    if reg <= _UNIT_LOG_TOL:
         raise ZeroVolume("unit-log determinant vanishes")
-    return val
+    if det_error_bound(centres, radii) << 64 > det:
+        raise PrecisionExhausted("unit-log determinant not certified")
+    return reg
 
 
-def _combine(ctx, coeffs, vecs, r):
-    """sum_j coeffs[j] * vecs[j] over intervals of length r, from zero in
-    the order of j, skipping zero coefficients."""
-    acc = [ctx.mpf(0) for _ in range(r)]
-    for c, vec in zip(coeffs, vecs):
-        if c:
-            for t in range(r):
-                acc[t] += c * vec[t]
-    return acc
-
-
-def _interval_det(ctx, mat):
-    n = len(mat)
-    if n == 0:
-        return ctx.mpf(1)
-    if n == 1:
-        return mat[0][0]
-    det = ctx.mpf(0)
-    for j in range(n):
-        sub = [row[:j] + row[j + 1:] for row in mat[1:]]
-        term = mat[0][j] * _interval_det(ctx, sub)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+def det_error_bound(centres, radii):
+    """E with |det(centres + X) - det(centres)| <= E for every X with
+    |X_ij| <= radii[i][j].  Expanding det(C + X) row by row, the terms that
+    take a nonempty set of rows from X are bounded by Hadamard's inequality,
+    and together by prod(|c_i| + |x_i|) - prod |c_i|, which grows with each
+    row norm; so upper bounds on |c_i| and |r_i| give E."""
+    full = base = 1
+    for c, r in zip(centres, radii):
+        # the row norms rounded up: ceil(sqrt(s)) = isqrt(s - 1) + 1, s > 0
+        nc, nr = (math.isqrt(s - 1) + 1 if s else 0
+                  for s in (sum(x * x for x in c), sum(x * x for x in r)))
+        full *= nc + nr
+        base *= nc
+    return full - base
 
 
 def compute_analytic(field, prime_bound):

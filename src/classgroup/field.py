@@ -20,7 +20,9 @@ disks centred on the real axis (r1 from a Sturm count) hold the real roots.
 
 Embedding convention: a complex conjugate pair contributes the two real
 coordinates (sqrt(2)*Re, sqrt(2)*Im), which makes det sigma(O_K) equal to
-sqrt(|disc|) exactly rather than up to a power of 2.
+sqrt(|disc|) exactly rather than up to a power of 2.  sigma(x) of an
+integral x is an integer combination (`embed`) of the basis's embedding,
+certified once as a table of integer centres and radii.
 """
 
 import json
@@ -29,6 +31,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath.ctx_iv import MPIntervalContext
+from mpmath.libmp import to_rational
 
 from . import polynomials as poly
 from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
@@ -74,15 +77,29 @@ def invert_fractions(mat):
 
 
 def combine_columns(cols, coeffs):
-    """sum_j coeffs[j]*cols[j], skipping zero terms: the coordinates of x*y
-    for cols = field.mult_columns(x) and coeffs the coordinates of y."""
-    out = [0] * len(cols)
+    """sum_j coeffs[j]*cols[j], as long as a column, skipping zero terms: the
+    coordinates of x*y for cols = mult_columns(x) and coeffs those of y."""
+    out = [0] * len(cols[0])
     for c, col in zip(coeffs, cols):
         if c:
             for k, t in enumerate(col):
                 if t:
                     out[k] += c * t
     return out
+
+
+def combine_enclosures(coeffs, centres, radii):
+    """sum_j coeffs[j]*(centres[j] within radii[j]) for integer vectors: the
+    centres combine by coeffs, the radii by |coeffs|, in one pass."""
+    V = [0] * len(centres[0])
+    R = [0] * len(V)
+    for x, cs, rs in zip(coeffs, centres, radii):
+        if x:
+            a = abs(x)
+            for j, c in enumerate(cs):
+                V[j] += x * c
+                R[j] += a * rs[j]
+    return V, R
 
 
 class _RootBall:
@@ -190,7 +207,8 @@ class NumberField:
     def multiply(self, x, y):
         """Coordinates of x*y = sum_j y_j*(x*omega_j), for x and y given by
         their coordinates; only the columns with y_j != 0 are formed."""
-        return combine_columns([combine_columns(row, x) if c else None
+        zero = (0,) * self.degree
+        return combine_columns([combine_columns(row, x) if c else zero
                                 for row, c in zip(self._mult_table, y)], y)
 
     def with_precision(self, precision):
@@ -261,10 +279,10 @@ class NumberField:
                 except mpmath.libmp.NoConvergence:
                     continue
             approx.sort(key=lambda z: abs(mpmath.im(z)))
-            centres = [(_mpf_to_fraction(mpmath.re(z)), Fraction(0))
+            centres = [(_exact(mpmath.re(z)._mpf_), Fraction(0))
                        for z in approx[:r1]]
-            centres += [(_mpf_to_fraction(mpmath.re(z)),
-                         _mpf_to_fraction(mpmath.im(z)))
+            centres += [(_exact(mpmath.re(z)._mpf_),
+                         _exact(mpmath.im(z)._mpf_))
                         for z in approx[r1:] if mpmath.im(z) > 0]
             if len(centres) != r1 + r2:
                 continue
@@ -288,15 +306,16 @@ class NumberField:
                    for a2, b2, s in every[i + 1:]):
                 reals = sorted(disks[:r1], reverse=True)
                 pairs = sorted(disks[r1:], key=lambda d: (-d[0], d[1]))
-                return ([_RootBall(self._frac_iv(a - r, a + r))
+                return ([_RootBall(self.frac_iv(a - r, a + r))
                          for a, _, r in reals] +
-                        [_RootBall(self._frac_iv(a - r, a + r),
-                                   self._frac_iv(b - r, b + r))
+                        [_RootBall(self.frac_iv(a - r, a + r),
+                                   self.frac_iv(b - r, b + r))
                          for a, b, r in pairs])
         raise PrecisionExhausted(
             "root disks failed certification after 4 attempts")
 
-    def _frac_iv(self, lo, hi):
+    def frac_iv(self, lo, hi):
+        """Interval enclosing the exact rationals [lo, hi]."""
         ctx = self._iv
         a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
         b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
@@ -307,9 +326,10 @@ class NumberField:
         assert x.field is self or x.field.poly == self.poly
         pb = x.to_power_basis()
         reals, cplx = [], []
+        zero = self._iv.mpf(0)
         for ball in self.root_balls():
             if ball.is_real:
-                reals.append(_eval_poly_iv(self._iv, pb, ball.re))
+                reals.append(_eval_poly_civ(self._iv, pb, ball.re, zero)[0])
             else:
                 cplx.append(_eval_poly_civ(self._iv, pb, ball.re, ball.im))
         return reals, cplx
@@ -334,25 +354,25 @@ class NumberField:
     def embedding_table(self):
         """Scaled-integer canonical embedding of the integral basis, built
         from canonical_embedding on first use: (centres, radii, guard) with
-        |2^(precision+guard) * sigma_j(omega_i) - centres[j][i]| <= radii[j][i]
-        for coordinate j of basis element omega_i.  Since sigma is Z-linear,
-        sigma_j(x) for integer coordinates x lies within sum |x_i| radii[j][i]
-        of sum x_i centres[j][i] at that scale."""
+        |2^(precision+guard) * sigma_j(omega_i) - centres[i][j]| <= radii[i][j]
+        for coordinate j of basis element omega_i."""
         if self._embedding_table is None:
             scale = 1 << (self.precision + _GUARD_BITS)
             n = self.degree
-            centres = [[0] * n for _ in range(n)]
-            radii = [[0] * n for _ in range(n)]
-            for i in range(n):
-                unit = [int(i == k) for k in range(n)]
-                for j, v in enumerate(self.canonical_embedding(self.element(unit))):
-                    lo, hi = iv_endpoints(v)
-                    lo, hi = lo * scale, hi * scale
-                    c = math.floor((lo + hi) / 2)
-                    centres[j][i] = c
-                    radii[j][i] = max(math.ceil(hi) - c, c - math.floor(lo))
-            self._embedding_table = (centres, radii, _GUARD_BITS)
+            rows = [[iv_scaled(v, scale) for v in self.canonical_embedding(
+                self.element([int(i == k) for k in range(n)]))]
+                for i in range(n)]
+            self._embedding_table = ([[c for c, _ in row] for row in rows],
+                                     [[r for _, r in row] for row in rows],
+                                     _GUARD_BITS)
         return self._embedding_table
+
+    def embed(self, x):
+        """sigma(x) for integer coordinates x, as (V, R): since sigma is
+        Z-linear, |2^(precision+guard) sigma_j(x) - V[j]| <= R[j] for the
+        table's combinations V = sum x_i centres[i], R = sum |x_i| radii[i]."""
+        centres, radii, _ = self.embedding_table()
+        return combine_enclosures(x, centres, radii)
 
     def minkowski_bound(self):
         n, (r1, r2) = self.degree, self.signature
@@ -363,25 +383,25 @@ class NumberField:
         return f"NumberField({list(self.poly)}, disc={self.discriminant})"
 
 
-def _raw_mpf_to_fraction(t):
-    sign, man, exp, _ = t
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    v = Fraction(man if sign == 0 else -man)
-    return v * Fraction(2) ** exp if exp >= 0 else v / (Fraction(2) ** -exp)
-
-
-def _mpf_to_fraction(x):
-    # read mantissa/exponent directly; mpmath.mpf(x) would round to the
-    # precision of the ambient context
-    return _raw_mpf_to_fraction(x._mpf_)
+def _exact(t):
+    """Exact value of a raw mpf tuple; mpmath.mpf(x) would round to the
+    precision of the ambient context."""
+    num, den = to_rational(t)
+    return Fraction(int(num), int(den))
 
 
 def iv_endpoints(interval):
     """Exact rational endpoints of an interval-context number."""
     lo, hi = interval._mpi_
-    return _raw_mpf_to_fraction(lo), _raw_mpf_to_fraction(hi)
+    return _exact(lo), _exact(hi)
+
+
+def iv_scaled(interval, scale):
+    """Integers (c, r) with |scale*v - c| <= r for every v in the interval."""
+    lo, hi = iv_endpoints(interval)
+    lo, hi = lo * scale, hi * scale
+    c = math.floor((lo + hi) / 2)
+    return c, max(math.ceil(hi) - c, c - math.floor(lo))
 
 
 def _eval_complex_rational(coeffs, a, b):
@@ -392,16 +412,9 @@ def _eval_complex_rational(coeffs, a, b):
     return re, im
 
 
-def _eval_poly_iv(ctx, coeffs, x):
-    acc = ctx.mpf(0)
-    for c in reversed(coeffs):
-        c = Fraction(c)
-        cc = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-        acc = acc * x + cc
-    return acc
-
-
 def _eval_poly_civ(ctx, coeffs, re, im):
+    """Interval Horner at re + i*im; at im = 0 the imaginary part stays
+    exactly zero, so the real part is the real Horner value."""
     are, aim = ctx.mpf(0), ctx.mpf(0)
     for c in reversed(coeffs):
         c = Fraction(c)

@@ -19,13 +19,16 @@ p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
 exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
 Norm checks on products and divisions raise VerificationFailed.
 
+A factor base builds only its primes: T mod p is factored once, and only
+the factors with p^f <= B become prime ideals.
+
 Ideal lattices are integer too.  The field certifies the canonical
 embedding of its integral basis once, as an integer table of centres and
 radii 64 guard bits below the lattice scale; a lattice coordinate is the
-integer combination of that table by the HNF column, rounded only when the
-whole enclosing interval rounds to one integer.  An ambiguous rounding
-raises PrecisionExhausted, and the relation search retries in the field's
-doubled-precision copy.
+field's integer embedding of the HNF column (NumberField.embed), rounded
+only when the whole enclosing interval rounds to one integer.  An ambiguous
+rounding raises PrecisionExhausted, and the relation search retries in the
+field's doubled-precision copy.
 """
 
 import itertools
@@ -372,14 +375,22 @@ def factor_prime(p, field):
     decomposition of O_K/pO_K, which raises BasisNotMaximal when the
     integral basis spans an order that is not maximal at p.
     """
+    return _primes_above(p, field, p ** field.degree)
+
+
+def _primes_above(p, field, bound):
+    """Primes above p of norm <= bound, sorted by (norm, gen_poly), with sum
+    e*f = n checked; for p coprime to the index only these are built."""
     if field.index % p == 0:
-        out = _index_divisor_primes(p, field)
+        every = _index_divisor_primes(p, field)
+        split = [(P.ram_e, P.res_f) for P in every]
+        out = [P for P in every if P.norm <= bound]
     else:
-        out = []
-        for g, e in poly.factor_mod_p(list(field.poly), p):
-            f = poly.degree(g)
-            out.append(_prime_from_gen(p, g, e, f, field))
-    if sum(P.ram_e * P.res_f for P in out) != field.degree:
+        factors = poly.factor_mod_p(list(field.poly), p)
+        split = [(e, poly.degree(g)) for g, e in factors]
+        out = [_prime_from_gen(p, g, e, f, field)
+               for (g, _), (e, f) in zip(factors, split) if p ** f <= bound]
+    if sum(e * f for e, f in split) != field.degree:
         raise VerificationFailed(f"lost prime ideals above {p}")
     out.sort(key=lambda P: (P.norm, P.gen_poly))
     return out
@@ -476,11 +487,8 @@ def build_factor_base(field, B):
     """All prime ideals of norm <= B, sorted by (norm, p, gen_poly)."""
     if B < 2:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")
-    primes = []
-    for p in poly.primes_up_to(B):
-        for P in factor_prime(p, field):
-            if P.norm <= B:
-                primes.append(P)
+    primes = [P for p in poly.primes_up_to(B)
+              for P in _primes_above(p, field, B)]
     if not primes:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")
     primes.sort(key=lambda P: (P.norm, P.p, P.gen_poly))
@@ -534,27 +542,20 @@ def is_smooth_ideal(target, fb, field):
 def ideal_lattice(ideal, field):
     """Scaled-integer basis of the canonical embedding of the ideal: column
     j is round(2^s * sigma(g_j)) for the HNF generator g_j, where s is the
-    field precision, recorded as scale_bits.  Each coordinate combines the
-    field's embedding table by g_j in integers, V = sum g_i*c_i within
-    R = sum |g_i|*r_i, and is rounded only when V - R and V + R round to
-    the same integer.  Otherwise PrecisionExhausted asks the caller to retry
-    in field.doubled().  The Gram determinant of the unrounded embedding is
-    |disc| * N(ideal)^2.
+    field precision, recorded as scale_bits.  Each coordinate is the
+    field's integer embedding V within R of g_j (field.embed), and is
+    rounded only when V - R and V + R round to the same integer.  Otherwise
+    PrecisionExhausted asks the caller to retry in field.doubled().  The
+    Gram determinant of the unrounded embedding is |disc| * N(ideal)^2.
     """
-    centres, radii, guard = field.embedding_table()
+    guard = field.embedding_table()[2]
     half = 1 << (guard - 1)
     cols = []
     for g in ideal.hnf_basis:
         col = []
-        for cj, rj in zip(centres, radii):
-            v = half
-            r = 0
-            for gi, c, rad in zip(g, cj, rj):
-                if gi:
-                    v += gi * c
-                    r += abs(gi) * rad
-            lo = (v - r) >> guard
-            if lo != (v + r) >> guard:
+        for v, r in zip(*field.embed(g)):
+            lo = (v + half - r) >> guard
+            if lo != (v + half + r) >> guard:
                 raise PrecisionExhausted(
                     "embedding rounding ambiguous at the lattice scale")
             col.append(lo)

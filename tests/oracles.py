@@ -7,7 +7,9 @@ ranks mod p by plain elementary operations, shortest vectors by exhaustive
 coefficient boxes, Dickman rho by marching quadrature, and ideal valuations
 and prime divisions by lattice containment and products with p*P^(-1) over
 Fraction arithmetic, degree patterns mod p by the kernels of powers of
-Berlekamp's matrix, relations through the cofactor ideal b = <x>/a.
+Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, unit
+logs by interval Horner evaluation of the power-basis polynomial at the root
+balls.
 """
 
 import itertools
@@ -402,6 +404,21 @@ def cubic_unit_search(field, box=8):
         if lv > 1e-9 and (best is None or lv < best):
             best = lv
     return best
+
+
+def log_embedding_horner(field, x):
+    """Unit-log vector of x from its power-basis polynomial evaluated at
+    each certified root ball in interval arithmetic: log|sigma_i(x)| at real
+    places, log(|sigma_i(x)|^2) at complex ones."""
+    from classgroup.field import iv_endpoints
+
+    reals, cplx = field.embedding_data(x)
+    out = []
+    for m in [abs(v) for v in reals] + [re * re + im * im for re, im in cplx]:
+        if iv_endpoints(m)[0] <= 0:
+            raise ValueError("embedding interval touches zero")
+        out.append(field.iv.log(m))
+    return out
 
 
 def torsion_count_direct(field, box=3, exponent_cap=24):

@@ -1,21 +1,24 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from oracles import (cubic_unit_search, degree_pattern_by_frobenius_kernel,
-                     pell_fundamental_unit, torsion_count_direct)
+                     log_embedding_horner, pell_fundamental_unit,
+                     torsion_count_direct)
 from test_acceptance import IMAG_DISCS, poly_for_disc
 from under_O import run_under_O
 from classgroup import analytic
 from classgroup.analytic import (compute_analytic, count_roots_of_unity,
-                                 euler_residue, regulator_from_kernel, verify)
+                                 det_error_bound, euler_residue,
+                                 log_embedding, regulator_from_kernel, verify)
 from classgroup.errors import ZeroVolume
-from classgroup.field import parse_field
+from classgroup.field import iv_endpoints, parse_field
 from classgroup.ideals import build_factor_base, factor_prime
 from classgroup.intlinalg import left_kernel
-from classgroup.polynomials import (degree, degree_pattern, discriminant,
-                                    factor_mod_p, primes_up_to)
+from classgroup.polynomials import (bareiss_det, degree, degree_pattern,
+                                    discriminant, factor_mod_p, primes_up_to)
 from classgroup.relations import CollectionConfig, collect
 
 
@@ -268,6 +271,57 @@ def test_regulator_log_cache_computes_each_generator_once(cubic,
     # a later round over the same rows embeds nothing again
     assert regulator_from_kernel(kern, gens, cubic, logs) == want
     assert len(calls) == len(set(gens))
+
+
+@pytest.mark.parametrize("coeffs,basis,elements", [
+    ([-2, 0, 1], None, [[1, 1], [3, 1], [-7, 5]]),           # Q(sqrt 2)
+    ([-1, -1, 0, 1], None, [[0, 1, 0], [2, 1, 0], [5, -3, 2]]),
+    ([1, 1, 1, 1, 1, 1, 1], None,                             # Q(zeta7)
+     [[1, 1, 0, 0, 0, 0], [2, 0, -1, 0, 3, 0], [4, -3, 2, 9, -1, 5]]),
+    # the Dedekind cubic's unit eps = -13 + 13 theta - 3 theta^2, whose
+    # coordinates are over the basis {1, theta, (theta + theta^2)/2}
+    ([-8, -2, -1, 1], [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2),
+                                               Fraction(1, 2)]],
+     [[-13, 16, -6], [1, 0, 1], [-5, -2, 2]]),
+])
+def test_log_embedding_matches_horner_reference(coeffs, basis, elements):
+    K = parse_field(coeffs, basis=basis)
+    for coords in elements:
+        table = log_embedding(K, K.element(coords))
+        # the reference at twice the precision is far narrower than the
+        # table's interval, so missing it means a lost radius
+        ref = log_embedding_horner(K.doubled(), K.doubled().element(coords))
+        assert len(table) == len(ref) == sum(K.signature)
+        for a, b in zip(table, ref):
+            lo, hi = iv_endpoints(a)
+            rlo, rhi = iv_endpoints(b)
+            assert max(lo, rlo) <= min(hi, rhi)
+            assert hi - lo < Fraction(1, 2 ** 100)
+
+
+def test_log_embedding_needs_an_algebraic_integer(sqrt2):
+    with pytest.raises(ValueError):
+        log_embedding(sqrt2, sqrt2.element([Fraction(1, 2), 0]))
+
+
+def test_det_error_bound_encloses_perturbed_determinants():
+    rng = random.Random(41)
+    for r in range(1, 11):
+        for _ in range(6):
+            C = [[rng.randint(-2 ** 60, 2 ** 60) for _ in range(r)]
+                 for _ in range(r)]
+            R = [[rng.randint(0, 2 ** 20) for _ in range(r)]
+                 for _ in range(r)]
+            err = det_error_bound(C, R)
+            det = bareiss_det(C)
+            for corner in (True, False):
+                E = [[rng.choice((-x, x)) if corner else rng.randint(-x, x)
+                      for x in row] for row in R]
+                perturbed = [[c + e for c, e in zip(rc, re)]
+                             for rc, re in zip(C, E)]
+                assert abs(bareiss_det(perturbed) - det) <= err
+    # exact centres have no error
+    assert det_error_bound([[3, 1], [1, 2]], [[0, 0], [0, 0]]) == 0
 
 
 def test_regulator_multiple_property(sqrt2):

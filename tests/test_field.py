@@ -8,8 +8,8 @@ import pytest
 from classgroup.errors import (BasisNotClosed, BasisNotUnimodularScaling,
                                NonMonic, PrecisionExhausted, Reducible)
 from classgroup import polynomials as poly
-from classgroup.field import (canonical_embedding, iv_endpoints, norm_of,
-                              parse_field)
+from classgroup.field import (canonical_embedding, combine_columns,
+                              iv_endpoints, norm_of, parse_field)
 
 
 def mid(iv):
@@ -173,6 +173,26 @@ def test_embedding_additivity(cubic):
                        canonical_embedding(a + b))
         for u, v, w in zip(ea, eb, eab):
             assert abs(mid(u + v - w)) < 1e-30
+
+
+def test_combine_columns_takes_its_length_from_the_columns():
+    # two columns of length 3, and three of length 2
+    assert combine_columns([[1, 2, 3], [4, 5, 6]], [2, -1]) == [-2, -1, 0]
+    assert combine_columns([(1, 0), (0, 1), (5, 7)], [3, 0, -1]) == [-2, -7]
+    assert combine_columns([(1, 2)], [0]) == [0, 0]
+
+
+@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [1, 1, 1, 1, 1, 1, 1]])
+def test_embed_encloses_canonical_embedding(coeffs):
+    K = parse_field(coeffs)
+    scale = 1 << (K.precision + K.embedding_table()[2])
+    rng = random.Random(7)
+    for _ in range(10):
+        x = [rng.randint(-50, 50) for _ in range(K.degree)]
+        V, R = K.embed(x)
+        for v, r, iv in zip(V, R, canonical_embedding(K.element(x))):
+            lo, hi = iv_endpoints(iv)
+            assert max(lo * scale, v - r) <= min(hi * scale, v + r)
 
 
 def test_signature_stable_under_precision_doubling(cubic, qi):

@@ -14,7 +14,7 @@ from classgroup.ideals import (Ideal, _index_divisor_primes, bach_bound,
                                ideal_from_power_product, ideal_lattice,
                                ideal_mul, ideal_pow, is_smooth_ideal,
                                unit_ideal, valuation)
-from classgroup.polynomials import bareiss_det
+from classgroup.polynomials import bareiss_det, primes_up_to
 from under_O import run_under_O
 from oracles import (column_hnf_naive, divide_prime_by_inverse,
                      ideal_product_fractions, in_column_hnf,
@@ -101,6 +101,32 @@ def test_factor_base_examples(qi, q5):
         build_factor_base(q5, 1)
     assert fb.bach_bound == bach_bound(qi)
     assert fb.bach_prefix == sum(1 for P in fb.primes if P.norm <= fb.bach_bound)
+
+
+@pytest.mark.parametrize("coeffs,basis,B", [
+    ([1, 1, 1, 1, 1, 1, 1], None, 200),           # Q(zeta7)
+    ([-1, 3, 6, -4, -5, 1, 1], None, 200),        # Q(zeta13)+, degree 6
+    ([-8, -2, -1, 1], "dedekind", 200),           # index divisor 2
+    ([250001, -1, 1], None, 638),                 # D = -1000003
+])
+def test_factor_base_builds_only_the_primes_it_keeps(coeffs, basis, B,
+                                                    monkeypatch):
+    K = dedekind_cubic() if basis == "dedekind" else parse_field(coeffs)
+    want = sorted((P for p in primes_up_to(B) for P in factor_prime(p, K)
+                   if P.norm <= B), key=lambda P: (P.norm, P.p, P.gen_poly))
+    built = []
+    prime_from_gen = ideals._prime_from_gen
+    monkeypatch.setattr(ideals, "_prime_from_gen",
+                        lambda p, g, e, f, field: built.append(p ** f)
+                        or prime_from_gen(p, g, e, f, field))
+    got = build_factor_base(K, B).primes
+
+    def key(P):
+        return (P.p, P.gen_poly, P.ram_e, P.res_f, P.hnf_basis, P.inv_basis,
+                P.tau, P.tau_mult)
+
+    assert [key(P) for P in got] == [key(P) for P in want]
+    assert built and max(built) <= B
 
 
 def test_factor_base_logs_no_warning(caplog):
