@@ -44,28 +44,30 @@ class AnalyticData:
 
 
 def euler_residue(field, prime_bound):
-    """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)) as the
-    exact fraction prod (p-1) prod N(P) / (prod p prod (N(P)-1)), rounded
-    once to a float: int true division rounds correctly.  The residue
-    degrees are the degree pattern of T mod p (distinct-degree
-    factorization, or the Legendre symbol of disc(T) for quadratics), or,
-    for primes dividing the index, come from the prime ideals that
-    factor_prime splits off O_K/pO_K."""
+    """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)) as one
+    exact fraction, rounded once to a float: int true division rounds
+    correctly.  Each N(P) is a power of p, so the local factor at p is
+    (prod N(P) / p) / (prod (N(P)-1) / (p-1)) in integers; it is left out
+    when it is 1, as at a totally ramified p.  The residue degrees are the
+    degree pattern of T mod p (distinct-degree factorization, or the
+    Legendre symbol of disc(T) for quadratics), or, for primes dividing the
+    index, come from the prime ideals that factor_prime splits off
+    O_K/pO_K."""
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2")
     T = list(field.poly)
+    disc = poly.discriminant(T)
     num, den = [], []
     for p in primes_up_to(prime_bound):
         if field.index % p == 0:
             norms = [P.norm for P in factor_prime(p, field)]
         else:
-            norms = [p ** d for d in poly.degree_pattern(T, p)]
-        top, bottom = p - 1, p
-        for norm in norms:
-            top *= norm
-            bottom *= norm - 1
-        num.append(top)
-        den.append(bottom)
+            norms = [p ** d for d in poly.degree_pattern(T, p, disc)]
+        top = math.prod(norms) // p
+        bottom = math.prod(norm - 1 for norm in norms) // (p - 1)
+        if top != bottom:
+            num.append(top)
+            den.append(bottom)
     return _balanced_product(num) / _balanced_product(den)
 
 

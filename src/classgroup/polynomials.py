@@ -9,6 +9,7 @@ integers, fractions.Fraction and integers mod p.  Sizes are desk scale
 (degrees below ~50), so the quadratic algorithms are fine.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -224,7 +225,7 @@ def check_irreducible(T, trials=25):
     while tried < trials and possible:
         if disc % p != 0:
             tried += 1
-            sums = _subset_sums(degree_pattern(T, p))
+            sums = _subset_sums(degree_pattern(T, p, disc))
             possible &= sums
             if not possible:
                 return  # modular degree patterns rule out proper factors
@@ -488,13 +489,17 @@ def _edf(f, d, p, rng):
         f"{EDF_TRIES} tries")
 
 
-def _sqf_ddf(T, p):
+def _sqf_ddf(T, p, disc=None):
     """[(part, d, m)]: T mod p is the product of part^m, and part is the
-    product of the distinct degree-d irreducible factors of multiplicity m."""
+    product of the distinct degree-d irreducible factors of multiplicity m.
+    When disc(T) is given and p does not divide it, T mod p is square-free
+    and goes straight to the distinct-degree factorization."""
     f = pmod(T, p)
     if degree(f) != degree(T):
         raise ValueError("leading coefficient vanishes mod p (input not monic?)")
-    return [(part, d, m) for g, m in _sqf_decomp_modp(f, p)
+    squarefree = disc is not None and disc % p
+    return [(part, d, m)
+            for g, m in ([(f, 1)] if squarefree else _sqf_decomp_modp(f, p))
             for part, d in _ddf(g, p)]
 
 
@@ -518,17 +523,20 @@ def factor_mod_p(T, p):
     return factors
 
 
-def degree_pattern(T, p):
+def degree_pattern(T, p, disc=None):
     """Ascending degrees of the distinct irreducible factors of monic T mod p.
 
-    A quadratic reads it from disc(T): [1] when p divides it, otherwise
-    [1, 1] or [2] as disc(T) is a square mod p or not (Legendre symbol; for
-    p = 2, disc(T) mod 8).  Higher degrees take it from the square-free
-    decomposition and distinct-degree factorization, without splitting
-    equal degrees.
+    `disc` is disc(T), computed here when not given; a caller that asks for
+    many primes passes it once.  A quadratic reads the pattern from it: [1]
+    when p divides it, otherwise [1, 1] or [2] as disc(T) is a square mod p
+    or not (Legendre symbol; for p = 2, disc(T) mod 8).  Higher degrees take
+    it from the distinct-degree factorization, preceded by the square-free
+    decomposition only when p divides disc(T), without splitting equal
+    degrees.
     """
+    if disc is None:
+        disc = discriminant(T)
     if degree(T) == 2:
-        disc = T[1] ** 2 - 4 * T[0] * T[2]
         if disc % p == 0:
             return [1]
         if p == 2:
@@ -536,7 +544,7 @@ def degree_pattern(T, p):
         else:
             square = pow(disc, (p - 1) // 2, p) == 1
         return [1, 1] if square else [2]
-    irreducibles = [(d, m) for part, d, m in _sqf_ddf(T, p)
+    irreducibles = [(d, m) for part, d, m in _sqf_ddf(T, p, disc)
                     for _ in range(degree(part) // d)]
     _check_factor_count(T, p, irreducibles)
     return sorted(d for d, _ in irreducibles)
@@ -588,4 +596,4 @@ def primes_up_to(n):
         if flags[i]:
             flags[i * i:n + 1:i] = bytearray(len(range(i * i, n + 1, i)))
         i += 1
-    return [i for i in range(2, n + 1) if flags[i]]
+    return list(itertools.compress(range(n + 1), flags))

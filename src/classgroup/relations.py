@@ -15,8 +15,12 @@ Every stored relation passes an exact verification (norm identity plus
 per-prime valuations) before it enters the matrix; nothing heuristic is
 persisted.  Collection stops once the row count reaches K*|base| and the
 submatrix of columns with norm below the Bach bound has full rational rank.
-A trial keeps at most the rows still missing from that count, and at least
-one, so a multi-mode trial with many smooth candidates cannot overshoot it.
+Trials run in windows of 32, and the rank is checked between windows.  A
+window that starts short of the row count or inside the sweep ends at the
+first trial after which the row count is reached and the sweep is done; a
+window that starts with both (the rank was short) runs all 32 trials.  A
+trial keeps at most the rows still missing from the count, and at least
+one, and a multi-mode trial stops trying candidates once it has them.
 
 One deriver serves every mode; a mode is a set of candidate vectors plus an
 optional tail.  "plain" and "cheon" try the shortest reduced vector, "multi"
@@ -249,12 +253,12 @@ def _candidates(red, mode, beta):
                    for t2 in range(k)]
 
 
-def derive_relations(idxs, exps, cfg, field, fb):
+def derive_relations(idxs, exps, cfg, field, fb, cap=None):
     """Algorithm-1 step in every mode: reduce a = prod fb[idxs]^exps once and
     try each candidate vector x; <x> = a*b gives a relation, the factorization
     of <x>, when <x> is smooth over the base.  In cheon mode a non-smooth b
     goes to the presmoothing tail.  Returns [(x_v, {PrimeIdeal: e})] without
-    duplicate relations."""
+    duplicate relations; with `cap`, the candidates stop at the cap-th."""
     a = ideal_from_power_product(fb, idxs, exps, field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
@@ -282,6 +286,8 @@ def derive_relations(idxs, exps, cfg, field, fb):
         if key not in seen:
             seen.add(key)
             results.append((x, out))
+            if len(results) == cap:
+                break
     return results
 
 
@@ -344,9 +350,13 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     """Run sample/derive until the row target and the Bach-prefix rank are
     both met.  A fresh matrix (matrix=None) first gets the free relations,
     which count toward the row target but not as trials or hits (stats
-    "free"); trial t < |base| sweeps base prime t with exponent 1.
-    Deterministic for a fixed (field, fb, cfg) including seed; every trial
-    runs on the calling thread, and cfg.threads has no effect."""
+    "free"); trial t < |base| sweeps base prime t with exponent 1.  The
+    rank is checked between windows of _WINDOW trials; a window that starts
+    below the row target or inside the sweep ends after the first trial
+    that leaves rows >= target and trials >= |base|, and any other window
+    runs in full.  Deterministic for a fixed (field, fb, cfg) including
+    seed; every trial runs on the calling thread, and cfg.threads has no
+    effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
     free = 0
@@ -383,12 +393,15 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
             raise Stalled(
                 f"budget {cfg.trial_budget} exhausted: {hits} relations "
                 f"from {trials} trials", stats)
+        # a window that starts short of the row target or inside the sweep
+        # ends at the first trial that completes both
+        short = len(matrix.rows) < target_rows or trials < fb.size
         for _ in range(_WINDOW):
             idxs, exps = sample_ideal(fb, cfg, rng,
                                       trials if trials < fb.size else None)
-            # a module-global lookup, so a replaced deriver takes effect
-            rels = derive_relations(idxs, exps, cfg, field, fb)
             cap = max(1, target_rows - len(matrix.rows))
+            # a module-global lookup, so a replaced deriver takes effect
+            rels = derive_relations(idxs, exps, cfg, field, fb, cap)
             for x, prime_exps in rels[:cap]:
                 if not verify_relation(x, prime_exps, field):
                     raise VerificationFailed(
@@ -398,6 +411,8 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                            (trials, cfg.mode, tuple(idxs), tuple(exps)))
                 hits += 1
             trials += 1
+            if short and len(matrix.rows) >= target_rows and trials >= fb.size:
+                break
     stats.update(trials=trials, hits=hits, rows=len(matrix.rows))
     if trials:
         rate = hits / trials

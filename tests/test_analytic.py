@@ -9,7 +9,7 @@ from oracles import (cubic_unit_search, degree_pattern_by_frobenius_kernel,
                      torsion_count_direct)
 from test_acceptance import IMAG_DISCS, poly_for_disc
 from under_O import run_under_O
-from classgroup import analytic
+from classgroup import analytic, polynomials as poly
 from classgroup.analytic import (compute_analytic, count_roots_of_unity,
                                  det_error_bound, euler_residue,
                                  log_embedding, regulator_from_kernel, verify)
@@ -99,16 +99,49 @@ def test_euler_residue_is_the_exact_product_rounded_once():
 
 def test_degree_pattern_matches_factor_mod_p():
     # the acceptance polynomials, a large discriminant, Dedekind's cubic
-    # (x^2 (x + 1) mod 2) and x^4 + 1 ((x + 1)^4 mod 2, a p-th power); the
-    # primes cover p = 2, p = 3 and the p below 2000 that divide disc(T)
+    # (x^2 (x + 1) mod 2), x^4 + 1 ((x + 1)^4 mod 2, a p-th power), and
+    # x^5 - 2 and x^6 - x + 1 above degree 4; the primes cover p = 2, p = 3
+    # and the p below 2000 that divide disc(T), where the square-free
+    # decomposition runs
     polys = [poly_for_disc(D) for D in IMAG_DISCS] + [
         [-2, 0, 1], [-10, 0, 1], [-1, -1, 0, 1], [-1, -3, 0, 1],
-        [1, 1, 1, 1, 1], [250001, -1, 1], [-8, -2, -1, 1], [1, 0, 0, 0, 1]]
+        [1, 1, 1, 1, 1], [250001, -1, 1], [-8, -2, -1, 1], [1, 0, 0, 0, 1],
+        [-2, 0, 0, 0, 0, 1], [1, -1, 0, 0, 0, 0, 1]]
     for T in polys:
         for p in primes_up_to(2000):
             want = sorted(degree(g) for g, _ in factor_mod_p(T, p))
             assert degree_pattern(T, p) == want, (T, p)
 
+
+
+def test_residue_decomposes_only_where_p_divides_the_discriminant(
+        monkeypatch):
+    # disc(T) is taken once per residue, and the square-free decomposition
+    # runs only at the primes dividing it; elsewhere T mod p is square-free
+    calls = {"disc": 0, "sqf": []}
+    disc_inner, sqf_inner = poly.discriminant, poly._sqf_decomp_modp
+
+    def counted_disc(T):
+        calls["disc"] += 1
+        return disc_inner(T)
+
+    def counted_sqf(f, p):
+        calls["sqf"].append(p)
+        return sqf_inner(f, p)
+
+    monkeypatch.setattr(poly, "discriminant", counted_disc)
+    monkeypatch.setattr(poly, "_sqf_decomp_modp", counted_sqf)
+    for T in ([1] * 7, [-2, 0, 0, 0, 0, 1], [1, -1, 0, 0, 0, 0, 1]):
+        K = parse_field(T)
+        calls["disc"], calls["sqf"] = 0, []
+        euler_residue(K, 10 ** 3)
+        disc = disc_inner(T)
+        assert calls["disc"] == 1, T
+        # the decomposition recurses on a p-th power
+        assert sorted(set(calls["sqf"])) == [
+            p for p in primes_up_to(10 ** 3) if disc % p == 0], T
+        for p in primes_up_to(200):
+            assert degree_pattern(T, p, disc) == degree_pattern(T, p), (T, p)
 
 
 def test_degree_pattern_matches_frobenius_kernel():

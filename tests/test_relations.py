@@ -182,9 +182,9 @@ def test_collect_deterministic(q23):
 
 # (trials, hits, sha256 over the rows) of q23, B=15, seed 2, 80 target rows
 _PINNED = {
-    "plain": (96, 96, "1e5e7bc2c3718165918c81d8992f221a2630cf16d443d566e01da09296c070a1"),
-    "multi": (64, 103, "90a6833968798ff13654f89a5d86f1c49da643cedb2de184f869b17ee3e0fc32"),
-    "cheon": (96, 96, "e7902f1b574638dba70abc80fbb46a7996344ae2dfa3ef3e78056bf299f03a74"),
+    "plain": (77, 77, "7a8bc9785ff642dcf0d39a48f72d3153ad01b1b2abcc3e27565ca58fbf0b39c9"),
+    "multi": (38, 77, "f1d80a0b878cdb8dc824410cbda4dc135ed7697639cc0373bd11dd3c7691ba59"),
+    "cheon": (77, 77, "bd557b065dd35c4d66c756fd5f305c194bb2a9348414caf05a3982c9ce863de9"),
 }
 
 
@@ -202,6 +202,8 @@ def test_collect_modes_pinned(q23):
             pe = {M.columns[i]: e for i, e in r.exponents.items()}
             assert verify_relation(r.generator, pe, q23), (mode, r.provenance)
         assert (stats["trials"], stats["hits"], h.hexdigest()) == want, mode
+        # collection ends at the row target, once the sweep is done
+        assert len(M.rows) == 80 and stats["trials"] >= fb.size, mode
 
 
 def test_free_rows_one_per_fully_based_prime(q23, monkeypatch):
@@ -305,6 +307,50 @@ def test_rank_checked_only_at_target(q23, monkeypatch):
     windows = -(-stats["trials"] // relations._WINDOW)
     assert seen and all(n >= target for n in seen), seen
     assert len(seen) <= windows + 1
+
+
+def test_window_ends_at_the_target_after_the_sweep(q23):
+    # 3 free rows and a target of 4: the first window ends with the sweep;
+    # at seed 3 the rank is then full, at seed 2 it is short, and the
+    # window after it, which starts with the target met, runs in full
+    fb = build_factor_base(q23, 15)
+    for seed, trials in ((3, fb.size), (2, fb.size + relations._WINDOW)):
+        cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=seed,
+                               trial_budget=4000)
+        M, stats = collect(q23, fb, cfg, target_rows=4)
+        assert stats["trials"] == trials, seed
+        assert len(M.rows) == 3 + trials
+
+
+def test_multi_cap_keeps_the_prefix_and_stops_early(q23, monkeypatch):
+    # a capped multi trial returns the first relations of the uncapped one
+    # and tries no candidate after the cap-th relation
+    fb = build_factor_base(q23, 15)
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, mode="multi")
+    tried = []
+    inner = relations.is_smooth_ideal
+
+    def recorded(x, fb, field):
+        tried.append(x)
+        return inner(x, fb, field)
+
+    monkeypatch.setattr(relations, "is_smooth_ideal", recorded)
+    rng = random.Random(6)
+    capped_early = False
+    for _ in range(20):
+        idxs, exps = sample_ideal(fb, cfg, rng)
+        tried.clear()
+        full = derive_relations(idxs, exps, cfg, q23, fb)
+        n_full = len(tried)
+        for cap in range(1, len(full) + 1):
+            tried.clear()
+            got = derive_relations(idxs, exps, cfg, q23, fb, cap)
+            assert ([(x.coords, rel_key(pe)) for x, pe in got]
+                    == [(x.coords, rel_key(pe)) for x, pe in full[:cap]])
+            # the last candidate tried is the one that gave the cap-th
+            assert tried[-1].coords == got[-1][0].coords
+            capped_early |= len(tried) < n_full
+    assert capped_early
 
 
 def test_collect_runs_on_the_calling_thread(q23, monkeypatch):
@@ -453,8 +499,8 @@ fb = build_factor_base(K, 10)
 
 derive = relations.derive_relations
 
-def corrupt(idxs, exps, cfg, field, fb):
-    rels = derive(idxs, exps, cfg, field, fb)
+def corrupt(idxs, exps, cfg, field, fb, *args):
+    rels = derive(idxs, exps, cfg, field, fb, *args)
     return [(x, {P: e + 1 for P, e in pe.items()}) for x, pe in rels]
 
 relations.derive_relations = corrupt
