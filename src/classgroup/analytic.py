@@ -46,29 +46,41 @@ class AnalyticData:
 def euler_residue(field, prime_bound):
     """Truncated Euler product prod_p (1-1/p) / prod_{P|p} (1-1/N(P)) as one
     exact fraction, rounded once to a float: int true division rounds
-    correctly.  Each N(P) is a power of p, so the local factor at p is
-    (prod N(P) / p) / (prod (N(P)-1) / (p-1)) in integers; it is left out
-    when it is 1, as at a totally ramified p.  The residue degrees are the
-    degree pattern of T mod p (distinct-degree factorization, or the
-    Legendre symbol of disc(T) for quadratics), or, for primes dividing the
-    index, come from the prime ideals that factor_prime splits off
-    O_K/pO_K."""
+    correctly.  With N(P) = p^f for the residue degrees f of the primes
+    above p, the local factor at p is p^(sum f - 1) / (prod (p^f - 1) /
+    (p - 1)) in integers; it is left out when it is 1, as at a totally
+    ramified p.  The residue degrees are the degree patterns of T mod p,
+    all primes in one polynomials.degree_patterns pass (Stickelberger's
+    parity, and one Frobenius walk per block of primes), or, for primes
+    dividing the index, those of the prime ideals that factor_prime splits
+    off O_K/pO_K."""
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2")
-    T = list(field.poly)
-    disc = poly.discriminant(T)
     num, den = [], []
-    for p in primes_up_to(prime_bound):
-        if field.index % p == 0:
-            norms = [P.norm for P in factor_prime(p, field)]
-        else:
-            norms = [p ** d for d in poly.degree_pattern(T, p, disc)]
-        top = math.prod(norms) // p
-        bottom = math.prod(norm - 1 for norm in norms) // (p - 1)
+    for p, degs in _residue_degrees(field, prime_bound):
+        top = p ** (sum(degs) - 1)
+        bottom = 1
+        for f in degs:
+            bottom *= p ** f - 1
+        bottom //= p - 1
         if top != bottom:
             num.append(top)
             den.append(bottom)
     return _balanced_product(num) / _balanced_product(den)
+
+
+def _residue_degrees(field, prime_bound):
+    """Yields (p, residue degrees of the primes above p) for each prime
+    p <= prime_bound; the prime lists go once the last is taken."""
+    T = list(field.poly)
+    primes = primes_up_to(prime_bound)
+    patterns = poly.degree_patterns(
+        T, [p for p in primes if field.index % p], poly.discriminant(T))
+    for p in primes:
+        if field.index % p:
+            yield p, next(patterns)
+        else:
+            yield p, [P.res_f for P in factor_prime(p, field)]
 
 
 def _balanced_product(xs):

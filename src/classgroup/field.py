@@ -162,7 +162,12 @@ class NumberField:
         assert mink <= math.sqrt(abs(self.discriminant)) * (1 + 1e-9)
 
         self.precision = int(precision)
-        self._basis_inv = invert_fractions(basis)
+        # the inverse basis matrix as integers over one common denominator
+        inv = invert_fractions(basis)
+        den = math.lcm(*(x.denominator for row in inv for x in row))
+        self.basis_inverse = (
+            [[x.numerator * den // x.denominator for x in row] for row in inv],
+            den)
         self._mult_table = self._build_mult_table()
         self._iv = MPIntervalContext()
         self._iv.prec = self.precision + _GUARD_BITS
@@ -193,9 +198,9 @@ class NumberField:
 
     def power_to_basis(self, vec):
         """Coordinates over the integral basis of a power-basis vector."""
-        inv = self._basis_inv
-        n = self.degree
-        return [sum(Fraction(vec[i]) * inv[i][j] for i in range(n)) for j in range(n)]
+        inv, den = self.basis_inverse
+        return [Fraction(sum(x * row[j] for x, row in zip(vec, inv)), den)
+                for j in range(self.degree)]
 
     def mult_columns(self, x):
         """Columns x*omega_j over the integral basis, for x given by its

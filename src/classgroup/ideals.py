@@ -103,14 +103,26 @@ def unit_ideal(field):
 
 
 def _element_of_gen_poly(gen_poly, field):
-    """Integer coordinates of g(theta) (g reduced mod T first; an inert prime
-    has deg g = n and g(theta) lands in pO)."""
-    n = field.degree
-    _, rem = poly.divmod_exact([int(c) for c in gen_poly], list(field.poly))
-    pb = list(rem) + [0] * (n - len(rem))
-    coords = field.power_to_basis(pb[:n])
-    assert all(c.denominator == 1 for c in coords)
-    return [c.numerator for c in coords]
+    """Integer coordinates of g(theta): g is reduced mod the monic T in
+    integers (an inert prime has deg g = n and g(theta) lands in pO), then
+    mapped by the integer basis inverse and divided exactly by its common
+    denominator."""
+    n, T = field.degree, field.poly
+    rem = [int(c) for c in gen_poly]
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem.pop()
+        for i in range(n):
+            rem[k - n + i] -= c * T[i]
+    inv, den = field.basis_inverse
+    coords = []
+    for j in range(n):
+        q, r = divmod(sum(x * row[j] for x, row in zip(rem, inv)), den)
+        if r:
+            raise VerificationFailed(
+                f"g(theta) for g = {list(gen_poly)} has a non-integral "
+                f"coordinate")
+        coords.append(q)
+    return coords
 
 
 def integral_norm(x):
@@ -386,7 +398,8 @@ def _primes_above(p, field, bound):
         split = [(P.ram_e, P.res_f) for P in every]
         out = [P for P in every if P.norm <= bound]
     else:
-        factors = poly.factor_mod_p(list(field.poly), p)
+        factors = poly.factor_mod_p(list(field.poly), p,
+                                    field.discriminant * field.index ** 2)
         split = [(e, poly.degree(g)) for g, e in factors]
         out = [_prime_from_gen(p, g, e, f, field)
                for (g, _), (e, f) in zip(factors, split) if p ** f <= bound]

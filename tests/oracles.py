@@ -134,24 +134,41 @@ def degree_pattern_by_frobenius_kernel(T, p):
     """Ascending degrees of the irreducible factors of monic T mod p, for T
     square-free mod p, from Berlekamp's matrix alone.
 
-    Row j of Q is x^(pj) mod T, read off the powers x^0, x^1, ... formed one
-    multiplication by x at a time.  On F_p[x]/(T), the product of the fields
-    F_(p^m) over the factors of degree m, Q^d fixes F_(p^gcd(m, d)) in each,
-    so K(d) = dim ker(Q^d - I) = sum_m c_m gcd(m, d) for c_m factors of
-    degree m.  With N(e) = sum of c_m over e | m, K(d) = sum_(e|d) phi(e)
-    N(e), which gives N and then c from the top degree down."""
+    Row j of Q is x^(pj) mod T: x^p by square-and-multiply with schoolbook
+    products reduced mod (T, p), which shares no step with the library's
+    packed powers or its walk over x^k, then its powers.  On F_p[x]/(T),
+    the product of the fields F_(p^m) over the factors of degree m, Q^d
+    fixes F_(p^gcd(m, d)) in each, so K(d) = dim ker(Q^d - I) =
+    sum_m c_m gcd(m, d) for c_m factors of degree m.  With N(e) = sum of
+    c_m over e | m, K(d) = sum_(e|d) phi(e) N(e), which gives N and then c
+    from the top degree down."""
     n = len(T) - 1
-    power = [1] + [0] * (n - 1)
-    Q = []
-    for k in range(p * (n - 1) + 1):
-        if k % p == 0:
-            Q.append(list(power))
-        top = power[-1]
-        power = [(lo - top * t) % p for lo, t in zip([0] + power[:-1], T)]
+
+    def times(a, b):
+        prod = [0] * (2 * n - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+        for k in range(2 * n - 2, n - 1, -1):
+            top = prod[k] % p
+            for i in range(n):
+                prod[k - n + i] -= top * T[i]
+        return [c % p for c in prod[:n]]
+
+    x = [0, 1] + [0] * (n - 2)
+    xp = [1] + [0] * (n - 1)
+    for bit in bin(p)[2:]:
+        xp = times(xp, xp)
+        if bit == "1":
+            xp = times(xp, x)
+    Q = [[1] + [0] * (n - 1)]
+    while len(Q) < n:
+        Q.append(times(Q[-1], xp))
+    cols = list(zip(*Q))
     M = [[int(i == j) for j in range(n)] for i in range(n)]
     kernel_dims = {}
     for d in range(1, n + 1):
-        M = [[sum(row[k] * Q[k][j] for k in range(n)) % p for j in range(n)]
+        M = [[sum(a * b for a, b in zip(row, col)) % p for col in cols]
              for row in M]
         shifted = [[x - (i == j) for j, x in enumerate(row)]
                    for i, row in enumerate(M)]

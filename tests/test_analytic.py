@@ -156,6 +156,110 @@ def test_degree_pattern_matches_frobenius_kernel():
                 assert (degree_pattern(T, p)
                         == degree_pattern_by_frobenius_kernel(T, p)), (T, p)
 
+
+def test_euler_residue_pinned_beyond_the_ladder():
+    # recorded before the degree patterns came from Stickelberger's parity
+    # and the Frobenius walk: seven more fields at 10^4, and three at 10^5,
+    # where the walk runs hundreds of blocks
+    half = Fraction(1, 2)
+    dedekind = parse_field([-8, -2, -1, 1],
+                           basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])
+    want = [((1,) * 13, 10 ** 4, "0.2130963667059703"),
+            ((-2, 0, 0, 0, 1), 10 ** 4, "0.5999642561788097"),
+            ((-999999, 0, 0, 1), 10 ** 4, "1.4135721402361952"),
+            ((3, 0, 1), 10 ** 4, "0.9084031331558678"),
+            ((-5, 0, 0, 1), 10 ** 4, "1.1643526201789762"),
+            ((-12, 0, 0, 1), 10 ** 4, "1.031772138175127"),
+            ((-1, -3, 0, 1), 10 ** 5, "0.3774379753192266"),
+            ((1,) * 7, 10 ** 5, "0.28732936062462183"),
+            ((-999999, 0, 0, 1), 10 ** 5, "1.4164584785008167")]
+    for coeffs, bound, r in want:
+        assert repr(euler_residue(parse_field(list(coeffs)), bound)) == r
+    assert repr(euler_residue(dedekind, 10 ** 4)) == "1.9737379006249138"
+
+
+# cubics (one with a huge constant term), cyclotomics up to degree 12,
+# x^5 - 2 and x^6 - x + 1 (disc(T) has the primes 2, 5 and 101, 431), a
+# quadratic, and Dedekind's cubic, whose T is x^2 (x + 1) mod 2
+_PATTERN_POLYS = [[-1, -1, 0, 1], [-1, -3, 0, 1], [-999999, 0, 0, 1],
+                  [1] * 5, [1] * 7, [1] * 13, [-2, 0, 0, 0, 0, 1],
+                  [1, -1, 0, 0, 0, 0, 1], [250001, -1, 1], [-8, -2, -1, 1]]
+
+
+def test_degree_patterns_match_factor_mod_p_and_frobenius_kernel():
+    # every prime up to 3000 in one pass: parity, walk and the p | disc(T)
+    # route against the full factorization, and where T stays square-free
+    # against the kernel dimensions of Berlekamp's matrix
+    primes = primes_up_to(3000)
+    for T in _PATTERN_POLYS:
+        disc = discriminant(T)
+        patterns = list(poly.degree_patterns(T, primes, disc))
+        assert len(patterns) == len(primes)
+        for p, pattern in zip(primes, patterns):
+            want = sorted(degree(g) for g, _ in factor_mod_p(T, p))
+            assert pattern == want, (T, p)
+            if disc % p:
+                assert (pattern
+                        == degree_pattern_by_frobenius_kernel(T, p)), (T, p)
+
+
+def test_walked_frobenius_is_the_power_at_each_block_end(monkeypatch):
+    # the walk's x^p mod (T, p) at the first and last prime of every block
+    # that degree_patterns walks is the power computed on its own
+    blocks = []
+    walk = poly._frobenius_walk
+
+    def recorded(T, primes):
+        hs = walk(T, primes)
+        blocks.append((primes, hs))
+        return hs
+
+    monkeypatch.setattr(poly, "_frobenius_walk", recorded)
+    for T in _PATTERN_POLYS:
+        blocks.clear()
+        list(poly.degree_patterns(T, primes_up_to(3000)))
+        if degree(T) == 2:
+            assert blocks == [], T  # parity decides every quadratic
+            continue
+        assert blocks, T
+        for primes, hs in blocks:
+            assert len(primes) == len(hs) <= poly._WALK_BLOCK
+            assert primes == sorted(primes)
+            for p, h in ((primes[0], hs[0]), (primes[-1], hs[-1])):
+                assert h == poly.pmod_pow([0, 1], p, T, p), (T, p)
+
+
+_MERGED_UNDER_O = """
+from classgroup import polynomials as poly
+from classgroup.errors import VerificationFailed
+
+assert not __debug__, "run with python -O"
+T = [-1, -1, 0, 1]
+
+def rejected(check):
+    try:
+        print(check())
+    except VerificationFailed as e:
+        print("rejected:", e)
+
+print(sorted(poly.degree(g) for g, _ in poly.factor_mod_p(T, 5)))
+# a distinct-degree factorization that reports the linear and the quadratic
+# factor mod 5 as one degree-3 part keeps the degree sum, but (-23/5) = -1
+# asks for an even number of factors
+poly._ddf = lambda f, p, h=None, odd=None: [(f, 3)]
+rejected(lambda: poly.factor_mod_p(T, 5))
+# (-23/13) = 1 asks for an odd number, so a reported [1, 2] is rejected
+poly._ddf = lambda f, p, h=None, odd=None: [(None, 1), (None, 2)]
+rejected(lambda: poly.degree_pattern(T, 13))
+"""
+
+
+def test_factor_count_parity_survives_python_O():
+    lines = run_under_O(_MERGED_UNDER_O)
+    assert lines == ["[1, 2]", "rejected: lost factors of T mod 5",
+                     "rejected: lost factors of T mod 13"], lines
+
+
 _DROP_UNDER_O = """
 from fractions import Fraction
 
@@ -176,8 +280,8 @@ def rejected(check):
         print("rejected:", e)
 
 ddf = poly._ddf
-poly._ddf = lambda f, p: ddf(f, p)[:-1]
-rejected(lambda: poly.degree_pattern(K.poly, 5))
+poly._ddf = lambda *args: ddf(*args)[:-1]
+rejected(lambda: poly.degree_pattern(K.poly, 3))
 rejected(lambda: poly.factor_mod_p(K.poly, 5))
 rejected(lambda: euler_residue(K, 10))
 poly._ddf = ddf
@@ -191,9 +295,10 @@ def test_factor_count_check_survives_python_O():
     # a distinct-degree part or a prime ideal above an index divisor that
     # goes missing must not drop a local factor
     lines = run_under_O(_DROP_UNDER_O)
-    assert lines == ["rejected: lost factors of T mod 5"] * 2 + [
-        "rejected: lost factors of T mod 2",
-        "rejected: lost prime ideals above 2"], lines
+    assert lines == ["rejected: lost factors of T mod 3",
+                     "rejected: lost factors of T mod 5",
+                     "rejected: lost factors of T mod 2",
+                     "rejected: lost prime ideals above 2"], lines
 
 
 

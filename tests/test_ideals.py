@@ -430,6 +430,33 @@ def test_ideal_checks_survive_python_O():
         "expected 2"], lines
 
 
+_NON_INTEGRAL_UNDER_O = """
+from fractions import Fraction
+
+from classgroup import ideals
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+# Q(i) as x^2 + 4 with basis {1, theta/2}: theta + 1 = 1 + 2 * (theta/2)
+K = parse_field([4, 0, 1], basis=[[1, 0], [0, Fraction(1, 2)]])
+print(ideals._element_of_gen_poly([1, 1], K))
+# a basis inverse with a doubled denominator halves both coordinates
+inv, den = K.basis_inverse
+K.basis_inverse = (inv, 2 * den)
+try:
+    ideals._element_of_gen_poly([1, 1], K)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_generator_coordinates_check_survives_python_O():
+    lines = run_under_O(_NON_INTEGRAL_UNDER_O)
+    assert lines == ["[1, 2]", "rejected: g(theta) for g = [1, 1] has a "
+                     "non-integral coordinate"], lines
+
+
 _INDEX_SPLIT_UNDER_O = """
 from fractions import Fraction
 
