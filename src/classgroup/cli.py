@@ -5,7 +5,8 @@ relation collection, integer linear algebra, regulator extraction and the
 analytic ratio test, doubling the relation surplus K and resuming (prior
 relations retained) for up to five rounds when verification rejects.
 
-Exit codes: 0 accept, 2 reject, 3 stalled, 4 input error.
+Exit codes: 0 accept, 2 reject, 3 stalled, 4 input error (usage errors
+included).
 """
 
 import argparse
@@ -267,8 +268,16 @@ _THREADS_HELP = ("accepted for compatibility and has no effect: collection "
                  "runs on one thread")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT; argparse's own 2 is EXIT_REJECT."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="classgroup",
         description="Class group, class number and regulator computation "
                     "via BKZ-reduced relation collection")
@@ -277,8 +286,7 @@ def build_parser():
 
     pc = sub.add_parser("compute", help="full pipeline on a field file")
     pc.add_argument("field")
-    pc.add_argument("--mode", choices=["plain", "multi", "cheon"],
-                    default="plain")
+    pc.add_argument("--mode", choices=["plain", "multi"], default="plain")
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--precision", type=int, default=None)
     pc.add_argument("--B", type=int, default=None)
@@ -299,8 +307,7 @@ def build_parser():
 
     pl = sub.add_parser("collect", help="collect relations, JSONL to stdout")
     pl.add_argument("field")
-    pl.add_argument("--mode", choices=["plain", "multi", "cheon"],
-                    default="plain")
+    pl.add_argument("--mode", choices=["plain", "multi"], default="plain")
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--B", type=int, default=None)
     pl.add_argument("--beta", type=int, default=None)

@@ -24,8 +24,8 @@ class BasisNotClosed(ClassGroupError):
 
 
 class BasisNotMaximal(ClassGroupError):
-    """The integral basis spans an order that is not maximal at a prime
-    dividing the index: some prime ideal above it is not invertible."""
+    """The integral basis spans an order that is not maximal at p: some
+    prime ideal above p is not invertible."""
 
     def __init__(self, p):
         self.p = p

@@ -205,6 +205,16 @@ def _check_norm(ideal, expected, what):
             f"{what} has determinant {ideal.norm}, expected {expected}")
 
 
+def _check_invertible(ideal, inv_ideal, p, field):
+    """BasisNotMaximal unless P * (pO : P) = pO_K.  Every P above p is
+    invertible iff the basis is maximal at p, and valuation relies on it:
+    at a P that is not, its x -> x*tau/p loop never ends."""
+    n = field.degree
+    pO = tuple(tuple(p if i == j else 0 for i in range(n)) for j in range(n))
+    if _ideal_product(ideal, inv_ideal, field).hnf_basis != pO:
+        raise BasisNotMaximal(p)
+
+
 def _prime_from_gen(p, gen_poly, e, f, field):
     n = field.degree
     g_mult = field.mult_columns(_element_of_gen_poly(gen_poly, field))
@@ -215,6 +225,9 @@ def _prime_from_gen(p, gen_poly, e, f, field):
     kern = _modp_kernel(_columns_to_rows(g_mult), p)
     inv_ideal = _hnf_ideal(p_cols + kern, field)
     _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
+    # Z[theta] is maximal at p when p^2 does not divide disc(T)
+    if (field.discriminant * field.index ** 2) % (p * p) == 0:
+        _check_invertible(ideal, inv_ideal, p, field)
     tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
     return PrimeIdeal(p=p, gen_poly=tuple(int(c) % p for c in gen_poly),
                       ram_e=e, res_f=f, norm=p ** f,
@@ -360,10 +373,7 @@ def _index_divisor_primes(p, field):
         rows = [r for g in ideal.hnf_basis
                 for r in _mult_rows_modp(g, field, p)]
         inv_ideal = _hnf_ideal(p_cols + _modp_kernel(rows, p), field)
-        # every P above p is invertible iff the basis is maximal at p; the
-        # valuation below relies on it
-        if _ideal_product(ideal, inv_ideal, field) != pO:
-            raise BasisNotMaximal(p)
+        _check_invertible(ideal, inv_ideal, p, field)
         _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
         alpha = _second_generator(gens, field, p)
         tau, tau_mult = _anti_uniformizer(p, inv_ideal.hnf_basis, field)
@@ -384,8 +394,9 @@ def factor_prime(p, field):
 
     For p coprime to the index [O_K : Z[theta]] they come from the
     factorization of T mod p; for p dividing it, from the Buchmann-Lenstra
-    decomposition of O_K/pO_K, which raises BasisNotMaximal when the
-    integral basis spans an order that is not maximal at p.
+    decomposition of O_K/pO_K.  Either route raises BasisNotMaximal when the
+    integral basis spans an order that is not maximal at p, which the
+    Dedekind-Kummer route checks only where p^2 divides disc(T).
     """
     return _primes_above(p, field, p ** field.degree)
 

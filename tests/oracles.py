@@ -269,6 +269,16 @@ def divide_prime_by_inverse(field, hnf, P):
     return column_hnf_naive([[v // P.p for v in c] for c in prod])
 
 
+def _cofactor_ideal(x, idxs, exps, fb, field):
+    """b with <x> = a*b for a = prod fb[idxs]^exps; exact divisions."""
+    from classgroup.ideals import ideal_divide_prime, ideal_from_element
+    b = ideal_from_element(x)
+    for i, e in zip(idxs, exps):
+        for _ in range(e):
+            b = ideal_divide_prime(b, fb.primes[i], field)
+    return b
+
+
 def relations_by_cofactor(idxs, exps, cfg, field, fb):
     """The relation step in plain and multi modes through the cofactor: for
     each candidate x, b = <x> * a^(-1) is built by exact prime divisions, and
@@ -283,7 +293,7 @@ def relations_by_cofactor(idxs, exps, cfg, field, fb):
     found, rejected, seen = [], [], set()
     for col in relations._candidates(red, cfg.mode, beta):
         x = relations._readback(a, col, field)
-        b = relations._cofactor_ideal(x, idxs, exps, fb, field)
+        b = _cofactor_ideal(x, idxs, exps, fb, field)
         b_exps = is_smooth_ideal(b, fb, field)
         if b_exps is None:
             rejected.append(x)

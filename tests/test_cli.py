@@ -245,6 +245,27 @@ def test_bad_cli_input_is_input_error(tmp_path, capsys):
         assert (code, out) == (cli.EXIT_INPUT, ""), (m, err)
 
 
+def test_usage_error_is_input_error(tmp_path, capsys):
+    # argparse exits 2 by default, which would read as a rejected group
+    path = field_file(tmp_path, [5, 0, 1])
+    for argv in (["compute", path, "--mode", "cheon"],
+                 ["collect", path, "--mode", "cheon"], ["compute"], []):
+        with pytest.raises(SystemExit) as ei:
+            cli.main(argv)
+        assert ei.value.code == cli.EXIT_INPUT, argv
+        out = capsys.readouterr()
+        assert out.out == "" and "error:" in out.err, argv
+
+
+def test_nonmaximal_z_theta_is_input_error(tmp_path, capsys):
+    # x^3 - 54 without a basis: Z[theta] is not maximal at 3, since
+    # theta/3 is a cube root of 2; it is refused instead of looping
+    path = field_file(tmp_path, [-54, 0, 0, 1])
+    code, out, err = run_cli(capsys, ["compute", path])
+    assert (code, out) == (cli.EXIT_INPUT, ""), err
+    assert "not maximal at 3" in err
+
+
 _BAD_INPUT_UNDER_O = """
 import json, sys, tempfile
 from classgroup import cli

@@ -77,6 +77,19 @@ def test_index_divisor_nonmaximal_basis():
     assert ei.value.p == 2
 
 
+def test_nonmaximal_z_theta_without_a_basis():
+    # Z[theta] for x^3 - 54 is not maximal at 3 although 3 does not divide
+    # the index of the (default) power basis: theta/3 is a cube root of 2,
+    # and (3, theta) is not invertible
+    K = parse_field([-54, 0, 0, 1])
+    assert K.index == 1
+    with pytest.raises(BasisNotMaximal) as ei:
+        factor_prime(3, K)
+    assert ei.value.p == 3
+    # the primes above 2, where Z[theta] is maximal, still split
+    assert [P.ram_e for P in factor_prime(2, K)] == [3]
+
+
 @pytest.mark.parametrize("coeffs", [[1, 0, 1], [5, 0, 1], [-1, -1, 0, 1],
                                     [3, 0, 0, 1], [-2, 0, 0, 0, 1],
                                     [1, 1, 1, 1, 1]])

@@ -13,8 +13,7 @@ from classgroup.field import parse_field
 from classgroup.ideals import (build_factor_base, factor_prime,
                                ideal_from_element, ideal_from_power_product,
                                is_smooth_ideal, unit_ideal)
-from classgroup.relations import (CollectionConfig, RelationMatrix,
-                                  cheon_presmooth_tail, collect,
+from classgroup.relations import (CollectionConfig, collect,
                                   derive_relations, eq5_bound_holds,
                                   sample_ideal, verify_relation)
 
@@ -119,22 +118,6 @@ def test_cheon_trivial_and_prime_cofactor(q5):
     plain = derive_relations([0], [2], cfg, q5, fb)
     cheon = derive_relations([0], [2], cfg_cheon, q5, fb)
     assert [rel_key(pe) for _, pe in plain] == [rel_key(pe) for _, pe in cheon]
-
-
-def test_cheon_constructed_aux_column(q5):
-    # base bound 3 excludes the ramified prime of norm 5; reducing its own
-    # lattice finds the generator sqrt(-5), an immediate auxiliary relation
-    fb = build_factor_base(q5, 3)
-    cfg = CollectionConfig(bound_B=3, k=1, A=2, beta=2, mode="cheon")
-    p5 = factor_prime(5, q5)[0]
-    rels = cheon_presmooth_tail(p5.as_ideal(), cfg, q5, fb)
-    assert rels
-    for x, pe in rels:
-        assert verify_relation(x, pe, q5)
-        assert any(P.norm > 3 for P in pe)
-    matrix = RelationMatrix(fb)
-    matrix.add(*rels[0], (0, "cheon", (), ()))
-    assert len(matrix.columns) == fb.size + 1
 
 
 def test_collect_examples(qi, q5):
@@ -310,16 +293,29 @@ def test_rank_checked_only_at_target(q23, monkeypatch):
 
 
 def test_window_ends_at_the_target_after_the_sweep(q23):
-    # 3 free rows and a target of 4: the first window ends with the sweep;
-    # at seed 3 the rank is then full, at seed 2 it is short, and the
-    # window after it, which starts with the target met, runs in full
+    # 3 free rows and a target of 4: the first window ends with the sweep,
+    # and at seed 3 the rank is then full
     fb = build_factor_base(q23, 15)
-    for seed, trials in ((3, fb.size), (2, fb.size + relations._WINDOW)):
+    cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=3,
+                           trial_budget=4000)
+    M, stats = collect(q23, fb, cfg, target_rows=4)
+    assert stats["trials"] == fb.size
+    assert len(M.rows) == 3 + fb.size
+
+
+def test_rank_short_window_ends_at_its_first_row(q23):
+    # at seeds 0 and 2 the rank is short after the sweep; the window after
+    # it starts with the target met and ends at its first new row instead
+    # of running all _WINDOW trials, and the rank is full within 8 trials
+    fb = build_factor_base(q23, 15)
+    for seed in (0, 2):
         cfg = CollectionConfig(bound_B=15, k=2, A=2, beta=2, rng_seed=seed,
                                trial_budget=4000)
         M, stats = collect(q23, fb, cfg, target_rows=4)
-        assert stats["trials"] == trials, seed
-        assert len(M.rows) == 3 + trials
+        assert fb.size < stats["trials"] <= 8, (seed, stats["trials"])
+        assert len(M.rows) == 3 + stats["trials"]
+        rank, want = M.bach_rank()
+        assert rank == want == fb.size, seed
 
 
 def test_multi_cap_keeps_the_prefix_and_stops_early(q23, monkeypatch):
@@ -450,12 +446,14 @@ def test_relations_match_cofactor_reference(monkeypatch):
 
 
 def test_plain_and_multi_build_no_cofactor_ideal(q23, monkeypatch):
-    # plain and multi read relations off <x> alone; only cheon's tail builds
-    # the cofactor ideal, which the disc -47 samples below reach
+    # plain and multi read relations off <x> alone and never build the
+    # cofactor ideal b
     calls = []
-    for name in ("ideal_from_element", "ideal_divide_prime"):
-        fn = getattr(relations, name)
-        monkeypatch.setattr(relations, name, lambda *a, fn=fn, name=name: (
+    for module, name in ((relations, "ideal_divide_prime"),
+                         (ideals, "ideal_divide_prime"),
+                         (ideals, "ideal_from_element")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, fn=fn, name=name: (
             calls.append(name), fn(*a))[1])
     fb = build_factor_base(q23, 15)
     for mode in ("plain", "multi"):
@@ -463,12 +461,6 @@ def test_plain_and_multi_build_no_cofactor_ideal(q23, monkeypatch):
                                mode=mode, trial_budget=4000)
         collect(q23, fb, cfg, target_rows=80)
     assert calls == []
-    K = parse_field([12, -1, 1])
-    fb = build_factor_base(K, 2)
-    cfg = CollectionConfig(bound_B=2, k=1, A=2, beta=2, mode="cheon")
-    for e in (1, 2):
-        derive_relations([0], [e], cfg, K, fb)
-    assert "ideal_from_element" in calls and "ideal_divide_prime" in calls
 
 
 def test_relation_dump(qi, tmp_path):
@@ -520,10 +512,6 @@ try:
 except VerificationFailed as e:
     print("rejected:", e)
 try:
-    relations._solve_int_columns([[2, 0], [0, 2]], [1, 0])
-except VerificationFailed as e:
-    print("rejected:", e)
-try:
     relations.CollectionConfig(bound_B=10, k=fb.size + 1).validate(fb)
 except ValueError as e:
     print("rejected:", e)
@@ -541,7 +529,6 @@ def test_exact_check_survives_python_O():
                      "rejected: relation generator is zero",
                      "rejected: reduced cofactor ideal violates the norm "
                      "bound",
-                     "rejected: vector not in the lattice span",
                      "rejected: k=5 larger than the factor base (4 primes)",
                      "rejected: prime bound 1 is below 2"
                      ], lines
