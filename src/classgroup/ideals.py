@@ -475,7 +475,6 @@ class FactorBase:
     bound: int
     primes: list  # PrimeIdeal, sorted by (norm, p, gen_poly)
     bach_bound: int
-    bach_prefix: int
 
     @property
     def size(self):
@@ -516,10 +515,7 @@ def build_factor_base(field, B):
     if not primes:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")
     primes.sort(key=lambda P: (P.norm, P.p, P.gen_poly))
-    bb = bach_bound(field)
-    prefix = sum(1 for P in primes if P.norm <= bb)
-    return FactorBase(bound=B, primes=primes, bach_bound=bb,
-                      bach_prefix=prefix)
+    return FactorBase(bound=B, primes=primes, bach_bound=bach_bound(field))
 
 
 def ideal_from_power_product(fb, indices, exponents, field):

@@ -4,11 +4,12 @@ from alternating row HNFs, kernels, and structured elimination of sparse
 relation rows.
 
 Matrices are lists of lists of Python ints (arbitrary precision); relation
-rows may also be sparse {column: entry} dicts.  The rank and the class group
-of a relation matrix first eliminate every +-1 pivot they can, in Markowitz
-order, which leaves a small dense core: at D = -10000003 the 336 columns of
-the factor base shrink to 5-27.  Only that core goes through the HNF, which
-pivots on the smallest remaining entry of each column.
+rows may also be sparse {column: entry} dicts.  The class group of a
+relation matrix, which is also collection's stop check, first eliminates
+every +-1 pivot it can, in Markowitz order, which leaves a small dense core:
+at D = -10000003 the 336 columns of the factor base shrink to 5-27.  Only
+that core goes through the HNF, which pivots on the smallest remaining entry
+of each column.  `rank` takes the same route.
 """
 
 import math

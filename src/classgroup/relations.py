@@ -14,8 +14,8 @@ uniformly.
 Every stored relation passes an exact verification (norm identity plus
 per-prime valuations) before it enters the matrix; nothing heuristic is
 persisted.  Collection stops once the row count reaches K*|base| and the
-submatrix of columns with norm below the Bach bound has full rational rank.
-Trials run in windows of at most 32, and the rank is checked between
+class group reads off the rows, which is left in `RelationMatrix.group`.
+Trials run in windows of at most 32, and the group is tried between
 windows.  A window ends at the first trial after which the row count is
 reached, the sweep is done and the window has added a row.  A trial keeps
 at most the rows still missing from the count, and at least one, and a
@@ -35,23 +35,25 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import PrecisionExhausted, Stalled, VerificationFailed
+from .errors import (PrecisionExhausted, RankDeficient, Stalled,
+                     VerificationFailed)
 from .ideals import (ideal_from_power_product, ideal_lattice, integral_norm,
                      is_smooth_ideal, valuation)
-from .intlinalg import rank as matrix_rank
+from .intlinalg import class_group_from_relations
 from .lattice import _exact_quadratic, bkz, theorem_bound_holds
 from .polynomials import bareiss_det
 from .smoothness import heuristic_probability
 
 # Not called here: the benchmark tracer (perfbench/spans.py) wraps these
-# three bindings of this module by name, and tests/test_bench_bindings.py
+# four bindings of this module by name, and tests/test_bench_bindings.py
 # checks that they resolve; _TRACED_ONLY reads them, as tests/test_imports.py
 # requires of every import.
 from .ideals import ideal_divide_prime
+from .intlinalg import rank as matrix_rank
 from .lattice import cheon_reduce
 from .smoothness import smooth_part
 
-_TRACED_ONLY = (cheon_reduce, ideal_divide_prime, smooth_part)
+_TRACED_ONLY = (cheon_reduce, ideal_divide_prime, matrix_rank, smooth_part)
 
 logger = logging.getLogger(__name__)
 
@@ -92,13 +94,15 @@ class Relation:
 
 
 class RelationMatrix:
-    """Append-only store; the columns are the factor-base primes."""
+    """Append-only store; the columns are the factor-base primes.  `group`
+    is the class group that the last `collect` read off the rows."""
 
     def __init__(self, fb):
         self.fb = fb
         self.columns = list(fb.primes)
         self.bach_bound = fb.bach_bound
         self.rows = []
+        self.group = None
 
     def add(self, generator, prime_exponents, provenance):
         exps = {self.fb.index_of(P): e
@@ -115,14 +119,6 @@ class RelationMatrix:
                 row[idx] = e
             out.append(row)
         return out
-
-    def bach_rank(self):
-        cols = {j for j, P in enumerate(self.columns) if P.norm <= self.bach_bound}
-        if not cols:
-            return 0, 0
-        rows = [{j: e for j, e in rel.exponents.items() if j in cols}
-                for rel in self.rows]
-        return matrix_rank(rows), len(cols)
 
     def dump_jsonl(self, fh):
         for rel in self.rows:
@@ -274,15 +270,15 @@ def derive_relations(idxs, exps, cfg, field, fb, cap=None):
 
 
 def collect(field, fb, cfg, matrix=None, target_rows=None):
-    """Run sample/derive until the row target and the Bach-prefix rank are
-    both met.  A fresh matrix (matrix=None) first gets the free relations,
-    which count toward the row target but not as trials or hits (stats
-    "free"); trial t < |base| sweeps base prime t with exponent 1.  The
-    rank is checked between windows of at most _WINDOW trials; a window
-    ends after the first trial that leaves rows >= target, trials >= |base|
-    and a row added in the window.  Deterministic for a fixed
-    (field, fb, cfg) including seed; every trial runs on the calling
-    thread, and cfg.threads has no effect."""
+    """Run sample/derive until the row target is met and the class group
+    reads off the rows (left in matrix.group).  A fresh matrix (matrix=None)
+    first gets the free relations, which count toward the row target but
+    not as trials or hits (stats "free"); trial t < |base| sweeps base prime
+    t with exponent 1.  The group is tried between windows of at most
+    _WINDOW trials; a window ends after the first trial that leaves
+    rows >= target, trials >= |base| and a row added in the window.
+    Deterministic for a fixed (field, fb, cfg) including seed; every trial
+    runs on the calling thread, and cfg.threads has no effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
     free = 0
@@ -303,15 +299,20 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     hits = 0
     stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode}
     while True:
-        # the one stop check; the rank is computed only at the row target
-        rank = None
+        # the one stop check, at the row target; RankDeficient: collect on
+        group = check = None
         if len(matrix.rows) >= target_rows:
-            rank = matrix.bach_rank()
+            try:
+                group = class_group_from_relations(matrix)
+                check = f"h={group.class_number}"
+            except RankDeficient as e:
+                check = f"short ({e})"
         if trials:
             logger.info("collect: trials=%d hits=%d rows=%d/%d%s", trials,
                         hits, len(matrix.rows), target_rows,
-                        "" if rank is None else " bach_rank=%d/%d" % rank)
-        if rank is not None and rank[0] == rank[1]:
+                        "" if check is None else " check=" + check)
+        if group is not None:
+            matrix.group = group
             break
         if trials >= cfg.trial_budget:
             stats.update(trials=trials, hits=hits,
@@ -348,7 +349,7 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
         pred = heuristic_probability(max(2, int(bound_b)), fb.bound)
         stats["hit_rate"] = rate
         stats["predicted_rate"] = pred
-        if rate > 0 and not (0.1 * pred <= rate <= 10 / max(pred, 1e-30)):
+        if rate > 0 and not (0.1 * pred <= rate <= 10 * pred):
             logger.info("smoothness hit rate %.3g vs heuristic %.3g "
                         "(advisory)", rate, pred)
     return matrix, stats

@@ -124,7 +124,7 @@ def test_factorbase_and_collect_subcommands(tmp_path, capsys, caplog):
     assert code == 0
     rows = [json.loads(l) for l in out.strip().splitlines()]
     assert len(rows) >= 8
-    progress = [r for r in caplog.records if "bach_rank" in r.getMessage()]
+    progress = [r for r in caplog.records if "check=" in r.getMessage()]
     assert progress  # trials/hits/rank streamed while collecting
 
 

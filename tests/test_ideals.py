@@ -113,7 +113,6 @@ def test_factor_base_examples(qi, q5):
     with pytest.raises(EmptyFactorBase):
         build_factor_base(q5, 1)
     assert fb.bach_bound == bach_bound(qi)
-    assert fb.bach_prefix == sum(1 for P in fb.primes if P.norm <= fb.bach_bound)
 
 
 @pytest.mark.parametrize("coeffs,basis,B", [

@@ -125,3 +125,31 @@ def test_multi_mode_ends_with_the_plain_answer(tmp_path):
         (rnd,) = multi.statistics["rounds"]
         target = rnd["K"] * multi.statistics["factor_base_size"]
         assert multi.statistics["relations"] < target + _WINDOW, name
+
+
+def test_one_round_when_the_group_reads_off_the_rows(tmp_path, monkeypatch):
+    # x^2 - x + 6 (D = -23) at B = 236, above its Bach bound 118: a stop on
+    # the rank of the columns below the Bach bound alone let multi mode hand
+    # over rows of rank 50 < 52 and lose a round; the stop check is now the
+    # class group itself
+    for seed in (0, 1, 3):
+        res = run(tmp_path, [6, -1, 1], seed=seed, B=236, mode="multi")
+        assert res.group.elementary_divisors == (3,), seed
+        assert len(res.statistics["rounds"]) == 1, seed
+        assert res.statistics["relations"] < 2 * 125, seed
+    # unit rank 0: one elimination per round, the stop check's, whose group
+    # is the one reported (seed 0 takes two rounds)
+    from classgroup import intlinalg
+    calls = []
+    inner = intlinalg.unit_eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return inner(rows)
+
+    monkeypatch.setattr(intlinalg, "unit_eliminate", counted)
+    for seed in (0, 84):
+        calls.clear()
+        res = run(tmp_path, [21, 0, 1], seed=seed)  # D = -84
+        assert res.group.elementary_divisors == (2, 2), seed
+        assert len(calls) == len(res.statistics["rounds"]), (seed, calls)
