@@ -51,9 +51,10 @@ def euler_residue(field, prime_bound):
     (p - 1)) in integers; it is left out when it is 1, as at a totally
     ramified p.  The residue degrees are the degree patterns of T mod p,
     all primes in one polynomials.degree_patterns pass (Stickelberger's
-    parity, and one Frobenius walk per block of primes), or, for primes
-    dividing the index, those of the prime ideals that factor_prime splits
-    off O_K/pO_K."""
+    parity, and per block of primes one Frobenius walk and the traces of
+    one Berlekamp matrix, which count the roots of T in each F_(p^d)), or,
+    for primes dividing the index, those of the prime ideals that
+    factor_prime splits off O_K/pO_K."""
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2")
     num, den = [], []

@@ -425,15 +425,14 @@ def _fit(m, d, odd):
     return [d, m - d] if m in (2 * d, 2 * d + 1) else None
 
 
-def _ddf(f, p, h=None, odd=None):
+def _ddf(f, p, odd=None):
     """Distinct-degree factorization of squarefree monic f: [(product, d)].
 
-    h runs through x^(p^d) mod f, as a coefficient list.  x^p is the given
-    h or one packed square-and-multiply (pmod_pow); each later power is
-    h -> sum_j h_j Q[j] with the Frobenius matrix Q[j] = x^(pj) mod f
-    (Cohen, GTM 138, Sec. 3.4), built when d = 2 is reached.  h stays
-    reduced mod f: the unsplit part v divides f, so gcd(h - x, v) is
-    unchanged.
+    h runs through x^(p^d) mod f, as a coefficient list.  x^p is one packed
+    square-and-multiply (pmod_pow); each later power is h -> sum_j h_j Q[j]
+    with the Frobenius matrix Q[j] = x^(pj) mod f (Cohen, GTM 138, Sec.
+    3.4), built when d = 2 is reached.  h stays reduced mod f: the unsplit
+    part v divides f, so gcd(h - x, v) is unchanged.
 
     odd, when given, is the parity of the number of irreducible factors of
     f.  Then the loop stops before degree d as soon as one partition of
@@ -454,8 +453,7 @@ def _ddf(f, p, h=None, odd=None):
             out.append((v, degree(v)))
             break
         if d == 1:
-            if h is None:
-                h = pmod_pow([0, 1], p, f, p)
+            h = pmod_pow([0, 1], p, f, p)
         else:
             if Q is None:
                 ring = _QuotientRing(f, p)
@@ -514,18 +512,18 @@ def _edf(f, d, p, rng):
         f"{EDF_TRIES} tries")
 
 
-def _sqf_ddf(T, p, disc, h=None, odd=None):
+def _sqf_ddf(T, p, disc, odd=None):
     """[(part, d, m)]: T mod p is the product of part^m, and part is the
     product of the distinct degree-d irreducible factors of multiplicity m
     (or, with part None, one such factor; see _ddf).  When p does not
     divide disc = disc(T), T mod p is square-free and goes straight to the
-    distinct-degree factorization, with h = x^p mod (T, p) and the factor
-    count's parity odd when given."""
+    distinct-degree factorization, with the factor count's parity odd when
+    given."""
     f = pmod(T, p)
     if degree(f) != degree(T):
         raise ValueError("leading coefficient vanishes mod p (input not monic?)")
     if disc % p:
-        return [(part, d, 1) for part, d in _ddf(f, p, h, odd)]
+        return [(part, d, 1) for part, d in _ddf(f, p, odd)]
     return [(part, d, m) for g, m in _sqf_decomp_modp(f, p)
             for part, d in _ddf(g, p)]
 
@@ -613,17 +611,19 @@ def degree_patterns(T, primes, disc=None):
     ascending degrees of the distinct irreducible factors of monic T mod p.
 
     disc = disc(T) is computed when not given.  At odd p not dividing it,
-    Stickelberger's parity of the factor count (_factor_parity) lets the
-    distinct-degree factorization stop as soon as one partition of the
-    unsplit degree fits it (_ddf): a quadratic, and a cubic with
-    (disc/p) = -1, need no Frobenius power at all.  Where such a p > deg T
-    needs x^p mod (T, p), the primes that do are walked in blocks of
-    _WALK_BLOCK (_frobenius_walk); the patterns from the first of them on
-    are held until their block is walked.  At p = 2, at p <= deg T and at
-    p | disc, x^p is one packed power, preceded at p | disc by the
-    square-free decomposition.  Every pattern is checked: the degrees with
-    their multiplicities sum to deg T, and where the parity is known the
-    count has it; otherwise VerificationFailed."""
+    Stickelberger's parity of the factor count (_factor_parity) settles the
+    pattern as soon as one partition of the unsplit degree fits it (_fit):
+    a quadratic, and a cubic with (disc/p) = -1, need no Frobenius power at
+    all.  The other such p > deg T go in blocks of _WALK_BLOCK: one walk
+    gives their x^p mod (T, p) (_frobenius_walk), and the traces of one
+    Berlekamp matrix modulo their product count their factors
+    (_frobenius_traces, _traced_pattern); the patterns from the first of
+    them on are held until their block is done.  At p = 2, at p <= deg T
+    and at p | disc, the pattern comes from the distinct-degree
+    factorization (_ddf), preceded at p | disc by the square-free
+    decomposition.  Every pattern is checked: the degrees with their
+    multiplicities sum to deg T, and where the parity is known the count
+    has it; otherwise VerificationFailed."""
     if disc is None:
         disc = discriminant(T)
     n = degree(T)
@@ -640,25 +640,114 @@ def degree_patterns(T, primes, disc=None):
             continue
         held.append((p, odd, fit))
         if len(walk) == _WALK_BLOCK:
-            yield from _walked(T, disc, held, walk)
+            yield from _walked(T, held, walk)
             held, walk = [], []
     if walk:
-        yield from _walked(T, disc, held, walk)
+        yield from _walked(T, held, walk)
 
 
-def _walked(T, disc, held, walk):
+def _walked(T, held, walk):
     """The held (p, odd, pattern or None) in order, the missing patterns
-    taken with x^p from one walk over the primes in walk."""
-    hs = iter(_frobenius_walk(T, walk))
+    read off the Frobenius traces of one walk over the primes in walk."""
+    traces = _frobenius_traces(T, walk, _frobenius_walk(T, walk))
+    traced = []  # traced[d - 1][i]: roots of T in F_(p^d), p = walk[i]
+
+    def roots(d, i):
+        while len(traced) < d:
+            traced.append(next(traces))
+        return traced[d - 1][i]
+
+    i = 0
     for p, odd, fit in held:
-        yield fit if fit is not None else _pattern(T, p, disc, odd, next(hs))
+        if fit is None:
+            fit = _traced_pattern(T, p, odd, lambda d: roots(d, i))
+            i += 1
+        yield fit
 
 
-def _pattern(T, p, disc, odd, h=None):
+def _frobenius_traces(T, primes, hs):
+    """Yields [Tr(Q^d) mod p for p in primes] for d = 1, 2, ..., where Q is
+    Berlekamp's matrix of T mod p, row j = x^(pj) mod (T, p): the matrix of
+    the Frobenius of F_p[x]/(T).  When T mod p is square-free and p > deg T,
+    Tr(Q^d) mod p is the number of roots of T in F_(p^d): an irreducible
+    factor of degree e adds e when e | d and 0 otherwise.
+
+    One Q serves the block.  The x^p mod (T, p) in hs are joined by CRT
+    into H modulo M, the product of the primes, and row j is H^j mod (T, M)
+    (T is monic); then Tr(Q^d) = sum_ij (Q^a)_ij (Q^b)_ji with b = d // 2
+    and a = d - b, so each odd d past 1 costs one matrix product mod M."""
+    n = degree(T)
+    M = 1
+    for p in primes:
+        M *= p
+    H = [0] * n
+    for p, h in zip(primes, hs):
+        e = M // p
+        e *= pow(e, -1, p)
+        for k, c in enumerate(h):
+            H[k] += c * e
+    ring = _QuotientRing([c % M for c in T], M)
+    rows = [1, ring.pack([c % M for c in H])]
+    while len(rows) < n:
+        rows.append(ring.reduce(rows[-1] * rows[1]))
+
+    def matrix(packed):
+        return [(ring.unpack(r) + [0] * n)[:n] for r in packed]
+
+    Q = matrix(rows)
+    powers = [None, Q]  # powers[a] = Q^a mod M
+    d = 0
+    while True:
+        d += 1
+        b = d // 2
+        a = d - b
+        if a == len(powers):
+            # row i of Q^a is sum_k (Q^(a-1))_ik Q[k], one packed sum
+            powers.append(matrix(
+                ring.reduce(sum(c * r for c, r in zip(row, rows)))
+                for row in powers[-1]))
+        if b == 0:
+            t = sum(Q[i][i] for i in range(n))
+        else:
+            t = sum(x * y for row, col in zip(powers[a], zip(*powers[b]))
+                    for x, y in zip(row, col))
+        yield [t % p for p in primes]
+
+
+def _traced_pattern(T, p, odd, roots):
+    """degree_pattern at a walked prime p, from roots(d), the number R_d of
+    roots of T in F_(p^d): T has c_d = (R_d - sum_(e | d, e < d) e c_e) / d
+    irreducible factors of degree d, each a non-negative integer.  d goes
+    only as far as in _ddf: it stops once a partition of the unsplit degree
+    fits the parity odd (_fit), or once 2d exceeds it.  The pattern is
+    checked by _check_factor_count."""
+    pattern = []
+    m = degree(T)
+    d = 0
+    while m > 0:
+        d += 1
+        fit = _fit(m, d, (odd + len(pattern)) % 2)
+        if fit is not None:
+            pattern += fit
+            break
+        if 2 * d > m:
+            pattern.append(m)
+            break
+        # pattern holds each factor of degree e < d once: e c_e in all
+        c, r = divmod(roots(d) - sum(e for e in pattern if d % e == 0), d)
+        if r or c < 0:
+            raise VerificationFailed(f"lost factors of T mod {p}")
+        pattern += [d] * c
+        m -= d * c
+    _check_factor_count(T, p, [(e, 1) for e in pattern], odd)
+    return pattern
+
+
+def _pattern(T, p, disc, odd):
     """degree_pattern at one prime from the distinct-degree factorization,
-    with x^p = h when given and the count's parity odd when known, checked
-    by _check_factor_count."""
-    irreducibles = [(d, m) for part, d, m in _sqf_ddf(T, p, disc, h, odd)
+    with the count's parity odd when known, checked by
+    _check_factor_count."""
+    irreducibles = [(d, m) for part, d, m in _sqf_ddf(T, p, disc, odd)
                     for _ in range(1 if part is None else degree(part) // d)]
     _check_factor_count(T, p, irreducibles, odd)
     return sorted(d for d, _ in irreducibles)

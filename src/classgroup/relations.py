@@ -277,8 +277,10 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     t with exponent 1.  The group is tried between windows of at most
     _WINDOW trials; a window ends after the first trial that leaves
     rows >= target, trials >= |base| and a row added in the window.
-    Deterministic for a fixed (field, fb, cfg) including seed; every trial
-    runs on the calling thread, and cfg.threads has no effect."""
+    stats "hit_rate" is the share of trials that gave at least one row, a
+    probability like "predicted_rate".  Deterministic for a fixed
+    (field, fb, cfg) including seed; every trial runs on the calling
+    thread, and cfg.threads has no effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
     free = 0
@@ -297,6 +299,7 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
         target_rows = cfg.multiplier_K * fb.size
     trials = 0
     hits = 0
+    productive = 0  # trials that gave at least one row
     stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode}
     while True:
         # the one stop check, at the row target; RankDeficient: collect on
@@ -326,8 +329,8 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                                       trials if trials < fb.size else None)
             cap = max(1, target_rows - len(matrix.rows))
             # a module-global lookup, so a replaced deriver takes effect
-            rels = derive_relations(idxs, exps, cfg, field, fb, cap)
-            for x, prime_exps in rels[:cap]:
+            rels = derive_relations(idxs, exps, cfg, field, fb, cap)[:cap]
+            for x, prime_exps in rels:
                 if not verify_relation(x, prime_exps, field):
                     raise VerificationFailed(
                         f"relation from trial {trials} failed exact "
@@ -335,13 +338,14 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                 matrix.add(x, prime_exps,
                            (trials, cfg.mode, tuple(idxs), tuple(exps)))
                 hits += 1
+            productive += bool(rels)
             trials += 1
             rows = len(matrix.rows)
             if rows >= target_rows and trials >= fb.size and rows > start:
                 break
     stats.update(trials=trials, hits=hits, rows=len(matrix.rows))
     if trials:
-        rate = hits / trials
+        rate = productive / trials
         n = field.degree
         beta = max(2, min(cfg.beta, n))
         bound_b = math.exp((n * (n - 1)) / (2 * (beta - 1)) * math.log(beta)) \

@@ -178,11 +178,14 @@ def test_euler_residue_pinned_beyond_the_ladder():
     assert repr(euler_residue(dedekind, 10 ** 4)) == "1.9737379006249138"
 
 
-# cubics (one with a huge constant term), cyclotomics up to degree 12,
-# x^5 - 2 and x^6 - x + 1 (disc(T) has the primes 2, 5 and 101, 431), a
-# quadratic, and Dedekind's cubic, whose T is x^2 (x + 1) mod 2
+# cubics (one with a huge constant term), cyclotomics up to degree 12
+# (x^8 + 1, whose traces reach R_3 at p = 3, 5, 11, 13 mod 16, and
+# x^6 + x^3 + 1 among them), x^5 - 2 and x^6 - x + 1 (disc(T) has the
+# primes 2, 5 and 101, 431), a quadratic, and Dedekind's cubic, whose T is
+# x^2 (x + 1) mod 2
 _PATTERN_POLYS = [[-1, -1, 0, 1], [-1, -3, 0, 1], [-999999, 0, 0, 1],
-                  [1] * 5, [1] * 7, [1] * 13, [-2, 0, 0, 0, 0, 1],
+                  [1] * 5, [1] * 7, [1] * 13, [1, 0, 0, 0, 0, 0, 0, 0, 1],
+                  [1, 0, 0, 1, 0, 0, 1], [-2, 0, 0, 0, 0, 1],
                   [1, -1, 0, 0, 0, 0, 1], [250001, -1, 1], [-8, -2, -1, 1]]
 
 
@@ -246,10 +249,11 @@ print(sorted(poly.degree(g) for g, _ in poly.factor_mod_p(T, 5)))
 # a distinct-degree factorization that reports the linear and the quadratic
 # factor mod 5 as one degree-3 part keeps the degree sum, but (-23/5) = -1
 # asks for an even number of factors
-poly._ddf = lambda f, p, h=None, odd=None: [(f, 3)]
+poly._ddf = lambda f, p, odd=None: [(f, 3)]
 rejected(lambda: poly.factor_mod_p(T, 5))
-# (-23/13) = 1 asks for an odd number, so a reported [1, 2] is rejected
-poly._ddf = lambda f, p, h=None, odd=None: [(None, 1), (None, 2)]
+# (-23/13) = 1 asks for an odd number, so one root in F_13, which leaves
+# the pattern [1, 2], is rejected
+poly._frobenius_traces = lambda T, primes, hs: iter([[1] * len(primes)])
 rejected(lambda: poly.degree_pattern(T, 13))
 """
 
@@ -258,6 +262,36 @@ def test_factor_count_parity_survives_python_O():
     lines = run_under_O(_MERGED_UNDER_O)
     assert lines == ["[1, 2]", "rejected: lost factors of T mod 5",
                      "rejected: lost factors of T mod 13"], lines
+
+
+_OFF_BY_ONE_UNDER_O = """
+from classgroup import polynomials as poly
+from classgroup.analytic import euler_residue
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+traces = poly._frobenius_traces
+
+def off_by_one(T, primes, hs):
+    # zeta7 mod 13 is three quadratics: R_2 = 6 roots in F_(13^2), read as 7
+    for d, R in enumerate(traces(T, primes, hs), 1):
+        yield [r + (d == 2 and p == 13) for p, r in zip(primes, R)]
+
+K = parse_field([1] * 7)
+print(poly.degree_pattern(K.poly, 13))
+poly._frobenius_traces = off_by_one
+try:
+    euler_residue(K, 100)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_frobenius_trace_off_by_one_survives_python_O():
+    # 7 roots in F_(13^2) would make c_2 = 7/2 quadratic factors
+    lines = run_under_O(_OFF_BY_ONE_UNDER_O)
+    assert lines == ["[2, 2, 2]", "rejected: lost factors of T mod 13"], lines
 
 
 _DROP_UNDER_O = """

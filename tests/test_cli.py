@@ -128,6 +128,18 @@ def test_factorbase_and_collect_subcommands(tmp_path, capsys, caplog):
     assert progress  # trials/hits/rank streamed while collecting
 
 
+def test_multi_mode_hit_rate_is_a_share_of_trials(tmp_path, capsys):
+    # x^2 + 5 at seed 3: 6 trials give 10 rows, from every trial at least
+    # one; the hit rate is that share, not rows per trial
+    path = field_file(tmp_path, [5, 0, 1])
+    code, out, err = run_cli(capsys, ["collect", path, "--mode", "multi",
+                                      "--seed", "3"])
+    assert code == 0
+    stats = json.loads(err.strip().splitlines()[-1])
+    assert (stats["trials"], stats["hits"], stats["rows"]) == (6, 10, 14)
+    assert stats["hit_rate"] <= 1, stats
+
+
 def test_compute_determinism_and_threads(tmp_path, capsys):
     path = field_file(tmp_path, [5, 0, 1])
 
