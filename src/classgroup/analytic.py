@@ -97,9 +97,13 @@ def _balanced_product(xs):
 
 
 def count_roots_of_unity(field):
-    """Number of torsion units: lattice points of sigma(O_K) with squared
-    norm exactly n (all conjugates on the unit circle), filtered by an exact
+    """Number of torsion units.  A real place maps the roots of unity
+    injectively into {1, -1}, so a field with r1 > 0 has exactly 2.
+    Otherwise they are the lattice points of sigma(O_K) with squared norm
+    exactly n (all conjugates on the unit circle), filtered by an exact
     power test x^m = 1 over candidate orders m with phi(m) | n."""
+    if field.signature[0]:
+        return 2
     n = field.degree
     L = ideal_lattice(unit_ideal(field), field)
     s = L.scale_bits

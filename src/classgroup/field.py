@@ -11,12 +11,17 @@ whose row j holds the coordinates of omega_j*omega_i, through
 `combine_columns`.  Element products, norms, ideal products and the mod-p
 algebra of the ideals module all go through it.
 
-Real arithmetic is interval arithmetic (mpmath's interval context) at a
-per-field precision.  Root enclosures are certified: every root, real or
-complex, gets an exact-rational Newton disk of radius n*|T(z)/T'(z)| around
-a high-precision approximation, and the n disks, conjugates included, are
-checked pairwise disjoint, so each provably holds one simple root.  The r1
-disks centred on the real axis (r1 from a Sturm count) hold the real roots.
+Root enclosures are certified in integers: every root, real or complex,
+gets a Newton disk of radius n*|T(c)/T'(c)|, computed exactly at a centre c
+with a power-of-two denominator, around an approximation from a fixed-point
+Aberth iteration and a Newton polish.  The n disks, conjugates included,
+are checked pairwise disjoint, so each provably holds one simple root, and
+the r1 disks centred on the real axis (r1 from a Sturm count) hold the real
+roots.  The embedding table of the integral basis is exact at the disk
+centres, with a bound for the disk radius.  mpmath's interval arithmetic
+remains in two places: the interval view of the disks and of sigma(x)
+(root_balls, embedding_data, canonical_embedding), against which the table
+is tested, and the logarithms of unit logs (analytic.log_embedding).
 
 Embedding convention: a complex conjugate pair contributes the two real
 coordinates (sqrt(2)*Re, sqrt(2)*Im), which makes det sigma(O_K) equal to
@@ -38,17 +43,9 @@ from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
                      PrecisionExhausted, Reducible)
 
 _GUARD_BITS = 64
-
-
-def _frac_sqrt_upper(q, bits):
-    """Rational upper bound on sqrt of a nonnegative Fraction, with absolute
-    slack below 2^-bits."""
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    num = q.numerator * scale * scale
-    r = math.isqrt(num // q.denominator) + 1
-    return Fraction(r, scale)
+_ABERTH_BITS = 64  # the Aberth iteration's first working precision
+_ABERTH_STEPS = 200
+_NEWTON_STEPS = 40
 
 
 def det_fractions(mat):
@@ -169,8 +166,8 @@ class NumberField:
             [[x.numerator * den // x.denominator for x in row] for row in inv],
             den)
         self._mult_table = self._build_mult_table()
-        self._iv = MPIntervalContext()
-        self._iv.prec = self.precision + _GUARD_BITS
+        self._iv = None
+        self._disks = None
         self._roots = None
         self._embedding_table = None
         self._doubled = None
@@ -246,60 +243,80 @@ class NumberField:
 
     @property
     def iv(self):
+        """mpmath's interval context at the field precision plus guard bits,
+        built on first use: only unit logs and the interval view of the
+        embedding need it."""
+        if self._iv is None:
+            self._iv = MPIntervalContext()
+            self._iv.prec = self.precision + _GUARD_BITS
         return self._iv
 
+    def root_disks(self):
+        """The certified root disks in canonical order, as (disks, bits):
+        each (A, B, R) is the disk of centre (A + iB)/2^bits and radius
+        R/2^bits, and holds exactly one root of T; real roots descending
+        (B = 0), then one disk per conjugate pair (B > 0) by descending
+        real part."""
+        if self._disks is None:
+            self._disks = self._certify_roots()
+        return self._disks
+
     def root_balls(self):
-        """Certified enclosures for all n embeddings, in canonical order:
-        real roots descending, then one representative per conjugate pair
-        (positive imaginary part) by descending real part."""
+        """Interval view of root_disks: the real interval around each centre
+        and, for a pair, the imaginary one, both of the disk's radius."""
         if self._roots is None:
-            self._roots = self._certify_roots()
+            disks, bits = self.root_disks()
+            den = 1 << bits
+            self._roots = [
+                _RootBall(self.frac_iv(Fraction(a - r, den),
+                                       Fraction(a + r, den)),
+                          None if b == 0 else
+                          self.frac_iv(Fraction(b - r, den),
+                                       Fraction(b + r, den)))
+                for a, b, r in disks]
         return self._roots
 
     def _certify_roots(self):
-        """Newton disks around mpmath.polyroots' approximations.  The r1
-        approximations of smallest |Im| are centred on the real axis, the
-        others with Im > 0 stand for the conjugate pairs, and each disk has
-        the exact rational radius n*|T(z)/T'(z)|, so it holds a root of T.
-        When all n disks, conjugates included, are pairwise disjoint (which
-        keeps each complex disk off the real axis), each holds exactly one
-        root, and a disk centred on R holds a real one because it is closed
-        under conjugation.  Each disk must also be narrower than
-        2^-(precision+32).  A failed certificate retries at doubled working
-        precision, up to 4 attempts."""
+        """Newton disks around the roots of T, in integers.  Approximations
+        come from Aberth's iteration on fixed-point Gaussian integers at
+        2^-w, w = 64, then a Newton polish at 2^-bits, bits =
+        precision + 128.  The r1 approximations of smallest |Im| are centred
+        on the real axis, the others with Im > 0 stand for the conjugate
+        pairs, and each disk has radius n*|T(c)/T'(c)|, from the exact
+        values of T and T' at its centre c, rounded up, so it holds a root
+        of T.  When all n disks, conjugates included, are pairwise disjoint
+        (which keeps each complex disk off the real axis), each holds
+        exactly one root, and a disk centred on R holds a real one because
+        it is closed under conjugation.  Each disk must also be narrower
+        than 2^-(precision+32).  A failed certificate retries with w and
+        bits doubled, up to 4 attempts, so that roots closer than 2^-64
+        separate."""
         n = self.degree
         r1, r2 = self.signature
         T = list(self.poly)
         dT = poly.derivative(T)
-        wprec = self._iv.prec
-        width = Fraction(1, 1 << (self.precision + _GUARD_BITS // 2))
-        # the radius' rounding slack stays far below the disk widths
-        bits = max(320, self.precision + 2 * _GUARD_BITS)
         for attempt in range(4):
-            with mpmath.workprec(wprec << attempt):
-                try:
-                    approx = mpmath.polyroots(
-                        [mpmath.mpf(c) for c in reversed(T)], maxsteps=200,
-                        extraprec=wprec)
-                except mpmath.libmp.NoConvergence:
-                    continue
-            approx.sort(key=lambda z: abs(mpmath.im(z)))
-            centres = [(_exact(mpmath.re(z)._mpf_), Fraction(0))
-                       for z in approx[:r1]]
-            centres += [(_exact(mpmath.re(z)._mpf_),
-                         _exact(mpmath.im(z)._mpf_))
-                        for z in approx[r1:] if mpmath.im(z) > 0]
+            w = _ABERTH_BITS << attempt
+            bits = (self.precision + 2 * _GUARD_BITS) << attempt
+            approx = sorted(_aberth(T, w), key=lambda z: abs(z[1]))
+            centres = [(x, 0) for x, _ in approx[:r1]]
+            centres += [z for z in approx[r1:] if z[1] > 0]
             if len(centres) != r1 + r2:
                 continue
+            width = 1 << (bits - self.precision - _GUARD_BITS // 2)
             disks = []
-            for a, b in centres:
-                tv = _eval_complex_rational(T, a, b)
-                dv = _eval_complex_rational(dT, a, b)
-                d2 = dv[0] ** 2 + dv[1] ** 2
+            for x, y in centres:
+                a, b = _newton(T, dT, x << (bits - w), y << (bits - w), bits)
+                if r1 <= len(disks) and b <= 0:
+                    break  # a pair's centre left the upper half plane
+                # t = 2^(bits n) T(c) and d = 2^(bits (n-1)) T'(c), so the
+                # radius is n|t|/|d| over 2^bits; r rounds it up
+                tr, ti = _horner_exact(T, a, b, bits)
+                dr, di = _horner_exact(dT, a, b, bits)
+                d2 = dr * dr + di * di
                 if d2 == 0:
                     break
-                r = _frac_sqrt_upper(n * n * (tv[0] ** 2 + tv[1] ** 2) / d2,
-                                     bits)
+                r = math.isqrt(-(-n * n * (tr * tr + ti * ti) // d2)) + 1
                 if 2 * r >= width:
                     break
                 disks.append((a, b, r))
@@ -311,17 +328,13 @@ class NumberField:
                    for a2, b2, s in every[i + 1:]):
                 reals = sorted(disks[:r1], reverse=True)
                 pairs = sorted(disks[r1:], key=lambda d: (-d[0], d[1]))
-                return ([_RootBall(self.frac_iv(a - r, a + r))
-                         for a, _, r in reals] +
-                        [_RootBall(self.frac_iv(a - r, a + r),
-                                   self.frac_iv(b - r, b + r))
-                         for a, b, r in pairs])
+                return reals + pairs, bits
         raise PrecisionExhausted(
             "root disks failed certification after 4 attempts")
 
     def frac_iv(self, lo, hi):
         """Interval enclosing the exact rationals [lo, hi]."""
-        ctx = self._iv
+        ctx = self.iv
         a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
         b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
         return ctx.mpf([a.a, b.b])
@@ -331,18 +344,19 @@ class NumberField:
         assert x.field is self or x.field.poly == self.poly
         pb = x.to_power_basis()
         reals, cplx = [], []
-        zero = self._iv.mpf(0)
+        zero = self.iv.mpf(0)
         for ball in self.root_balls():
             if ball.is_real:
-                reals.append(_eval_poly_civ(self._iv, pb, ball.re, zero)[0])
+                reals.append(_eval_poly_civ(self.iv, pb, ball.re, zero)[0])
             else:
-                cplx.append(_eval_poly_civ(self._iv, pb, ball.re, ball.im))
+                cplx.append(_eval_poly_civ(self.iv, pb, ball.re, ball.im))
         return reals, cplx
 
     def canonical_embedding(self, x):
         """The n real coordinates (sigma_1..sigma_r1, then sqrt2*Re, sqrt2*Im
-        per conjugate pair), as intervals at the field precision."""
-        ctx = self._iv
+        per conjugate pair), as intervals at the field precision: the
+        interval view, against which the integer table is tested."""
+        ctx = self.iv
         reals, cplx = self.embedding_data(x)
         sqrt2 = ctx.sqrt(ctx.mpf(2))
         out = list(reals)
@@ -358,19 +372,61 @@ class NumberField:
 
     def embedding_table(self):
         """Scaled-integer canonical embedding of the integral basis, built
-        from canonical_embedding on first use: (centres, radii, guard) with
+        on first use: (centres, radii, guard) with
         |2^(precision+guard) * sigma_j(omega_i) - centres[i][j]| <= radii[i][j]
-        for coordinate j of basis element omega_i."""
+        for coordinate j of basis element omega_i.
+
+        Each entry is exact up to the root disk: omega_i is the polynomial
+        P = sum b_k x^k of its power-basis row, its value at the disk centre
+        c is computed exactly from the powers of c, and |P(c) - P(rho)| <=
+        r * sum |k b_k| (|c| + r)^(k-1) for the root rho within r of c.  At a
+        pair, sqrt(2) times each end of the enclosures of Re and Im is
+        rounded outward with isqrt.  An entry wider than 2^-precision
+        relative to 1 + |value| raises PrecisionExhausted."""
         if self._embedding_table is None:
-            scale = 1 << (self.precision + _GUARD_BITS)
-            n = self.degree
-            rows = [[iv_scaled(v, scale) for v in self.canonical_embedding(
-                self.element([int(i == k) for k in range(n)]))]
-                for i in range(n)]
-            self._embedding_table = ([[c for c, _ in row] for row in rows],
-                                     [[r for _, r in row] for row in rows],
-                                     _GUARD_BITS)
+            self._embedding_table = self._build_embedding_table()
         return self._embedding_table
+
+    def _build_embedding_table(self):
+        n, prec = self.degree, self.precision
+        scale = prec + _GUARD_BITS
+        disks, bits = self.root_disks()
+        d = n - 1
+        rows = []
+        for brow in self.basis:
+            den = math.lcm(*(x.denominator for x in brow))
+            rows.append(([x.numerator * (den // x.denominator) for x in brow],
+                         den << (bits * d)))
+        # per place, c^k and the error weights k r (|c| + r)^(k-1), all
+        # over 2^(bits d)
+        places = []
+        for a, b, r in disks:
+            m = math.isqrt(a * a + b * b) + 1 + r
+            re, im, mk = 1, 0, r
+            powers, weights = [(1 << (bits * d), 0)], [0]
+            for k in range(1, n):
+                powers.append((re * a - im * b << bits * (d - k),
+                               re * b + im * a << bits * (d - k)))
+                re, im = re * a - im * b, re * b + im * a
+                weights.append(k * mk << bits * (d - k))
+                mk *= m
+            places.append((b != 0, powers, weights))
+        centres, radii = [], []
+        for beta, q in rows:
+            crow, rrow = [], []
+            for cplx, powers, weights in places:
+                err = sum(abs(c) * e for c, e in zip(beta, weights))
+                for part in range(1 + cplx):  # Re, and Im at a pair
+                    v = sum(c * z[part] for c, z in zip(beta, powers))
+                    c, rad = _enclose(v, err, q, scale, cplx)
+                    if 2 * rad > (1 << _GUARD_BITS) + (abs(c) >> prec):
+                        raise PrecisionExhausted(
+                            "embedding entry wider than 2^-precision")
+                    crow.append(c)
+                    rrow.append(rad)
+            centres.append(crow)
+            radii.append(rrow)
+        return centres, radii, _GUARD_BITS
 
     def embed(self, x):
         """sigma(x) for integer coordinates x, as (V, R): since sigma is
@@ -409,12 +465,146 @@ def iv_scaled(interval, scale):
     return c, max(math.ceil(hi) - c, c - math.floor(lo))
 
 
-def _eval_complex_rational(coeffs, a, b):
-    """Evaluate an integer polynomial at a+bi with exact rationals."""
-    re, im = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        re, im = re * a - im * b + c, re * b + im * a
+def _fixed_horner(scaled, x, y, w):
+    """T(z) and T'(z) at z = (x + iy)/2^w in fixed point, for T given by its
+    coefficients times 2^w (a monic T's leading one too); each product is
+    floored to 2^-w, and the values come back times 2^w."""
+    pr, pi, dr, di = scaled[-1], 0, 0, 0
+    for c in reversed(scaled[:-1]):
+        dr, di = ((dr * x - di * y) >> w) + pr, ((dr * y + di * x) >> w) + pi
+        pr, pi = ((pr * x - pi * y) >> w) + c, (pr * y + pi * x) >> w
+    return pr, pi, dr, di
+
+
+def _start_points(T, w):
+    """Bini's starting points for the Aberth iteration, at scale 2^w: for
+    each edge k0 < k1 of the upper convex hull of the points (k,
+    log2|T_k|), k1 - k0 points on the circle of radius
+    |T_k0 / T_k1|^(1/(k1 - k0)), at angles offset from each other's."""
+    n = len(T) - 1
+    hull = []
+    for k, lg in ((k, math.log2(abs(c))) for k, c in enumerate(T) if c):
+        # the last point leaves the hull when on or below the new chord
+        while len(hull) > 1:
+            (k0, l0), (k1, l1) = hull[-2:]
+            if (k1 - k0) * (lg - l0) < (l1 - l0) * (k - k0):
+                break
+            hull.pop()
+        hull.append((k, lg))
+    zs = []
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        u = 2 ** ((l0 - l1) / (k1 - k0))
+        for j in range(k1 - k0):
+            t = 2 * math.pi * (j / (k1 - k0) + k0 / n) + 0.4
+            zs.append((int(math.ldexp(u * math.cos(t), w)),
+                       int(math.ldexp(u * math.sin(t), w))))
+    return zs + [(0, 1 << w)] * (n - len(zs))
+
+
+def _aberth(T, w):
+    """Approximations to the n roots of the monic integer polynomial T, as
+    Gaussian integers (x, y) standing for (x + iy)/2^w: Aberth's iteration
+    z_k -= N_k / (1 - N_k sum_(j != k) 1/(z_k - z_j)), N_k = T(z_k)/T'(z_k),
+    in fixed point from _start_points, each z_k updated in place.  A z_k
+    stops moving once |T(z_k)| is within the rounding noise of its
+    fixed-point Horner value, or its step is at most 2 units; the
+    iteration ends when every one has stopped, or after _ABERTH_STEPS
+    sweeps."""
+    n = len(T) - 1
+    scaled = [c << w for c in T]
+    one = 1 << w
+    zs = _start_points(T, w)
+    live = list(range(n))
+    for _ in range(_ABERTH_STEPS):
+        if not live:
+            break
+        moving = []
+        for k in live:
+            x, y = zs[k]
+            pr, pi, dr, di = _fixed_horner(scaled, x, y, w)
+            # T(z_k) counts as zero within 4n sum_(j<=n) |z_k|^j units, a
+            # multiple of the bound sqrt2 sum_(j<n) |z_k|^j on its rounding
+            m, e = 2 * max(abs(x), abs(y)), one
+            for _ in range(n):
+                e = ((e * m) >> w) + one
+            noise = (4 * n * e) >> w
+            p2 = pr * pr + pi * pi
+            if p2 <= noise * noise:
+                continue
+            # T'/T - sum_(j != k) 1/(z_k - z_j), then its inverse is the step
+            qr = ((dr * pr + di * pi) << w) // p2
+            qi = ((di * pr - dr * pi) << w) // p2
+            for xj, yj in zs:
+                ex, ey = x - xj, y - yj
+                e2 = ex * ex + ey * ey
+                if e2:  # z_k itself, or a coincident z_j the sweep moves
+                    qr -= (ex << 2 * w) // e2
+                    qi += (ey << 2 * w) // e2
+            q2 = qr * qr + qi * qi
+            if q2 == 0:
+                continue
+            cr, ci = (qr << 2 * w) // q2, (-qi << 2 * w) // q2
+            zs[k] = (x - cr, y - ci)
+            if abs(cr) + abs(ci) > 2:
+                moving.append(k)
+        live = moving
+    return zs
+
+
+def _newton(T, dT, x, y, w):
+    """Newton's iteration for T from (x + iy)/2^w in fixed point at 2^-w,
+    until a step is at most 2 units or after _NEWTON_STEPS; y = 0 stays
+    real."""
+    scaled = [c << w for c in T]
+    for _ in range(_NEWTON_STEPS):
+        pr, pi, dr, di = _fixed_horner(scaled, x, y, w)
+        d2 = dr * dr + di * di
+        if d2 == 0:
+            break
+        cr = ((pr * dr + pi * di) << w) // d2
+        ci = ((pi * dr - pr * di) << w) // d2
+        x, y = x - cr, y - ci
+        if abs(cr) + abs(ci) <= 2:
+            break
+    return x, y
+
+
+def _horner_exact(coeffs, a, b, w):
+    """2^(w deg) f(c) exactly, as Gaussian integers, for the integer
+    polynomial f and c = (a + ib)/2^w."""
+    re, im = coeffs[-1], 0
+    for k, c in enumerate(reversed(coeffs[:-1]), 1):
+        re, im = re * a - im * b + (c << w * k), re * b + im * a
     return re, im
+
+
+def _enclose(v, err, q, bits, root2):
+    """Integers (c, r) with |2^bits x - c| <= r for every x in
+    [(v - err)/q, (v + err)/q], or in sqrt(2) times it when root2: the ends
+    are rounded outward, first to 2^-(bits+64) when sqrt(2) follows."""
+    if root2:
+        g = _GUARD_BITS
+        lo = _floor_root2(((v - err) << bits + g) // q, g)
+        hi = _ceil_root2(-((-v - err << bits + g) // q), g)
+    else:
+        lo = ((v - err) << bits) // q
+        hi = -((-v - err << bits) // q)
+    c = (lo + hi) >> 1
+    return c, max(hi - c, c - lo)
+
+
+def _floor_root2(v, g):
+    """floor(sqrt(2) v / 2^g) for an integer v."""
+    if v < 0:
+        return -_ceil_root2(-v, g)
+    return math.isqrt(2 * v * v) >> g
+
+
+def _ceil_root2(v, g):
+    """ceil(sqrt(2) v / 2^g) for an integer v."""
+    if v <= 0:
+        return -_floor_root2(-v, g)
+    return -(-(math.isqrt(2 * v * v - 1) + 1) >> g)
 
 
 def _eval_poly_civ(ctx, coeffs, re, im):

@@ -400,6 +400,15 @@ def test_roots_of_unity_matches_direct_search(qi, sqrt2, cubic):
         assert count_roots_of_unity(K) == torsion_count_direct(K)
 
 
+def test_roots_of_unity_at_a_real_place_need_no_lattice(monkeypatch):
+    # a real place maps the roots of unity into {1, -1}
+    def enumerate_gram(*args, **kwargs):
+        raise AssertionError("enumerated a field with a real place")
+    monkeypatch.setattr(analytic, "enumerate_gram", enumerate_gram)
+    for coeffs in ([-2, 0, 1], [-1, -1, 0, 1], [-1, -3, 0, 1]):
+        assert count_roots_of_unity(parse_field(coeffs)) == 2
+
+
 def _pipeline(K, B, seed):
     fb = build_factor_base(K, B)
     cfg = CollectionConfig(bound_B=B, k=min(2, fb.size), A=2, beta=2,

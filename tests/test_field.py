@@ -132,7 +132,13 @@ _ROOT_FIELDS = [
     [1, -4, -10, 10, 15, -6, -7, 1, 1],  # Q(zeta17)^+
     [-3, 0, 0, 0, 0, 0, 0, 0, 1],        # x^8 - 3
     [-2, 400, -20000, 0, 0, 1],          # Mignotte: real roots 1.4e-7 apart
+    # x^5 - 2(10^5 x - 1)^2 and x^5 - 2(10^7 x - 1)^2: real roots about
+    # 2^-57 and 2^-81 apart, closer than a double-precision start resolves
+    [-2, 400000, -20000000000, 0, 0, 1],
+    [-2, 40000000, -200000000000000, 0, 0, 1],
 ]
+# x^2 + 4 presents Q(i) with the basis {1, theta/2}
+_BASES = {(4, 0, 1): [[1, 0], [0, Fraction(1, 2)]]}
 
 
 @pytest.mark.parametrize("coeffs", _ROOT_FIELDS)
@@ -182,9 +188,10 @@ def test_combine_columns_takes_its_length_from_the_columns():
     assert combine_columns([(1, 2)], [0]) == [0, 0]
 
 
-@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [1, 1, 1, 1, 1, 1, 1]])
+@pytest.mark.parametrize("coeffs", [[-1, -1, 0, 1], [1, 1, 1, 1, 1, 1, 1]]
+                         + _ROOT_FIELDS + [[4, 0, 1]])
 def test_embed_encloses_canonical_embedding(coeffs):
-    K = parse_field(coeffs)
+    K = parse_field(coeffs, basis=_BASES.get(tuple(coeffs)))
     scale = 1 << (K.precision + K.embedding_table()[2])
     rng = random.Random(7)
     for _ in range(10):
