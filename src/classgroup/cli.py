@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic, params
-from .errors import ClassGroupError, Stalled, ZeroVolume
+from .errors import BoundTooLarge, ClassGroupError, Stalled, ZeroVolume
 from .field import load_field_file
 from .ideals import build_factor_base
 from .intlinalg import left_kernel
@@ -43,6 +43,9 @@ EXIT_STALLED = 3
 EXIT_INPUT = 4
 
 MAX_ROUNDS = 5
+# the largest factor-base bound the prime sieve is asked to hold; above
+# every bound in use (Q(zeta23)'s desk floor is 9.3e6)
+MAX_BOUND = 10 ** 8
 
 
 @dataclass
@@ -93,15 +96,24 @@ def _desk_bound_floor(field):
     span the whole unit-log lattice, hence the rank-dependent cushion."""
     r1, r2 = field.signature
     unit_rank = r1 + r2 - 1
-    return max(12 + 10 * unit_rank, math.ceil(field.minkowski_bound()) + 1)
+    mink = field.minkowski_bound()  # inf beyond the float range
+    return max(12 + 10 * unit_rank,
+               math.ceil(mink) + 1 if math.isfinite(mink) else mink)
 
 
 def _bound_and_block(field, B, beta):
     """Factor-base bound and BKZ block size of `compute` and `collect`: the
     given values, else the parameter plan's, with B raised to the desk floor;
-    beta is clamped to 2..degree."""
+    beta is clamped to 2..degree.  A B above MAX_BOUND raises BoundTooLarge
+    before any sieve runs."""
     plan = params.select_params(field)
     B = B or max(plan.B, _desk_bound_floor(field))
+    if B > MAX_BOUND:
+        raise BoundTooLarge(
+            f"factor-base bound B = {B:.4g} (|disc| has "
+            f"{len(str(abs(field.discriminant)))} digits) is above "
+            f"{MAX_BOUND:.0e}, more than the prime sieve can hold; the field "
+            "file needs an integral basis of O_K")
     return B, max(2, min(beta or plan.beta_block, field.degree))
 
 

@@ -32,6 +32,10 @@ class BasisNotMaximal(ClassGroupError):
         super().__init__(f"integral basis is not maximal at {p}")
 
 
+class BoundTooLarge(ClassGroupError):
+    """The factor-base bound is beyond what the prime sieve can hold."""
+
+
 class PrecisionExhausted(ClassGroupError):
     """Interval widths exceed the tolerance required by the operation; the
     caller must retry at a higher precision."""

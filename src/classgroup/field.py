@@ -5,6 +5,13 @@ integral basis given over the power basis of a root theta.  When no basis is
 supplied the equation order Z[theta] is assumed maximal (the caller asserts
 this; all bundled test fields satisfy it).
 
+Irreducibility is checked in time polynomial in the size of T: degree 1 or
+2 left open by the degree patterns (polynomials.check_irreducible) is
+settled on the certified root disks, so degrees up to 5 are settled in
+full.  A large T parses; without a basis, Z[theta] stands for O_K and
+`compute` stops with exit code 4 once its Minkowski bound is beyond the
+prime sieve (cli.MAX_BOUND).
+
 Elements multiply one way: by the field's integer structure constants,
 whose row j holds the coordinates of omega_j*omega_i, through
 `NumberField.mult_columns` (the columns of multiplication by x) and
@@ -30,6 +37,7 @@ integral x is an integer combination (`embed`) of the basis's embedding,
 certified once as a table of integer centres and radii.
 """
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -46,6 +54,7 @@ _GUARD_BITS = 64
 _ABERTH_BITS = 64  # the Aberth iteration's first working precision
 _ABERTH_STEPS = 200
 _NEWTON_STEPS = 40
+_HANDFUL = 4  # most integers a product-of-roots enclosure may hold
 
 
 def det_fractions(mat):
@@ -123,9 +132,19 @@ class NumberField:
         n = poly.degree(coeffs)
         if n < 1:
             raise Reducible("constant polynomial does not define a field")
-        poly.check_irreducible(coeffs)
+        disc_T = poly.discriminant(coeffs)
+        open_degrees = poly.check_irreducible(coeffs, disc_T)
         self.poly = tuple(coeffs)
         self.degree = n
+        self.precision = int(precision)
+        self._iv = self._disks = self._roots = None
+        self._embedding_table = self._doubled = None
+        r1 = poly.count_real_roots(coeffs)
+        assert (n - r1) % 2 == 0
+        self.signature = (r1, (n - r1) // 2)
+        if open_degrees & {1, 2}:
+            self._check_small_factors(open_degrees)
+
         if basis is None:
             basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
         else:
@@ -134,7 +153,6 @@ class NumberField:
                 raise BasisNotUnimodularScaling("basis must be an n x n matrix")
         self.basis = tuple(tuple(r) for r in basis)
 
-        disc_T = poly.discriminant(coeffs)
         detb = det_fractions(basis)
         if detb == 0:
             raise BasisNotUnimodularScaling("basis matrix is singular")
@@ -148,17 +166,13 @@ class NumberField:
                 "index squared does not divide disc(T)")
         self.discriminant = disc_T // (self.index ** 2)
 
-        r1 = poly.count_real_roots(list(coeffs))
-        assert (n - r1) % 2 == 0
-        self.signature = (r1, (n - r1) // 2)
-        r2 = self.signature[1]
-        assert (self.discriminant < 0) == (r2 % 2 == 1), \
+        assert (self.discriminant < 0) == (self.signature[1] % 2 == 1), \
             "discriminant sign must be (-1)^r2"
-        # Minkowski inequality (n^n/n!) (pi/4)^(n/2) <= sqrt|disc|, sanity only
-        mink = (n ** n / math.factorial(n)) * (math.pi / 4) ** (n / 2)
-        assert mink <= math.sqrt(abs(self.discriminant)) * (1 + 1e-9)
+        # Minkowski's (n^n/n!) (pi/4)^(n/2) <= sqrt|disc| in logs, which take
+        # any |disc|; sanity only
+        assert (n * math.log(n) - math.lgamma(n + 1) + n / 2 * math.log(
+            math.pi / 4) <= math.log(abs(self.discriminant)) / 2 + 1e-9)
 
-        self.precision = int(precision)
         # the inverse basis matrix as integers over one common denominator
         inv = invert_fractions(basis)
         den = math.lcm(*(x.denominator for row in inv for x in row))
@@ -166,11 +180,6 @@ class NumberField:
             [[x.numerator * den // x.denominator for x in row] for row in inv],
             den)
         self._mult_table = self._build_mult_table()
-        self._iv = None
-        self._disks = None
-        self._roots = None
-        self._embedding_table = None
-        self._doubled = None
 
     # -- construction helpers ------------------------------------------------
 
@@ -258,7 +267,7 @@ class NumberField:
         (B = 0), then one disk per conjugate pair (B > 0) by descending
         real part."""
         if self._disks is None:
-            self._disks = self._certify_roots()
+            self._disks = self._certify_roots(self.precision)
         return self._disks
 
     def root_balls(self):
@@ -276,7 +285,7 @@ class NumberField:
                 for a, b, r in disks]
         return self._roots
 
-    def _certify_roots(self):
+    def _certify_roots(self, precision):
         """Newton disks around the roots of T, in integers.  Approximations
         come from Aberth's iteration on fixed-point Gaussian integers at
         2^-w, w = 64, then a Newton polish at 2^-bits, bits =
@@ -297,13 +306,13 @@ class NumberField:
         dT = poly.derivative(T)
         for attempt in range(4):
             w = _ABERTH_BITS << attempt
-            bits = (self.precision + 2 * _GUARD_BITS) << attempt
+            bits = (precision + 2 * _GUARD_BITS) << attempt
             approx = sorted(_aberth(T, w), key=lambda z: abs(z[1]))
             centres = [(x, 0) for x, _ in approx[:r1]]
             centres += [z for z in approx[r1:] if z[1] > 0]
             if len(centres) != r1 + r2:
                 continue
-            width = 1 << (bits - self.precision - _GUARD_BITS // 2)
+            width = 1 << (bits - precision - _GUARD_BITS // 2)
             disks = []
             for x, y in centres:
                 a, b = _newton(T, dT, x << (bits - w), y << (bits - w), bits)
@@ -331,6 +340,28 @@ class NumberField:
                 return reals + pairs, bits
         raise PrecisionExhausted(
             "root disks failed certification after 4 attempts")
+
+    def _check_small_factors(self, degrees):
+        """Raise Reducible when T has a monic integer factor of degree 1 or
+        2 among degrees, by exact division by each candidate of
+        _small_factors.  If a product's enclosure holds too many integers,
+        the disks are certified again (not kept) at the precision plus the
+        bits of the largest root, which makes products of roots as narrow
+        as sums; if that fails too, PrecisionExhausted."""
+        r1 = self.signature[0]
+        disks, bits = self.root_disks()
+        found = _small_factors(disks, bits, r1, degrees)
+        if found is None:
+            top = max(abs(a) + abs(b) for a, b, _ in disks) >> bits
+            found = _small_factors(
+                *self._certify_roots(self.precision + top.bit_length()),
+                r1, degrees)
+        if found is None:
+            raise PrecisionExhausted("a product of roots is not resolved")
+        for f in found:
+            if not poly.divmod_exact(list(self.poly), f)[1]:
+                raise Reducible(
+                    f"polynomial has a factor of degree {len(f) - 1}")
 
     def frac_iv(self, lo, hi):
         """Interval enclosing the exact rationals [lo, hi]."""
@@ -436,12 +467,55 @@ class NumberField:
         return combine_enclosures(x, centres, radii)
 
     def minkowski_bound(self):
+        """(n!/n^n) (4/pi)^r2 sqrt|disc| as a float, inf beyond its range;
+        sqrt|disc| goes through the integer square root when |disc| itself
+        is beyond it."""
         n, (r1, r2) = self.degree, self.signature
-        return (math.factorial(n) / n ** n) * (4 / math.pi) ** r2 * \
-            math.sqrt(abs(self.discriminant))
+        d = abs(self.discriminant)
+        try:
+            root = math.sqrt(d)
+        except OverflowError:
+            root = math.isqrt(d)
+            root = float(root) if root.bit_length() < 1024 else math.inf
+        return (math.factorial(n) / n ** n) * (4 / math.pi) ** r2 * root
 
     def __repr__(self):
         return f"NumberField({list(self.poly)}, disc={self.discriminant})"
+
+
+def _small_factors(disks, bits, r1, degrees):
+    """The candidate monic integer factors of degree 1 and 2 (those in
+    degrees), constant term first: x - k for each integer k in a real disk,
+    and x^2 - s x + q for the integers s and q in the enclosures of the sum
+    and product of the roots of two real disks or of a conjugate pair (the
+    product only where the sum holds an integer); None when a product's
+    enclosure holds more than _HANDFUL integers (a disk is narrower than
+    2^-precision, so a root's or a sum's holds at most one).  An integer
+    root is real, a monic integer quadratic has two real roots or a
+    conjugate pair, and each disk holds one root: the candidates are
+    exhaustive."""
+    den = 1 << bits
+    reals = [(a - r, a + r) for a, _, r in disks[:r1]]
+    ends = [(lo, hi, None, None) for lo, hi in reals] if 1 in degrees else []
+    if 2 in degrees:
+        for (lo, hi), (lo2, hi2) in itertools.combinations(reals, 2):
+            qs = (lo * lo2, lo * hi2, hi * lo2, hi * hi2)
+            ends.append((lo + lo2, hi + hi2, min(qs), max(qs)))
+        for a, b, r in disks[r1:]:
+            m = math.isqrt(a * a + b * b)  # |centre| is in [m, m + 1]
+            ends.append((2 * (a - r), 2 * (a + r), (m - r) ** 2,
+                         (m + 1 + r) ** 2))
+    found = []
+    for lo, hi, q_lo, q_hi in ends:
+        for s in range(-(-lo // den), hi // den + 1):
+            if q_lo is None:
+                found.append([-s, 1])
+                continue
+            qs = range(-(-q_lo // den ** 2), q_hi // den ** 2 + 1)
+            if len(qs) > _HANDFUL:
+                return None
+            found += [[q, -s, 1] for q in qs]
+    return found
 
 
 def _exact(t):

@@ -1,6 +1,6 @@
-"""Exact univariate polynomial arithmetic over Z, Q and F_p: resultants and
-discriminants, an irreducibility screen, the Sturm count of real roots (the
-field's signature; field.py certifies the roots themselves), and
+"""Exact univariate polynomial arithmetic over Z, Q and F_p: discriminants,
+the degree-pattern irreducibility screen, the Sturm count of real roots
+(the field's signature; field.py certifies the roots themselves), and
 factorization and degree patterns mod p.
 
 Coefficient lists are stored constant-term first and kept normalized (no
@@ -90,31 +90,6 @@ def divmod_exact(a, b):
     return normalize(q), normalize(r)
 
 
-def sylvester_resultant(f, g):
-    """Resultant of two integer polynomials via Bareiss elimination."""
-    f, g = normalize(f), normalize(g)
-    if not f or not g:
-        return 0
-    m, n = degree(f), degree(g)
-    if m == 0:
-        return f[0] ** n
-    if n == 0:
-        return g[0] ** m
-    size = m + n
-    rows = []
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(f)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(g)):
-            row[i + j] = c
-        rows.append(row)
-    return bareiss_det(rows)
-
-
 def bareiss_det(mat):
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     a = [row[:] for row in mat]
@@ -140,60 +115,20 @@ def bareiss_det(mat):
 
 
 def discriminant(T):
-    """Discriminant of a monic integer polynomial."""
-    n = degree(T)
-    res = sylvester_resultant(T, derivative(T))
-    s = -1 if (n * (n - 1) // 2) % 2 else 1
-    return s * res
+    """Discriminant of a monic integer polynomial T of degree n >= 1:
+    (-1)^(n(n-1)/2) Res(T, T'), the Bareiss determinant of their Sylvester
+    matrix."""
+    dT = derivative(T)
+    n, m = degree(T), degree(dT)
+    rows = [[0] * i + list(reversed(f)) + [0] * (m + n - i - len(f))
+            for f, k in ((T, m), (dT, n)) for i in range(k)]
+    return (-1) ** (n * (n - 1) // 2) * bareiss_det(rows)
 
 
 # ---------------------------------------------------------------------------
 # Irreducibility over Q (monic integer input)
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
-def rational_root(T):
-    """An integer root of a monic integer polynomial, or None."""
-    if not T or T[0] == 0:
-        return 0
-    for d in _divisors(T[0]):
-        for r in (d, -d):
-            if evaluate(T, r) == 0:
-                return r
-    return None
-
-
-def _quadratic_factor(T):
-    """A monic quadratic integer factor x^2 + a*x + b of T, or None.
-
-    b must divide T(0) and |a| <= 2*C for the Cauchy root bound C, so the
-    search is exhaustive for desk-scale coefficients.
-    """
-    n = degree(T)
-    if n < 4:
-        return None
-    if T[0] == 0:
-        return [0, 0, 1]
-    cauchy = 1 + max(abs(c) for c in T[:-1])
-    abound = 2 * cauchy + 1
-    for b in _divisors(T[0]):
-        for bs in (b, -b):
-            for a in range(-abound, abound + 1):
-                q, r = divmod_exact(T, [bs, a, 1])
-                if not r and all(x.denominator == 1 for x in q):
-                    return [bs, a, 1]
-    return None
+SCREEN_PRIMES = 25  # good primes whose degree patterns screen a defining T
 
 
 def _subset_sums(degrees):
@@ -203,68 +138,42 @@ def _subset_sums(degrees):
     return sums
 
 
-def check_irreducible(T, trials=25):
-    """Raise Reducible if T is provably reducible over Q.
-
-    Screen: rational roots, then factorization degree patterns modulo several
-    good primes (a degree pattern proof of irreducibility is rigorous), then a
-    quadratic-factor search which settles every degree up to 5.  For larger
-    degrees an inconclusive screen is accepted.
-    """
-    n = degree(T)
-    if n <= 1:
-        return
-    if rational_root(T) is not None:
-        raise Reducible(f"polynomial has rational root")
-    disc = discriminant(T)
+def check_irreducible(T, disc):
+    """The proper factor degrees of monic T over Q that the degree patterns
+    of the first SCREEN_PRIMES primes not dividing disc = disc(T) leave
+    open.  A factor of degree d over Q gives one of degree d mod each such
+    p, so d is a sum of pattern degrees there; the empty set proves T
+    irreducible.  Raises Reducible when disc = 0 (repeated roots)."""
     if disc == 0:
         raise Reducible("polynomial has repeated roots")
-    possible = set(range(1, n))
-    p = 2
-    tried = 0
-    while tried < trials and possible:
-        if disc % p != 0:
-            tried += 1
-            sums = _subset_sums(degree_pattern(T, p, disc))
-            possible &= sums
-            if not possible:
-                return  # modular degree patterns rule out proper factors
-        p = next_prime(p)
-    if {2} & possible or n <= 5:
-        if _quadratic_factor(T) is not None:
-            raise Reducible("polynomial has a quadratic factor")
-        possible -= {2, n - 2}
-    if n <= 5 and possible - {1, n - 1}:
-        # degrees <= 5 are fully settled by root + quadratic searches
-        possible = set()
-    # inconclusive for n >= 6 with surviving patterns: accept (screen contract)
+    open_degrees = set(range(1, degree(T)))
+    good = (p for p in itertools.count(2) if disc % p and is_prime(p))
+    patterns = degree_patterns(T, good, disc)
+    for pattern in itertools.islice(patterns, SCREEN_PRIMES):
+        open_degrees &= _subset_sums(pattern)
+        if not open_degrees:
+            break
+    return open_degrees
 
 
 # ---------------------------------------------------------------------------
 # Real root count (Sturm sequences, exact rational arithmetic)
 
-def sturm_chain(T):
-    chain = [[Fraction(c) for c in normalize(T)]]
-    chain.append([Fraction(c) for c in derivative(T)])
-    while normalize(chain[-1]) and degree(normalize(chain[-1])) > 0:
-        _, r = divmod_exact(chain[-2], chain[-1])
+def count_real_roots(T):
+    """Number of distinct real roots of T: how many sign changes its Sturm
+    chain loses from -infinity to +infinity, read off the leading terms."""
+    chain = [[Fraction(c) for c in normalize(T)],
+             [Fraction(c) for c in derivative(T)]]
+    while degree(chain[-1]) > 0:
+        r = divmod_exact(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(neg(r))
-    return [normalize(c) for c in chain if normalize(c)]
 
-
-def _sign_changes(values):
-    signs = [v > 0 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_real_roots(T):
-    """Number of distinct real roots of T: how many sign changes the Sturm
-    chain loses from -infinity to +infinity, read off its leading terms."""
-    chain = sturm_chain(T)
-    return (_sign_changes([c[-1] * (-1) ** degree(c) for c in chain])
-            - _sign_changes([c[-1] for c in chain]))
+    def changes(sign):
+        signs = [c[-1] * sign ** degree(c) > 0 for c in chain]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(-1) - changes(1)
 
 
 # ---------------------------------------------------------------------------
@@ -785,13 +694,6 @@ def is_prime(n):
         else:
             return False
     return True
-
-
-def next_prime(n):
-    n += 1
-    while not is_prime(n):
-        n += 1
-    return n
 
 
 def primes_up_to(n):

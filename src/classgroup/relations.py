@@ -270,13 +270,14 @@ def derive_relations(idxs, exps, cfg, field, fb, cap=None):
 
 
 def collect(field, fb, cfg, matrix=None, target_rows=None):
-    """Run sample/derive until the row target is met and the class group
-    reads off the rows (left in matrix.group).  A fresh matrix (matrix=None)
-    first gets the free relations, which count toward the row target but
-    not as trials or hits (stats "free"); trial t < |base| sweeps base prime
-    t with exponent 1.  The group is tried between windows of at most
-    _WINDOW trials; a window ends after the first trial that leaves
-    rows >= target, trials >= |base| and a row added in the window.
+    """Run sample/derive until rows >= target, the sweep is done and the
+    class group reads off the rows (left in matrix.group).  A fresh matrix
+    (matrix=None) first gets the free relations, which count toward the row
+    target but not as trials or hits (stats "free"); trial t < |base| sweeps
+    base prime t with exponent 1.  The group is tried between windows of at
+    most _WINDOW trials, once rows >= target and trials >= |base| (a multi
+    trial can add several rows); a window ends after the first trial that
+    leaves both and a row added in the window.
     stats "hit_rate" is the share of trials that gave at least one row, a
     probability like "predicted_rate".  Deterministic for a fixed
     (field, fb, cfg) including seed; every trial runs on the calling
@@ -302,9 +303,9 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     productive = 0  # trials that gave at least one row
     stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode}
     while True:
-        # the one stop check, at the row target; RankDeficient: collect on
+        # the one stop check, once both are met; RankDeficient: collect on
         group = check = None
-        if len(matrix.rows) >= target_rows:
+        if len(matrix.rows) >= target_rows and trials >= fb.size:
             try:
                 group = class_group_from_relations(matrix)
                 check = f"h={group.class_number}"

@@ -9,11 +9,13 @@ and prime divisions by lattice containment and products with p*P^(-1) over
 Fraction arithmetic, degree patterns mod p by the kernels of powers of
 Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, unit
 logs by interval Horner evaluation of the power-basis polynomial at the root
-balls.
+balls, presentations theta' = a(theta) by exact linear algebra on the powers
+of theta'.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 
@@ -306,6 +308,69 @@ def relations_by_cofactor(idxs, exps, cfg, field, fb):
             seen.add(key)
             found.append((x, out))
     return found, rejected
+
+
+def transformed_presentation(T, basis, a):
+    """The presentation of Q[x]/(T) by theta' = a(theta): (T', basis'), with
+    T' the characteristic polynomial of theta' (constant term first) and
+    basis' the rows of `basis` (over the powers of theta; None for the power
+    basis) written over the powers of theta'.  With V the matrix whose row
+    k holds theta'^k over the powers of theta (k < n), theta'^n = c V^(-1)
+    V gives T' = x^n - sum c_k x^k, and basis' = basis V^(-1); a must make
+    V invertible, i.e. theta' must generate the field."""
+    n = len(T) - 1
+    if basis is None:
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def times_a(v):  # v * a(theta) mod T, over the powers of theta
+        prod = [0] * (2 * n)
+        for i, x in enumerate(v):
+            for j, y in enumerate(a):
+                prod[i + j] += x * y
+        for k in range(len(prod) - 1, n - 1, -1):
+            for i in range(n + 1):
+                prod[k - n + i] -= prod[k] * T[i]
+        return prod[:n]
+
+    powers = [[1] + [0] * (n - 1)]
+    for _ in range(n):
+        powers.append(times_a(powers[-1]))
+    # Gauss-Jordan on [V | I] gives V^(-1)
+    rows = [[Fraction(x) for x in v] + [Fraction(int(i == j)) for j in range(n)]
+            for i, v in enumerate(powers[:n])]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                rows[i] = [x - rows[i][k] * y for x, y in zip(rows[i], rows[k])]
+    inv = [r[n:] for r in rows]
+
+    def over_theta_prime(v):
+        return [sum(Fraction(x) * inv[i][j] for i, x in enumerate(v))
+                for j in range(n)]
+
+    c = over_theta_prime(powers[n])
+    assert all(x.denominator == 1 for x in c)
+    return ([-int(x) for x in c] + [1],
+            [over_theta_prime(row) for row in basis])
+
+
+def large_presentation(T, basis, digits, seed=0):
+    """transformed_presentation of T and basis by a random a of degree
+    deg T - 1 whose T' has a coefficient of at least 10^digits: the
+    coefficients of a are drawn from [-c, c], c = 10^(digits // deg T) and
+    multiplied by 10 until T' is that large."""
+    rng = random.Random(seed)
+    n = len(T) - 1
+    c = 10 ** (digits // n)
+    while True:
+        a = [rng.randint(-c, c) for _ in range(n)]
+        big, big_basis = transformed_presentation(T, basis, a)
+        if max(map(abs, big)) >= 10 ** digits:
+            return big, big_basis
+        c *= 10
 
 
 def valuation_by_containment(field, hnf, P):

@@ -1,9 +1,11 @@
 import json
 import math
+import time
 
 import pytest
 
 from conftest import field_file
+from oracles import large_presentation
 from under_O import run_under_O
 from classgroup import cli
 from classgroup.errors import Stalled
@@ -276,6 +278,26 @@ def test_nonmaximal_z_theta_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, ["compute", path])
     assert (code, out) == (cli.EXIT_INPUT, ""), err
     assert "not maximal at 3" in err
+
+
+def test_large_presentation_without_a_basis_is_an_input_error(tmp_path,
+                                                             capsys):
+    # x^3 - x - 1 and Q(zeta7) through theta' = a(theta), T' coefficients of
+    # 10^18 or more, no basis: Z[theta'] stands for O_K, whose Minkowski
+    # floor (about 10^19 and 10^60) is refused before any sieve runs
+    for T in ([-1, -1, 0, 1], [1] * 7):
+        big, _ = large_presentation(T, None, 18)
+        path = field_file(tmp_path, big)
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, ["compute", path])
+        assert time.perf_counter() - t0 < 1.0, T
+        assert (code, out) == (cli.EXIT_INPUT, ""), err
+        assert "integral basis of O_K" in err and "B = " in err, err
+    # an explicit B above the sieve's bound is refused the same way
+    path = field_file(tmp_path, [5, 0, 1])
+    code, _, err = run_cli(capsys, ["compute", path, "--B",
+                                    str(10 * cli.MAX_BOUND)])
+    assert code == cli.EXIT_INPUT and "B = 1e+09" in err, err
 
 
 _BAD_INPUT_UNDER_O = """

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ from classgroup.errors import (BasisNotClosed, BasisNotUnimodularScaling,
 from classgroup import polynomials as poly
 from classgroup.field import (canonical_embedding, combine_columns,
                               iv_endpoints, norm_of, parse_field)
+from oracles import large_presentation
 
 
 def mid(iv):
@@ -38,6 +40,122 @@ def test_parse_errors():
         parse_field([1, 0, 1], basis=[[1, 0], [0, 3]])
     with pytest.raises(BasisNotUnimodularScaling):
         parse_field([1, 0, 1], basis=[[1, 0], [1, 0]])
+
+
+def _product(*factors):
+    out = [1]
+    for f in factors:
+        out = poly.mul(out, f)
+    return out
+
+
+_X3_X_1 = [-1, -1, 0, 1]
+# big-coefficient reducible products: the degree patterns leave degree 1 or
+# 2 open, and the certified root disks find the factor
+_REDUCIBLE = [
+    _product([1, 1, 1], [2, 0, 1]),
+    _product([-2, 0, 1], _X3_X_1),
+    _product([-10 ** 40, 1], [3, 0, 1]),
+    _product([7, 10 ** 40, 1], _X3_X_1),
+    _product([7, 10 ** 100, 1], [3, 0, 1]),
+    _product([10 ** 100 - 2 * 10 ** 98, -2 * 10 ** 50, 1], [3, 0, 1]),
+    [0, 1, 0, 1],  # x(x^2 + 1)
+]
+
+
+@pytest.mark.parametrize("coeffs", _REDUCIBLE)
+def test_reducible_products(coeffs):
+    t0 = time.perf_counter()
+    with pytest.raises(Reducible):
+        parse_field(coeffs)
+    assert time.perf_counter() - t0 < 1.0
+
+
+# biquadratic fields: every degree pattern is 1+1+1+1 or 2+2, so degree 2
+# stays open and the disks must rule out a quadratic factor
+_BIQUADRATIC = [
+    [1, 0, 0, 0, 1],                     # Q(zeta8)
+    [9, 0, -14, 0, 1],                   # sqrt2 + sqrt5
+    # Q(sqrt2, sqrt5) through theta' = a(theta), coefficients near 10^9
+    [3284852224, -107874048, 991328, -2016, 1],
+]
+
+
+def test_biquadratic_presentations_parse():
+    presentations = list(_BIQUADRATIC)
+    for T, digits in (([9, 0, -14, 0, 1], 50), ([1, 0, 0, 0, 1], 100),
+                      ([9, 0, -14, 0, 1], 200)):
+        presentations.append(large_presentation(T, None, digits, digits)[0])
+    assert max(abs(c) for c in presentations[-1]) > 10 ** 200
+    for T in presentations:
+        assert poly.check_irreducible(T, poly.discriminant(T)) == {2}, T
+        t0 = time.perf_counter()
+        K = parse_field(T)
+        assert time.perf_counter() - t0 < 1.0, T
+        assert K.degree == 4 and K.signature in ((4, 0), (0, 2)), T
+
+
+def test_patterns_leave_open_only_what_they_allow():
+    # irreducible: the patterns decide at once, big coefficients or not
+    for T in ([1, 1, 1, 1, 1], _X3_X_1, [1, -1, 0, 0, 0, 0, 1],
+              large_presentation([1] * 7, None, 600)[0]):
+        assert poly.check_irreducible(T, poly.discriminant(T)) == set()
+    # two cubics: degree 3 stays open, which the screen accepts at n >= 6
+    T = _product(_X3_X_1, [-1, -3, 0, 1])
+    assert poly.check_irreducible(T, poly.discriminant(T)) == {3}
+    assert parse_field(T).degree == 6
+    with pytest.raises(Reducible):
+        poly.check_irreducible([1, 0, 2, 0, 1], 0)
+
+
+def test_wide_disks_are_certified_again(monkeypatch):
+    # (x^2 - 2*10^50 x + 10^100 - 2*10^98)(x^2 + 3): the real roots are near
+    # 10^50 and their sum is an integer.  Disks widened to 2^-140 leave their
+    # product's enclosure holding about 2^26 integers, so the disks are
+    # certified again at a precision that resolves it
+    from classgroup import field
+    T = _product([10 ** 100 - 2 * 10 ** 98, -2 * 10 ** 50, 1], [3, 0, 1])
+    certify = field.NumberField._certify_roots
+    precisions = []
+
+    def widened(self, precision):
+        precisions.append(precision)
+        disks, bits = certify(self, precision)
+        if len(precisions) == 1:
+            disks = [(a, b, max(r, 1 << (bits - 140))) for a, b, r in disks]
+        return disks, bits
+
+    monkeypatch.setattr(field.NumberField, "_certify_roots", widened)
+    with pytest.raises(Reducible):
+        parse_field(T)
+    assert precisions == [128, 128 + (10 ** 50).bit_length()]
+
+    def always_wide(self, precision):
+        disks, bits = certify(self, precision)
+        return [(a, b, max(r, 1 << (bits - 140))) for a, b, r in disks], bits
+
+    monkeypatch.setattr(field.NumberField, "_certify_roots", always_wide)
+    with pytest.raises(PrecisionExhausted):
+        parse_field(T)
+
+
+def test_discriminant_beyond_the_float_range():
+    # Q(zeta7) presented by a theta' whose T' has coefficients near 10^100
+    # or 10^150: without its basis, |disc| = |disc(T')| is about 10^500 (its
+    # Minkowski bound about 10^250) or 10^800 (its bound beyond the float
+    # range too); with the basis, the field's own discriminant -7^5
+    for digits in (100, 150):
+        T, basis = large_presentation([1] * 7, None, digits, digits)
+        K = parse_field(T)
+        assert abs(K.discriminant) > 10 ** 308
+        want = (math.lgamma(7) - 6 * math.log(6) + 3 * math.log(4 / math.pi)
+                + math.log(abs(K.discriminant)) / 2)
+        mink = K.minkowski_bound()
+        if want < 709:
+            assert abs(math.log(mink) - want) < 1e-9
+        else:
+            assert mink == math.inf
+        assert parse_field(T, basis).discriminant == -7 ** 5
 
 
 def test_nonmaximal_basis_input():

@@ -3,10 +3,12 @@ rank, and the non-maximal-basis input path."""
 
 import json
 import math
+import time
 
 from conftest import field_file
-from oracles import class_number_imag_quadratic
+from oracles import class_number_imag_quadratic, large_presentation
 from classgroup import cli
+from classgroup.field import load_field_file
 
 
 def run(tmp_path, coeffs, seed=3, **kw):
@@ -153,3 +155,43 @@ def test_one_round_when_the_group_reads_off_the_rows(tmp_path, monkeypatch):
         res = run(tmp_path, [21, 0, 1], seed=seed)  # D = -84
         assert res.group.elementary_divisors == (2, 2), seed
         assert len(calls) == len(res.statistics["rounds"]), (seed, calls)
+
+
+def test_multi_mode_waits_for_the_sweep(tmp_path):
+    # x^2 - x + 6 (D = -23) at B = 354, 3x its Bach bound: one multi trial
+    # can add several rows, so the row target was met before every base
+    # prime had its exponent-1 trial, and the group read h = 24, then 12,
+    # before 3, over three rounds.  The stop check waits for the sweep
+    res = run(tmp_path, [6, -1, 1], seed=2, B=354, mode="multi")
+    assert res.group.elementary_divisors == (3,)
+    assert len(res.statistics["rounds"]) == 1
+
+
+# ladder fields of degree 2 to 6 with their pipeline seeds
+_PRESENTED = [([21, 0, 1], 84), ([-10, 0, 1], 10), ([-1, -1, 0, 1], 23),
+              ([-1, -3, 0, 1], 3), ([1, 1, 1, 1, 1], 3), ([1] * 7, 3)]
+
+
+def test_large_presentations_give_the_small_answer(tmp_path):
+    # O_K does not depend on its presentation: theta' = a(theta) with T'
+    # coefficients of 10^18, 10^50 and 10^100, and O_K's basis written in
+    # theta', give the small polynomial's group, residue and regulator
+    for T, seed in _PRESENTED:
+        small = run(tmp_path, T, seed=seed)
+        for digits in (18, 50, 100):
+            big, basis = large_presentation(T, None, digits, seed=digits)
+            assert max(map(abs, big)) >= 10 ** digits
+            path = tmp_path / "big.json"
+            path.write_text(json.dumps(
+                {"poly": big, "basis": [str(x) for row in basis for x in row]}))
+            t0 = time.perf_counter()
+            load_field_file(str(path))
+            assert time.perf_counter() - t0 < 1.0, (T, digits)
+            res = cli.run_compute(cli.RunConfig(field_path=str(path),
+                                                seed=seed))
+            assert res.verdict == "ACCEPT", (T, digits)
+            assert res.group == small.group, (T, digits)
+            assert repr(res.statistics["residue"]) == \
+                repr(small.statistics["residue"]), (T, digits)
+            assert math.isclose(res.regulator, small.regulator,
+                                rel_tol=1e-12), (T, digits)
