@@ -23,16 +23,12 @@ from fractions import Fraction
 from . import polynomials as poly
 from .errors import PrecisionExhausted, VerificationFailed, ZeroVolume
 from .field import combine_columns, combine_enclosures, iv_scaled
-from .ideals import factor_prime, ideal_lattice, integral_norm, unit_ideal
+from .ideals import factor_prime, ideal_lattice, unit_ideal
 from .lattice import GramLLL, _gram_of, enumerate_gram
 from .polynomials import primes_up_to
 
 ACCEPT_LO = 2 ** -0.5
 ACCEPT_HI = 2 ** 0.5
-_ROOT_ORDER_CAP = 100  # largest order m tried in the power test x^m = 1
-# Euler's phi(m) up to the cap: the residues mod m coprime to m
-_PHI = [sum(math.gcd(k, m) == 1 for k in range(m))
-        for m in range(_ROOT_ORDER_CAP + 1)]
 
 
 @dataclass
@@ -48,40 +44,43 @@ def euler_residue(field, prime_bound):
     exact fraction, rounded once to a float: int true division rounds
     correctly.  With N(P) = p^f for the residue degrees f of the primes
     above p, the local factor at p is p^(sum f - 1) / (prod (p^f - 1) /
-    (p - 1)) in integers; it is left out when it is 1, as at a totally
-    ramified p.  The residue degrees are the degree patterns of T mod p,
-    all primes in one polynomials.degree_patterns pass (Stickelberger's
-    parity, and per block of primes one Frobenius walk and the traces of
-    one Berlekamp matrix, which count the roots of T in each F_(p^d)), or,
-    for primes dividing the index, those of the prime ideals that
-    factor_prime splits off O_K/pO_K."""
+    (p - 1)) in integers; it is 1, and left out, when sum f = 1, as at a
+    totally ramified p.  The residue degrees are the degree patterns of T
+    mod p, all primes in one polynomials.pattern_groups pass: a bulk
+    parity pass settles every quadratic (and a cubic at (disc/p) = -1),
+    and per block of the other primes one Frobenius walk and the traces of
+    one Berlekamp matrix, which count the roots of T in each F_(p^d), give
+    the rest.  At primes dividing the index they are those of the prime
+    ideals that factor_prime splits off O_K/pO_K.  The local factors are
+    formed in bulk, one list per pattern."""
     if prime_bound < 2:
         raise ValueError(f"prime bound {prime_bound} is below 2")
-    num, den = [], []
-    for p, degs in _residue_degrees(field, prime_bound):
-        top = p ** (sum(degs) - 1)
-        bottom = 1
-        for f in degs:
-            bottom *= p ** f - 1
-        bottom //= p - 1
-        if top != bottom:
-            num.append(top)
-            den.append(bottom)
-    return _balanced_product(num) / _balanced_product(den)
-
-
-def _residue_degrees(field, prime_bound):
-    """Yields (p, residue degrees of the primes above p) for each prime
-    p <= prime_bound; the prime lists go once the last is taken."""
     T = list(field.poly)
     primes = primes_up_to(prime_bound)
-    patterns = poly.degree_patterns(
-        T, [p for p in primes if field.index % p], poly.discriminant(T))
-    for p in primes:
-        if field.index % p:
-            yield p, next(patterns)
+    index = field.index
+    above = [p for p in primes if index % p == 0] if index > 1 else []
+    groups = poly.pattern_groups(
+        T, [p for p in primes if index % p] if above else primes,
+        poly.discriminant(T))
+    for p in above:
+        degs = tuple(sorted(P.res_f for P in factor_prime(p, field)))
+        groups.setdefault(degs, []).append(p)
+    num, den = [], []
+    for degs, ps in groups.items():
+        k = sum(degs) - 1
+        if k == 0:
+            continue
+        num += ps if k == 1 else [p ** k for p in ps]
+        f, *rest = degs
+        if f == 1:  # (p - 1) / (p - 1) = 1: start from another f
+            f = rest.pop()
+            bottom = [p ** f - 1 for p in ps]
         else:
-            yield p, [P.res_f for P in factor_prime(p, field)]
+            bottom = [(p ** f - 1) // (p - 1) for p in ps]
+        for f in rest:
+            bottom = [b * (p ** f - 1) for b, p in zip(bottom, ps)]
+        den += bottom
+    return _balanced_product(num) / _balanced_product(den)
 
 
 def _balanced_product(xs):
@@ -99,10 +98,15 @@ def _balanced_product(xs):
 def count_roots_of_unity(field):
     """Number of torsion units.  A real place maps the roots of unity
     injectively into {1, -1}, so a field with r1 > 0 has exactly 2.
-    Otherwise they are the lattice points of sigma(O_K) with squared norm
-    exactly n (all conjugates on the unit circle), filtered by an exact
-    power test x^m = 1 over candidate orders m with phi(m) | n."""
+    Otherwise w divides g = _torsion_bound(field), and g = 2 settles w = 2.
+    Else the roots of unity are the lattice points of sigma(O_K) with
+    squared norm exactly n (all conjugates on the unit circle), each
+    enumerated x tested by x^g = 1 in integer coordinates; the count must
+    divide g."""
     if field.signature[0]:
+        return 2
+    g = _torsion_bound(field)
+    if g == 2:
         return 2
     n = field.degree
     L = ideal_lattice(unit_ideal(field), field)
@@ -111,22 +115,58 @@ def count_roots_of_unity(field):
     red = GramLLL(L.gram())
     red.reduce()
     cands, _ = enumerate_gram(red, bound2_exact=radius2)
-    orders = [m for m in range(1, _ROOT_ORDER_CAP + 1) if n % _PHI[m] == 0]
-    one = field.one()
+    one = [c.numerator for c in field.one().coords]
     u_cols = list(zip(*red.U))
     count = 0
     for coeffs, _n2 in cands:
-        x = field.element(combine_columns(u_cols, coeffs))
-        if integral_norm(x)[0] != 1:
-            continue
-        for m in orders:
-            if x ** m == one:
-                count += 2  # the enumeration is sign-canonical: x and -x
-                break
+        if _power(field, combine_columns(u_cols, coeffs), g) == one:
+            count += 2  # the enumeration is sign-canonical: x and -x
     if count < 2:
         raise VerificationFailed(
             f"found {count} roots of unity; -1 and 1 are always there")
+    if g % count:
+        raise VerificationFailed(
+            f"found {count} roots of unity, which do not divide {g}")
     return count
+
+
+_TORSION_PRIMES = 32  # primes p > n + 1 whose residue degrees bound w
+
+
+def _torsion_bound(field):
+    """g = gcd(N(P) - 1) over the primes P above the first _TORSION_PRIMES
+    primes p > n + 1 that do not divide disc(T), so that the residue
+    degrees f are the degree patterns of T mod p.  The roots of unity of
+    O_K map injectively into (O_K/P)^* when p does not divide w, and a
+    prime q dividing w has q - 1 = phi(q) <= n, so w | p^f - 1 for each f
+    in each pattern; as gcd(p^a - 1, p^b - 1) = p^gcd(a, b) - 1, one gcd
+    per pattern does."""
+    T = list(field.poly)
+    disc = field.discriminant * field.index ** 2
+    bound = 256
+    while True:
+        primes = [p for p in primes_up_to(bound)
+                  if p > field.degree + 1 and disc % p][:_TORSION_PRIMES]
+        if len(primes) == _TORSION_PRIMES:
+            break
+        bound *= 2
+    g = 0
+    for degs, ps in poly.pattern_groups(T, primes, disc).items():
+        f = math.gcd(*degs)
+        for p in ps:
+            g = math.gcd(g, p ** f - 1)
+    return g
+
+
+def _power(field, x, e):
+    """x^e, e >= 1, for x in integer coordinates, by square-and-multiply
+    through field.multiply."""
+    out = x
+    for bit in bin(e)[3:]:
+        out = field.multiply(out, out)
+        if bit == "1":
+            out = field.multiply(out, x)
+    return out
 
 
 def log_embedding(field, x):

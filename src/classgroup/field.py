@@ -13,22 +13,24 @@ full.  A large T parses; without a basis, Z[theta] stands for O_K and
 prime sieve (cli.MAX_BOUND).
 
 Elements multiply one way: by the field's integer structure constants,
-whose row j holds the coordinates of omega_j*omega_i, through
-`NumberField.mult_columns` (the columns of multiplication by x) and
-`combine_columns`.  Element products, norms, ideal products and the mod-p
-algebra of the ideals module all go through it.
+formed in integers, whose row j holds the coordinates of omega_j*omega_i,
+through `NumberField.mult_columns` (the columns of multiplication by x)
+and `combine_columns`.  Element products, norms, ideal products and the
+mod-p algebra of the ideals module all go through it.
 
 Root enclosures are certified in integers: every root, real or complex,
 gets a Newton disk of radius n*|T(c)/T'(c)|, computed exactly at a centre c
 with a power-of-two denominator, around an approximation from a fixed-point
-Aberth iteration and a Newton polish.  The n disks, conjugates included,
-are checked pairwise disjoint, so each provably holds one simple root, and
-the r1 disks centred on the real axis (r1 from a Sturm count) hold the real
-roots.  The embedding table of the integral basis is exact at the disk
-centres, with a bound for the disk radius.  mpmath's interval arithmetic
-remains in two places: the interval view of the disks and of sigma(x)
-(root_balls, embedding_data, canonical_embedding), against which the table
-is tested, and the logarithms of unit logs (analytic.log_embedding).
+Aberth iteration and a Newton polish, run on T or, for a presentation
+shifted by a large integer, on T moved by the rounded mean of its roots.
+The n disks, conjugates included, are checked pairwise disjoint, so each
+provably holds one simple root, and the r1 disks centred on the real axis
+(r1 from a Sturm count) hold the real roots.  The embedding table of the
+integral basis is exact at the disk centres, with a bound for the disk
+radius.  mpmath's interval arithmetic remains in two places: the interval
+view of the disks and of sigma(x) (root_balls, embedding_data,
+canonical_embedding), against which the table is tested, and the
+logarithms of unit logs (analytic.log_embedding).
 
 Embedding convention: a complex conjugate pair contributes the two real
 coordinates (sqrt(2)*Re, sqrt(2)*Im), which makes det sigma(O_K) equal to
@@ -180,26 +182,37 @@ class NumberField:
             [[x.numerator * den // x.denominator for x in row] for row in inv],
             den)
         self._mult_table = self._build_mult_table()
+        self._one = self.element(self.power_to_basis([1] + [0] * (n - 1)))
 
     # -- construction helpers ------------------------------------------------
 
     def _build_mult_table(self):
         """Integer structure constants: table[i][j] holds the coordinates of
-        omega_i*omega_j over the integral basis."""
+        omega_i*omega_j over the integral basis.  Each basis row is cleared
+        of its denominators once, omega_i = B_i(theta)/d_i with B_i
+        integral; B_i B_j is reduced mod T in integers (T is monic) and
+        combined by the integer inverse basis, and each coordinate is one
+        exact division by the inverse's denominator times d_i d_j.  A
+        nonzero remainder raises BasisNotClosed."""
         n = self.degree
+        T = list(self.poly)
+        inv, den = self.basis_inverse
+        rows = []
+        for brow in self.basis:
+            d = math.lcm(*(x.denominator for x in brow))
+            rows.append(([x.numerator * (d // x.denominator) for x in brow], d))
         table = [[None] * n for _ in range(n)]
-        T = [Fraction(c) for c in self.poly]
-        for i in range(n):
+        for i, (a, da) in enumerate(rows):
             for j in range(i, n):
-                prod = poly.mul(list(self.basis[i]), list(self.basis[j]))
-                _, rem = poly.divmod_exact(prod, T)
-                rem = rem + [Fraction(0)] * (n - len(rem))
-                coords = self.power_to_basis(rem)
-                if any(c.denominator != 1 for c in coords):
+                b, db = rows[j]
+                q = den * da * db
+                coords = combine_columns(inv, poly.rem_monic(poly.mul(a, b), T))
+                if any(c % q for c in coords):
                     raise BasisNotClosed(
                         f"basis element {i} times element {j} has coordinates "
-                        f"{[str(c) for c in coords]}, not all integers")
-                table[i][j] = table[j][i] = tuple(c.numerator for c in coords)
+                        f"{[str(Fraction(c, q)) for c in coords]}, not all "
+                        "integers")
+                table[i][j] = table[j][i] = tuple(c // q for c in coords)
         return table
 
     def power_to_basis(self, vec):
@@ -241,8 +254,7 @@ class NumberField:
         return self.element([0] * self.degree)
 
     def one(self):
-        one_pb = [Fraction(1)] + [Fraction(0)] * (self.degree - 1)
-        return self.element(self.power_to_basis(one_pb))
+        return self._one
 
     def theta(self):
         pb = [Fraction(0), Fraction(1)] + [Fraction(0)] * (self.degree - 2)
@@ -286,58 +298,25 @@ class NumberField:
         return self._roots
 
     def _certify_roots(self, precision):
-        """Newton disks around the roots of T, in integers.  Approximations
-        come from Aberth's iteration on fixed-point Gaussian integers at
-        2^-w, w = 64, then a Newton polish at 2^-bits, bits =
-        precision + 128.  The r1 approximations of smallest |Im| are centred
-        on the real axis, the others with Im > 0 stand for the conjugate
-        pairs, and each disk has radius n*|T(c)/T'(c)|, from the exact
-        values of T and T' at its centre c, rounded up, so it holds a root
-        of T.  When all n disks, conjugates included, are pairwise disjoint
-        (which keeps each complex disk off the real axis), each holds
-        exactly one root, and a disk centred on R holds a real one because
-        it is closed under conjugation.  Each disk must also be narrower
-        than 2^-(precision+32).  A failed certificate retries with w and
-        bits doubled, up to 4 attempts, so that roots closer than 2^-64
-        separate."""
-        n = self.degree
-        r1, r2 = self.signature
+        """Newton disks around the roots of T, in integers, as (disks, bits)
+        for root_disks (_newton_disks).  Each attempt runs on T itself and,
+        when the mean of the roots rounded to an integer s (_root_shift) is
+        not 0, then on T(x + s), so that a presentation shifted by a large
+        integer iterates near 0.  A failed certificate retries with the
+        working precisions doubled, up to 4 attempts, so that roots closer
+        than 2^-64 separate."""
         T = list(self.poly)
-        dT = poly.derivative(T)
+        shift = _root_shift(T)
+        shifts = [(0, T)] + ([(shift, poly.taylor_shift(T, shift))]
+                             if shift else [])
         for attempt in range(4):
             w = _ABERTH_BITS << attempt
             bits = (precision + 2 * _GUARD_BITS) << attempt
-            approx = sorted(_aberth(T, w), key=lambda z: abs(z[1]))
-            centres = [(x, 0) for x, _ in approx[:r1]]
-            centres += [z for z in approx[r1:] if z[1] > 0]
-            if len(centres) != r1 + r2:
-                continue
-            width = 1 << (bits - precision - _GUARD_BITS // 2)
-            disks = []
-            for x, y in centres:
-                a, b = _newton(T, dT, x << (bits - w), y << (bits - w), bits)
-                if r1 <= len(disks) and b <= 0:
-                    break  # a pair's centre left the upper half plane
-                # t = 2^(bits n) T(c) and d = 2^(bits (n-1)) T'(c), so the
-                # radius is n|t|/|d| over 2^bits; r rounds it up
-                tr, ti = _horner_exact(T, a, b, bits)
-                dr, di = _horner_exact(dT, a, b, bits)
-                d2 = dr * dr + di * di
-                if d2 == 0:
-                    break
-                r = math.isqrt(-(-n * n * (tr * tr + ti * ti) // d2)) + 1
-                if 2 * r >= width:
-                    break
-                disks.append((a, b, r))
-            if len(disks) != r1 + r2:
-                continue
-            every = disks + [(a, -b, r) for a, b, r in disks[r1:]]
-            if all((a - a2) ** 2 + (b - b2) ** 2 > (r + s) ** 2
-                   for i, (a, b, r) in enumerate(every)
-                   for a2, b2, s in every[i + 1:]):
-                reals = sorted(disks[:r1], reverse=True)
-                pairs = sorted(disks[r1:], key=lambda d: (-d[0], d[1]))
-                return reals + pairs, bits
+            for s, Ts in shifts:
+                disks = _newton_disks(T, Ts, s, w, bits, precision,
+                                      self.signature)
+                if disks is not None:
+                    return disks, bits
         raise PrecisionExhausted(
             "root disks failed certification after 4 attempts")
 
@@ -359,7 +338,7 @@ class NumberField:
         if found is None:
             raise PrecisionExhausted("a product of roots is not resolved")
         for f in found:
-            if not poly.divmod_exact(list(self.poly), f)[1]:
+            if not any(poly.rem_monic(list(self.poly), f)):
                 raise Reducible(
                     f"polynomial has a factor of degree {len(f) - 1}")
 
@@ -408,8 +387,10 @@ class NumberField:
         for coordinate j of basis element omega_i.
 
         Each entry is exact up to the root disk: omega_i is the polynomial
-        P = sum b_k x^k of its power-basis row, its value at the disk centre
-        c is computed exactly from the powers of c, and |P(c) - P(rho)| <=
+        P = sum b_k x^k of its power-basis row taken in x - s, for the shift
+        s of _root_shift, so that a presentation shifted by a large integer
+        evaluates near 0; its value at the shifted disk centre c is computed
+        exactly from the powers of c, and |P(c) - P(rho)| <=
         r * sum |k b_k| (|c| + r)^(k-1) for the root rho within r of c.  At a
         pair, sqrt(2) times each end of the enclosures of Re and Im is
         rounded outward with isqrt.  An entry wider than 2^-precision
@@ -422,16 +403,19 @@ class NumberField:
         n, prec = self.degree, self.precision
         scale = prec + _GUARD_BITS
         disks, bits = self.root_disks()
+        s = _root_shift(list(self.poly))
         d = n - 1
         rows = []
         for brow in self.basis:
             den = math.lcm(*(x.denominator for x in brow))
-            rows.append(([x.numerator * (den // x.denominator) for x in brow],
-                         den << (bits * d)))
+            rows.append((poly.taylor_shift(
+                [x.numerator * (den // x.denominator) for x in brow], s),
+                den << (bits * d)))
         # per place, c^k and the error weights k r (|c| + r)^(k-1), all
         # over 2^(bits d)
         places = []
         for a, b, r in disks:
+            a -= s << bits
             m = math.isqrt(a * a + b * b) + 1 + r
             re, im, mk = 1, 0, r
             powers, weights = [(1 << (bits * d), 0)], [0]
@@ -481,6 +465,63 @@ class NumberField:
 
     def __repr__(self):
         return f"NumberField({list(self.poly)}, disc={self.discriminant})"
+
+
+def _newton_disks(T, Ts, s, w, bits, precision, signature):
+    """Certified root disks of T in canonical order (root_disks), or None.
+    Approximations come from Aberth's iteration on fixed-point Gaussian
+    integers at 2^-w, then a Newton polish at 2^-bits, both on Ts = T(x +
+    s), and are moved back by s.  The r1 approximations of smallest |Im| are
+    centred on the real axis, the others with Im > 0 stand for the
+    conjugate pairs, and each disk has radius n*|T(c)/T'(c)|, from the
+    exact values of T and T' at its centre c, rounded up, so it holds a
+    root of T.  When all n disks, conjugates included, are pairwise
+    disjoint (which keeps each complex disk off the real axis), each holds
+    exactly one root, and a disk centred on R holds a real one because it
+    is closed under conjugation.  Each disk must also be narrower than
+    2^-(precision+32)."""
+    n = len(T) - 1
+    r1, r2 = signature
+    dT, dTs = poly.derivative(T), poly.derivative(Ts)
+    approx = sorted(_aberth(Ts, w), key=lambda z: abs(z[1]))
+    centres = [(x, 0) for x, _ in approx[:r1]]
+    centres += [z for z in approx[r1:] if z[1] > 0]
+    if len(centres) != r1 + r2:
+        return None
+    width = 1 << (bits - precision - _GUARD_BITS // 2)
+    disks = []
+    for x, y in centres:
+        a, b = _newton(Ts, dTs, x << (bits - w), y << (bits - w), bits)
+        a += s << bits
+        if r1 <= len(disks) and b <= 0:
+            return None  # a pair's centre left the upper half plane
+        # t = 2^(bits n) T(c) and d = 2^(bits (n-1)) T'(c), so the radius is
+        # n|t|/|d| over 2^bits; r rounds it up
+        tr, ti = _horner_exact(T, a, b, bits)
+        dr, di = _horner_exact(dT, a, b, bits)
+        d2 = dr * dr + di * di
+        if d2 == 0:
+            return None
+        r = math.isqrt(-(-n * n * (tr * tr + ti * ti) // d2)) + 1
+        if 2 * r >= width:
+            return None
+        disks.append((a, b, r))
+    every = disks + [(a, -b, r) for a, b, r in disks[r1:]]
+    if not all((a - a2) ** 2 + (b - b2) ** 2 > (r + q) ** 2
+               for i, (a, b, r) in enumerate(every)
+               for a2, b2, q in every[i + 1:]):
+        return None
+    reals = sorted(disks[:r1], reverse=True)
+    pairs = sorted(disks[r1:], key=lambda d: (-d[0], d[1]))
+    return reals + pairs
+
+
+def _root_shift(T):
+    """The mean of the roots of monic T, -T_(n-1)/n, rounded to an integer
+    (ties to even): 0 for a T whose T_(n-1) is 0 or +-1, n >= 2."""
+    n = len(T) - 1
+    s, r = divmod(-T[n - 1], n)
+    return s + (2 * r > n or 2 * r == n and s % 2)
 
 
 def _small_factors(disks, bits, r1, degrees):
@@ -740,17 +781,6 @@ class AlgebraicNumber:
                                self.field.multiply(self.coords, other.coords))
 
     __rmul__ = __mul__
-
-    def __pow__(self, e):
-        assert e >= 0
-        result = self.field.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         return isinstance(other, AlgebraicNumber) and \

@@ -507,10 +507,19 @@ def bach_bound(field):
 
 
 def build_factor_base(field, B):
-    """All prime ideals of norm <= B, sorted by (norm, p, gen_poly)."""
+    """All prime ideals of norm <= B, sorted by (norm, p, gen_poly).  At a
+    p not dividing disc(T), and so not the index, the degree pattern of T
+    mod p (one polynomials.pattern_groups pass) gives the residue degrees
+    above p first, and p is not factored when p^f > B for each of them."""
     if B < 2:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")
-    primes = [P for p in poly.primes_up_to(B)
+    disc = field.discriminant * field.index ** 2
+    primes = poly.primes_up_to(B)
+    too_large = {p for degs, ps in poly.pattern_groups(
+                     list(field.poly), [p for p in primes if disc % p],
+                     disc).items()
+                 for p in ps if p ** degs[0] > B}
+    primes = [P for p in primes if p not in too_large
               for P in _primes_above(p, field, B)]
     if not primes:
         raise EmptyFactorBase(f"no prime ideal has norm <= {B}")

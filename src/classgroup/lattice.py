@@ -109,9 +109,11 @@ class GramLLL(GramGSO):
         super().__init__([[int(x) for x in row] for row in gram], [0] * k,
                          [[0] * k for _ in range(k)])
         self.U = identity(k)
-        if not Fraction(1, 4) < delta < 1:
+        if not isinstance(delta, Fraction):
+            delta = Fraction(delta)
+        if not delta.denominator < 4 * delta.numerator < 4 * delta.denominator:
             raise ValueError(f"LLL delta {delta} outside (1/4, 1)")
-        self.delta = Fraction(delta)
+        self.delta = delta
         for i in range(k):
             self._gso_row(i)
 

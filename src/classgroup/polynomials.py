@@ -10,6 +10,7 @@ integers, fractions.Fraction and integers mod p.  Sizes are desk scale
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,29 @@ def divmod_exact(a, b):
     return normalize(q), normalize(r)
 
 
+def taylor_shift(a, s):
+    """The coefficients of a(x + s), by repeated synthetic division."""
+    c = list(a)
+    if s:
+        for i in range(len(c) - 1):
+            for k in range(len(c) - 2, i - 1, -1):
+                c[k] += s * c[k + 1]
+    return c
+
+
+def rem_monic(a, T):
+    """a mod T for integer a and monic integer T of degree n >= 1, in
+    integers, as n coefficients."""
+    n = len(T) - 1
+    r = list(a) + [0] * (n - len(a))
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r[k]
+        if c:
+            for i in range(n):
+                r[k - n + i] -= c * T[i]
+    return r[:n]
+
+
 def bareiss_det(mat):
     """Exact determinant of an integer matrix (fraction-free Bareiss)."""
     a = [row[:] for row in mat]
@@ -148,9 +172,8 @@ def check_irreducible(T, disc):
         raise Reducible("polynomial has repeated roots")
     open_degrees = set(range(1, degree(T)))
     good = (p for p in itertools.count(2) if disc % p and is_prime(p))
-    patterns = degree_patterns(T, good, disc)
-    for pattern in itertools.islice(patterns, SCREEN_PRIMES):
-        open_degrees &= _subset_sums(pattern)
+    for p in itertools.islice(good, SCREEN_PRIMES):
+        open_degrees &= _subset_sums(degree_pattern(T, p, disc))
         if not open_degrees:
             break
     return open_degrees
@@ -233,13 +256,14 @@ def pmod_gcd(a, b, p):
 class _QuotientRing:
     """F_p[x]/(f) for monic f of degree n >= 1 on Kronecker-packed ints:
     c_0 + c_1 x + ... + c_(n-1) x^(n-1), each c_i in [0, p), is the int
-    sum c_i 2^(w i).  A slot holds n^2 p^3 without carrying, so the product
-    of up to three elements is one int multiplication."""
+    sum c_i 2^(w i).  A slot holds 2 n p^2 without carrying, so the product
+    of two elements, and a sum of n elements times coefficients below p,
+    are one int multiplication or sum away from reduce."""
 
     def __init__(self, f, p):
         n = len(f) - 1
         self.n, self.p = n, p
-        self.w = (2 * n * n * p ** 3).bit_length()
+        self.w = (2 * n * p * p).bit_length()
         self.mask = (1 << self.w) - 1
         self.tail = self.pack([(-c) % p for c in f[:n]])  # x^n mod f
 
@@ -254,7 +278,7 @@ class _QuotientRing:
         return normalize([(h >> (w * i)) & mask for i in range(self.n)])
 
     def reduce(self, s):
-        """The element packed in s (slots below 2^w, degree <= 3n - 3):
+        """The element packed in s (slots below n p^2, degree <= 2n - 2):
         from the top, slot k >= n adds (s_k mod p) x^(k-n) (x^n mod f)
         below itself, then the low n slots are taken mod p."""
         w, mask, p, n = self.w, self.mask, self.p, self.n
@@ -269,15 +293,16 @@ class _QuotientRing:
         return out
 
     def pow(self, h, e):
-        """h^e by square-and-multiply from the top bit of e."""
+        """h^e by square-and-multiply from the top bit of e, reducing each
+        product of two; multiplying by x (h packed as 2^w) is a shift."""
         if e == 0:
             return 1
+        w = self.w if h == 1 << self.w else None
         out = h
         for bit in bin(e)[3:]:
-            s = out * out
+            out = self.reduce(out * out)
             if bit == "1":
-                s *= h
-            out = self.reduce(s)
+                out = self.reduce(out << w if w else out * h)
         return out
 
 
@@ -515,63 +540,122 @@ def _frobenius_walk(T, primes):
     return out
 
 
-def degree_patterns(T, primes, disc=None):
-    """Yields degree_pattern(T, p) for each of the ascending primes: the
-    ascending degrees of the distinct irreducible factors of monic T mod p.
+def pattern_groups(T, primes, disc=None):
+    """The degree patterns of monic T at the distinct primes in the list
+    primes, grouped by pattern: {pattern: [p, ...]}, each pattern the tuple
+    of ascending degrees of the distinct irreducible factors of T mod p.
 
-    disc = disc(T) is computed when not given.  At odd p not dividing it,
-    Stickelberger's parity of the factor count (_factor_parity) settles the
-    pattern as soon as one partition of the unsplit degree fits it (_fit):
-    a quadratic, and a cubic with (disc/p) = -1, need no Frobenius power at
-    all.  The other such p > deg T go in blocks of _WALK_BLOCK: one walk
-    gives their x^p mod (T, p) (_frobenius_walk), and the traces of one
-    Berlekamp matrix modulo their product count their factors
-    (_frobenius_traces, _traced_pattern); the patterns from the first of
-    them on are held until their block is done.  At p = 2, at p <= deg T
-    and at p | disc, the pattern comes from the distinct-degree
-    factorization (_ddf), preceded at p | disc by the square-free
-    decomposition.  Every pattern is checked: the degrees with their
-    multiplicities sum to deg T, and where the parity is known the count
-    has it; otherwise VerificationFailed."""
+    disc = disc(T) is computed when not given.  One list pass takes
+    Euler's criterion at every odd p (_euler_criterion): (disc/p), or 0 at
+    p | disc.  Where it is +-1, Stickelberger's parity of the factor count
+    (_factor_parity) settles the pattern for all such p at once when one
+    partition of deg T fits it (_fit): every quadratic, and a cubic with
+    (disc/p) = -1, needs no Frobenius power.  The other odd p > deg T not
+    dividing disc go, ascending, in blocks of _WALK_BLOCK to
+    _walked_patterns: one walk gives their x^p mod (T, p)
+    (_frobenius_walk), and the traces of one Berlekamp matrix modulo their
+    product count their factors (_frobenius_traces).  At p = 2, at p <= deg
+    T and at p | disc, the pattern comes from the distinct-degree
+    factorization (_pattern), preceded at p | disc by the square-free
+    decomposition.  Every pattern that is not settled by the parity alone
+    is checked: the degrees with their multiplicities sum to deg T, and
+    where the parity is known the count has it; otherwise
+    VerificationFailed."""
     if disc is None:
         disc = discriminant(T)
     n = degree(T)
-    held, walk = [], []
-    for p in primes:
-        odd = _factor_parity(disc, p, n)
-        fit = None if odd is None else _fit(n, 1, odd)
-        if fit is None and odd is not None and p > n:
-            walk.append(p)
-        elif fit is None:
-            fit = _pattern(T, p, disc, odd)
-        if not walk:
-            yield fit
+    odd = [p for p in primes if p != 2]
+    euler = _euler_criterion(disc, odd)
+    groups = {}
+    factored = [(2, None)] if len(odd) < len(primes) else []
+    factored += [(p, None) for p, e in zip(odd, euler) if not e]
+    walked = []
+    for ps, parity in (([p for p, e in zip(odd, euler) if e == 1], n % 2),
+                       ([p for p, e in zip(odd, euler) if e > 1], 1 - n % 2)):
+        fit = _fit(n, 1, parity)
+        if fit is not None:
+            groups.setdefault(tuple(fit), []).extend(ps)
             continue
-        held.append((p, odd, fit))
-        if len(walk) == _WALK_BLOCK:
-            yield from _walked(T, held, walk)
-            held, walk = [], []
-    if walk:
-        yield from _walked(T, held, walk)
+        factored += [(p, parity) for p in ps if p <= n]
+        walked += [(p, parity) for p in ps if p > n]
+    factored.sort()
+    walked.sort()
+    for p, parity in factored:
+        groups.setdefault(tuple(_pattern(T, p, disc, parity)), []).append(p)
+    for i in range(0, len(walked), _WALK_BLOCK):
+        block = walked[i:i + _WALK_BLOCK]
+        for (p, _), pattern in zip(block, _walked_patterns(T, block)):
+            groups.setdefault(tuple(pattern), []).append(p)
+    return groups
 
 
-def _walked(T, held, walk):
-    """The held (p, odd, pattern or None) in order, the missing patterns
-    read off the Frobenius traces of one walk over the primes in walk."""
-    traces = _frobenius_traces(T, walk, _frobenius_walk(T, walk))
-    traced = []  # traced[d - 1][i]: roots of T in F_(p^d), p = walk[i]
+def _euler_criterion(disc, primes):
+    """[disc^((p-1)/2) mod p for p in primes], odd primes: 0 at p | disc,
+    else 1 or a value above 1 as (disc/p) is 1 or -1.  For fixed disc,
+    (disc/p) depends only on p mod 4|disc|, so when the primes outnumber
+    those classes, one power at a prime of each class serves the class:
+    a class holding a prime factor of disc holds no other prime."""
+    period = 4 * abs(disc)
+    if not 0 < period < len(primes):
+        return [pow(disc, p >> 1, p) for p in primes]
+    classes = [p % period for p in primes]
+    euler = {r: pow(disc, p >> 1, p)
+             for r, p in dict(zip(classes, primes)).items()}
+    return [euler[r] for r in classes]
 
-    def roots(d, i):
-        while len(traced) < d:
-            traced.append(next(traces))
-        return traced[d - 1][i]
 
-    i = 0
-    for p, odd, fit in held:
-        if fit is None:
-            fit = _traced_pattern(T, p, odd, lambda d: roots(d, i))
-            i += 1
-        yield fit
+def degree_patterns(T, primes, disc=None):
+    """Yields degree_pattern(T, p) for each of the given distinct primes:
+    the ascending degrees of the distinct irreducible factors of monic T
+    mod p, all of them from one pattern_groups pass."""
+    primes = list(primes)
+    pattern_of = {p: pattern for pattern, ps in
+                  pattern_groups(T, primes, disc).items() for p in ps}
+    for p in primes:
+        yield list(pattern_of[p])
+
+
+def _walked_patterns(T, block):
+    """The patterns at one block of walked primes, [(p, parity)] ascending,
+    read off the Frobenius traces in one pass over d = 1, 2, ...: with R_d
+    the number of roots of T in F_(p^d), T has c_d = (R_d - sum_(e | d, e <
+    d) e c_e) / d irreducible factors of degree d, each a non-negative
+    integer.  A prime leaves the pass as in _ddf: once a partition of its
+    unsplit degree fits the parity of the factors still unfound (_fit), or
+    once 2d exceeds it; R_d is read only while a prime is left.  Each
+    pattern is checked by _check_factor_count."""
+    primes = [p for p, _ in block]
+    traces = _frobenius_traces(T, primes, _frobenius_walk(T, primes))
+    patterns = [[] for _ in block]
+    unsplit = [degree(T)] * len(block)
+    left = range(len(block))
+    d = 0
+    while left:
+        d += 1
+        reading = []
+        for i in left:
+            m, pattern = unsplit[i], patterns[i]
+            fit = _fit(m, d, (block[i][1] + len(pattern)) % 2)
+            if fit is not None:
+                pattern += fit
+            elif 2 * d > m:
+                pattern.append(m)
+            else:
+                reading.append(i)
+        if reading:
+            R = next(traces)
+        for i in reading:
+            # pattern holds each factor of degree e < d once: e c_e in all
+            pattern = patterns[i]
+            c, r = divmod(R[i] - sum(e for e in pattern if d % e == 0), d)
+            if r or c < 0:
+                raise VerificationFailed(f"lost factors of T mod {primes[i]}")
+            pattern += [d] * c
+            unsplit[i] -= d * c
+        left = [i for i in reading if unsplit[i]]
+    for (p, parity), pattern in zip(block, patterns):
+        _check_factor_count(T, p, [(e, 1) for e in pattern], parity)
+    return patterns
 
 
 def _frobenius_traces(T, primes, hs):
@@ -623,35 +707,6 @@ def _frobenius_traces(T, primes, hs):
         yield [t % p for p in primes]
 
 
-def _traced_pattern(T, p, odd, roots):
-    """degree_pattern at a walked prime p, from roots(d), the number R_d of
-    roots of T in F_(p^d): T has c_d = (R_d - sum_(e | d, e < d) e c_e) / d
-    irreducible factors of degree d, each a non-negative integer.  d goes
-    only as far as in _ddf: it stops once a partition of the unsplit degree
-    fits the parity odd (_fit), or once 2d exceeds it.  The pattern is
-    checked by _check_factor_count."""
-    pattern = []
-    m = degree(T)
-    d = 0
-    while m > 0:
-        d += 1
-        fit = _fit(m, d, (odd + len(pattern)) % 2)
-        if fit is not None:
-            pattern += fit
-            break
-        if 2 * d > m:
-            pattern.append(m)
-            break
-        # pattern holds each factor of degree e < d once: e c_e in all
-        c, r = divmod(roots(d) - sum(e for e in pattern if d % e == 0), d)
-        if r or c < 0:
-            raise VerificationFailed(f"lost factors of T mod {p}")
-        pattern += [d] * c
-        m -= d * c
-    _check_factor_count(T, p, [(e, 1) for e in pattern], odd)
-    return pattern
-
-
 def _pattern(T, p, disc, odd):
     """degree_pattern at one prime from the distinct-degree factorization,
     with the count's parity odd when known, checked by
@@ -697,14 +752,14 @@ def is_prime(n):
 
 
 def primes_up_to(n):
-    """All primes <= n by sieve."""
+    """All primes <= n, by a sieve over the odd numbers."""
     if n < 2:
         return []
-    flags = bytearray([1]) * (n + 1)
-    flags[0] = flags[1] = 0
-    i = 2
-    while i * i <= n:
-        if flags[i]:
-            flags[i * i:n + 1:i] = bytearray(len(range(i * i, n + 1, i)))
-        i += 1
-    return list(itertools.compress(range(n + 1), flags))
+    odd = bytearray([1]) * ((n + 1) // 2)  # odd[i]: is 2i + 1 prime
+    odd[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if odd[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            odd[start::p] = bytes((len(odd) - 1 - start) // p + 1)
+    return [2, *itertools.compress(range(1, n + 1, 2), odd)]

@@ -10,7 +10,7 @@ Fraction arithmetic, degree patterns mod p by the kernels of powers of
 Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, unit
 logs by interval Horner evaluation of the power-basis polynomial at the root
 balls, presentations theta' = a(theta) by exact linear algebra on the powers
-of theta'.
+of theta', structure constants by Fraction long division and Gauss-Jordan.
 """
 
 import itertools
@@ -546,3 +546,40 @@ def smooth_count_range(start, count, B):
     the library's `is_smooth`; only the Dickman prediction is checked."""
     from classgroup.smoothness import is_smooth
     return sum(1 for N in range(start, start + count) if is_smooth(N, B))
+
+
+def mult_table_fractions(field):
+    """Structure constants in Fraction arithmetic: omega_i*omega_j as the
+    product of two power-basis rows, reduced mod T by long division, and
+    its coordinates over the basis by Gauss-Jordan on [basis^t | v].
+    Returns the n x n table of coordinate tuples (Fractions)."""
+    n = field.degree
+    T = [Fraction(c) for c in field.poly]
+    rows = [[Fraction(x) for x in row] for row in field.basis]
+
+    def coordinates(v):
+        a = [[rows[k][i] for k in range(n)] + [v[i]] for i in range(n)]
+        for k in range(n):
+            piv = next(i for i in range(k, n) if a[i][k])
+            a[k], a[piv] = a[piv], a[k]
+            a[k] = [x / a[k][k] for x in a[k]]
+            for i in range(n):
+                if i != k and a[i][k]:
+                    a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+        return tuple(a[i][n] for i in range(n))
+
+    table = []
+    for i in range(n):
+        out = []
+        for j in range(n):
+            prod = [Fraction(0)] * (2 * n - 1)
+            for s, x in enumerate(rows[i]):
+                for t, y in enumerate(rows[j]):
+                    prod[s + t] += x * y
+            for k in range(2 * n - 2, n - 1, -1):
+                c = prod[k]
+                for t in range(n + 1):
+                    prod[k - n + t] -= c * T[t]
+            out.append(coordinates(prod[:n]))
+        table.append(out)
+    return table
