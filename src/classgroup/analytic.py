@@ -46,7 +46,8 @@ def euler_residue(field, prime_bound):
     above p, the local factor at p is p^(sum f - 1) / (prod (p^f - 1) /
     (p - 1)) in integers; it is 1, and left out, when sum f = 1, as at a
     totally ramified p.  The residue degrees are the degree patterns of T
-    mod p, all primes in one polynomials.pattern_groups pass: a bulk
+    mod p, all primes in one polynomials.pattern_groups pass, with disc(T)
+    read off the field as disc(O_K) * index^2: a bulk
     parity pass settles every quadratic (and a cubic at (disc/p) = -1),
     and per block of the other primes one Frobenius walk and the traces of
     one Berlekamp matrix, which count the roots of T in each F_(p^d), give
@@ -61,7 +62,7 @@ def euler_residue(field, prime_bound):
     above = [p for p in primes if index % p == 0] if index > 1 else []
     groups = poly.pattern_groups(
         T, [p for p in primes if index % p] if above else primes,
-        poly.discriminant(T))
+        field.discriminant * index ** 2)
     for p in above:
         degs = tuple(sorted(P.res_f for P in factor_prime(p, field)))
         groups.setdefault(degs, []).append(p)

@@ -14,7 +14,12 @@ silently corrupt a division.
 
 Products multiply coordinate columns by the field's one product
 (NumberField.mult_columns, combine_columns), which the Buchmann-Lenstra route
-reduces mod p.  Valuations and divisions by P use an anti-uniformizer tau in
+reduces mod p.  A product by a prime P = (p, pi) is the HNF of the 2n
+generators p*a and pi*a (Cohen, GTM 138, Sec. 4.7), pi*a read off pi's
+multiplication columns; other products take the n^2 products of the two
+bases.  A factor base keeps each prime power P^e after it is first built,
+so a power product builds only the factors its cached start leaves out.
+Valuations and divisions by P use an anti-uniformizer tau in
 p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
 exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
 Norm checks on products and divisions raise VerificationFailed.
@@ -69,7 +74,8 @@ class PrimeIdeal:
 
     tau lies in p*P^(-1) outside pO_K, so v_P(tau) = e - 1, v_Q(tau) >= e_Q
     at the other Q above p, and pO_K + tau*O_K = p*P^(-1); tau_mult holds
-    the integer columns tau*omega_j."""
+    the integer columns tau*omega_j, and gen_mult the columns alpha*omega_j
+    of the second generator."""
     p: int
     gen_poly: tuple
     ram_e: int
@@ -79,6 +85,7 @@ class PrimeIdeal:
     inv_basis: tuple  # HNF basis of p * P^(-1)
     tau: tuple = dc_field(compare=False)
     tau_mult: tuple = dc_field(compare=False)
+    gen_mult: tuple = dc_field(compare=False)
 
     def as_ideal(self):
         return Ideal(self.hnf_basis, self.norm)
@@ -153,7 +160,15 @@ def _ideal_product(a, b, field):
 
 
 def ideal_mul(a, b, field):
-    out = _ideal_product(a, b, field)
+    """a*b, its norm checked.  For a PrimeIdeal b = (p, alpha) it is the HNF
+    of the 2n generators p*g and alpha*g over a's HNF columns g, the columns
+    alpha*g from b.gen_mult; otherwise of the n^2 products."""
+    if isinstance(b, PrimeIdeal):
+        cols = [[b.p * v for v in g] for g in a.hnf_basis]
+        cols += [combine_columns(b.gen_mult, g) for g in a.hnf_basis]
+        out = _hnf_ideal(cols, field)
+    else:
+        out = _ideal_product(a, b, field)
     if out.norm != a.norm * b.norm:
         raise VerificationFailed("ideal norms do not multiply")
     return out
@@ -232,7 +247,8 @@ def _prime_from_gen(p, gen_poly, e, f, field):
     return PrimeIdeal(p=p, gen_poly=tuple(int(c) % p for c in gen_poly),
                       ram_e=e, res_f=f, norm=p ** f,
                       hnf_basis=ideal.hnf_basis, inv_basis=inv_ideal.hnf_basis,
-                      tau=tau, tau_mult=tau_mult)
+                      tau=tau, tau_mult=tau_mult,
+                      gen_mult=tuple(tuple(c) for c in g_mult))
 
 
 # Index divisors: Buchmann-Lenstra decomposition of O_K/pO_K (Cohen, GTM 138,
@@ -380,7 +396,8 @@ def _index_divisor_primes(p, field):
         P = PrimeIdeal(p=p, gen_poly=tuple(alpha), ram_e=0, res_f=f,
                        norm=p ** f, hnf_basis=ideal.hnf_basis,
                        inv_basis=inv_ideal.hnf_basis, tau=tau,
-                       tau_mult=tau_mult)
+                       tau_mult=tau_mult, gen_mult=tuple(
+                           tuple(c) for c in field.mult_columns(alpha)))
         out.append(replace(P, ram_e=valuation(pO, P, field)))
     if _fold_product([P.as_ideal() for P in out for _ in range(P.ram_e)],
                      field) != pO:
@@ -487,7 +504,20 @@ class FactorBase:
     def index_of(self, P):
         return self._index[(P.p, P.gen_poly)]
 
+    def power(self, i, e, field):
+        """primes[i]^e for e >= 1, kept after it is first built: P^e is
+        P^(e-1) times P's two generators, so a first build of P^e costs e - 1
+        products."""
+        out = self._powers.get((i, e))
+        if out is None:
+            P = self.primes[i]
+            out = (P.as_ideal() if e == 1 else
+                   ideal_mul(self.power(i, e - 1, field), P, field))
+            self._powers[(i, e)] = out
+        return out
+
     def __post_init__(self):
+        self._powers = {}
         self._index = {(P.p, P.gen_poly): i for i, P in enumerate(self.primes)}
         above = {}
         for P in self.primes:
@@ -528,28 +558,39 @@ def build_factor_base(field, B):
 
 
 def ideal_from_power_product(fb, indices, exponents, field):
-    """prod fb.primes[i]^e by sum(e) - 1 products; empty product is the
-    unit ideal.  Raises ValueError for an exponent below 1."""
+    """prod fb.primes[i]^e; the empty product is the unit ideal.  The first
+    factor of largest exponent comes from fb.power, and the other primes
+    multiply in by their two generators, one product per unit of exponent:
+    sum(e) - 1 products when the power is not yet kept.  Raises ValueError
+    for an exponent below 1."""
     if any(e < 1 for e in exponents):
         raise ValueError(f"power-product exponents {list(exponents)} must "
                          "all be at least 1")
-    return _fold_product([fb.primes[i].as_ideal()
-                          for i, e in zip(indices, exponents, strict=True)
-                          for _ in range(e)], field)
+    factors = list(zip(indices, exponents, strict=True))
+    if not factors:
+        return unit_ideal(field)
+    first = max(range(len(factors)), key=lambda t: factors[t][1])
+    out = fb.power(*factors.pop(first), field)
+    for i, e in factors:
+        for _ in range(e):
+            out = ideal_mul(out, fb.primes[i], field)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Smoothness of ideals
 
-def is_smooth_ideal(target, fb, field):
+def is_smooth_ideal(target, fb, field, norm=None):
     """Exponent dict {factor base index: valuation} if the Ideal, or the
     principal ideal of an integral element, factors completely over fb, else
     None.  Reconstruction is verified exactly: prod norm(P)^e must equal the
-    norm."""
-    N = integral_norm(target)[0] if hasattr(target, "coords") else target.norm
-    if N == 1:
+    norm, which a caller that holds |N(x)| of an element passes as `norm`."""
+    if norm is None:
+        norm = (integral_norm(target)[0] if hasattr(target, "coords")
+                else target.norm)
+    if norm == 1:
         return {}
-    res = smooth_part(N, fb.bound)
+    res = smooth_part(norm, fb.bound)
     if res.cofactor != 1:
         return None
     exps = {}
@@ -560,7 +601,7 @@ def is_smooth_ideal(target, fb, field):
             if v:
                 exps[fb.index_of(P)] = v
                 check *= P.norm ** v
-    if check != N:
+    if check != norm:
         return None  # a prime of norm > B over a smooth p divides it
     return exps
 

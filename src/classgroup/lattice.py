@@ -6,10 +6,12 @@ integers; Gram-Schmidt data uses the classical integral (d_i, lambda_ij)
 representation with mu_ij = lambda_ij/d_j and |b*_i|^2 = d_i/d_{i-1}, so the
 Lovasz condition and all block comparisons are integer comparisons.  BKZ
 reads each block's GSO off the reduced basis's (d, lambda) with no sub-LLL:
-a projected block of an LLL-reduced basis is already LLL-reduced.  Floating
-point appears only inside the enumeration kernel, whose candidate vectors are
-re-scored exactly before anything is accepted, with the search radius opened
-by a safety margin so the true minimum cannot be pruned away.
+a projected block of an LLL-reduced basis is already LLL-reduced.  A
+2-dimensional BKZ block's short vectors are read off its integer Gram in
+closed form, from three exact quadratic forms.  Floating point appears only
+inside the enumeration kernel, whose candidate vectors are re-scored exactly
+before anything is accepted, with the search radius opened by a safety
+margin so the true minimum cannot be pruned away.
 """
 
 import math
@@ -346,6 +348,26 @@ def enumerate_gram(red, bound2_exact=None):
     return result, nodes_total
 
 
+def _block_candidates(block):
+    """enumerate_gram(block): (candidates, nodes).  A 2-dimensional block
+    [[a, b], [b, c]] with 2|b| <= a and 4(ac - b^2) > a*min(a, c) is read
+    off in closed form, with no nodes.  A vector (x, y) of norm^2 at most
+    min(a, c) then has |y| <= 1, its norm^2 being at least y^2 (ac - b^2)/a,
+    and |x| <= 1, since |x + yb/a| <= 1/2 at the best x.  The norms of
+    (1, 1) and (-1, 1) sum to 2a + 2c, so at most one passes, the one with
+    xb <= 0.  The candidates are those of (1, 0), (0, 1) and that one
+    under the bound, in the kernel's zig-zag order.  Every projected
+    2-block of an LLL-reduced basis passes the test."""
+    if block.k == 2:
+        (a, b), (_, c) = block.G
+        bound = min(a, c)
+        if 2 * abs(b) <= a and 4 * (a * c - b * b) > a * bound:
+            out = [((1, 0), a), ((0, 1), c),
+                   ((-1 if b > 0 else 1, 1), a - 2 * abs(b) + c)]
+            return [t for t in out if t[1] <= bound], 0
+    return enumerate_gram(block)
+
+
 def shortest_of_gram(gram, cap=ENUM_DIM_CAP):
     """Exact shortest nonzero vector of the lattice with this Gram matrix.
 
@@ -422,7 +444,7 @@ def bkz(basis, beta):
             hi = min(kappa + beta, k)
             if hi - kappa < 2:
                 continue
-            cands, nodes = enumerate_gram(red.block_gso(kappa, hi))
+            cands, nodes = _block_candidates(red.block_gso(kappa, hi))
             nodes_total += nodes
             w, n2 = min(cands, key=lambda t: (t[1], t[0]))
             # exact: n2 / d[kappa-1] < |b*_kappa|^2 = d[kappa] / d[kappa-1]

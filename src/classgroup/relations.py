@@ -250,13 +250,14 @@ def derive_relations(idxs, exps, cfg, field, fb, cap=None):
         x = _readback(a, col, field)
         if x.is_zero:
             raise VerificationFailed("reduced vector is zero")
-        norm_b, r = divmod(integral_norm(x)[0], a.norm)
+        nx = integral_norm(x)[0]
+        norm_b, r = divmod(nx, a.norm)
         if r:
             raise VerificationFailed("N(a) does not divide N(x)")
         if not eq5_bound_holds(norm_b, beta, n, abs(field.discriminant)):
             raise VerificationFailed(
                 "reduced cofactor ideal violates the norm bound")
-        smooth = is_smooth_ideal(x, fb, field)
+        smooth = is_smooth_ideal(x, fb, field, nx)
         if smooth is None:
             continue
         out = {fb.primes[i]: v for i, v in smooth.items()}

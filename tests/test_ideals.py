@@ -8,8 +8,8 @@ from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
 from classgroup.field import canonical_embedding, iv_endpoints, parse_field
-from classgroup.ideals import (Ideal, _index_divisor_primes, bach_bound,
-                               build_factor_base, factor_prime,
+from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
+                               bach_bound, build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
                                ideal_from_power_product, ideal_lattice,
                                ideal_mul, ideal_pow, is_smooth_ideal,
@@ -176,8 +176,8 @@ def test_power_product_examples(qi, q5):
 
 
 def test_power_product_is_a_fold(q23, cubic, monkeypatch):
-    # sum(e) - 1 products, each by a prime: no unit-ideal start and no
-    # squaring that is thrown away
+    # sum(e) - 1 products, each by a prime, on an empty power cache: no
+    # unit-ideal start and no squaring that is thrown away
     calls = []
     mul = ideals.ideal_mul
     monkeypatch.setattr(ideals, "ideal_mul",
@@ -190,7 +190,8 @@ def test_power_product_is_a_fold(q23, cubic, monkeypatch):
             idxs = sorted(rng.sample(range(fb.size), k))
             exps = [rng.randint(1, 3) for _ in idxs]
             calls.clear()
-            a = ideal_from_power_product(fb, idxs, exps, K)
+            a = ideal_from_power_product(
+                FactorBase(fb.bound, fb.primes, fb.bach_bound), idxs, exps, K)
             assert len(calls) == sum(exps) - 1, (idxs, exps)
             want = None
             for i, e in zip(idxs, exps):
@@ -199,6 +200,81 @@ def test_power_product_is_a_fold(q23, cubic, monkeypatch):
                     want = cols if want is None else \
                         ideal_product_fractions(K, want, cols)
             assert a.hnf_basis == want, (idxs, exps)
+
+
+# Fields for the two-generator products, with rational primes that give
+# split, inert (alpha in pO) and ramified primes; 2 divides the index of
+# Dedekind's cubic, so its primes above 2 come from O_K/2O_K
+PRODUCT_FIELDS = {
+    "Q(sqrt-23)": (lambda: parse_field([6, -1, 1]), [2, 3, 5, 23]),
+    "x^3-x-1": (lambda: parse_field([-1, -1, 0, 1]), [2, 5, 23]),
+    "zeta5": (lambda: parse_field([1, 1, 1, 1, 1]), [2, 5, 11]),
+    "zeta7": (lambda: parse_field([1] * 7), [2, 3, 7]),
+    "x^5-2": (lambda: parse_field([-2, 0, 0, 0, 0, 1]), [2, 3, 11]),
+    "Dedekind cubic": (dedekind_cubic, [2, 3, 503]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_two_generator_products_match_fraction_oracle(name):
+    # every power product, built from the cached powers and the primes'
+    # two generators, is the HNF of all products of generators
+    make, ps = PRODUCT_FIELDS[name]
+    K = make()
+    n = K.degree
+    primes = [P for p in ps for P in factor_prime(p, K)]
+    kinds = set()
+    for P in primes:
+        if P.ram_e > 1:
+            kinds.add("ramified")
+        elif P.res_f == n:
+            assert all(v % P.p == 0 for c in P.gen_mult for v in c), P
+            kinds.add("inert")
+        else:
+            kinds.add("split")
+    assert kinds == ALL_KINDS
+    fb = FactorBase(max(P.norm for P in primes), primes, 0)
+    rng = random.Random(28)
+    for _ in range(12):
+        k = rng.randint(1, 3)
+        idxs = sorted(rng.sample(range(fb.size), k))
+        exps = [rng.randint(1, 3) for _ in idxs]
+        a = ideal_from_power_product(fb, idxs, exps, K)
+        want = None
+        for i, e in zip(idxs, exps):
+            for _ in range(e):
+                cols = fb.primes[i].hnf_basis
+                want = cols if want is None else \
+                    ideal_product_fractions(K, want, cols)
+        assert a.hnf_basis == want, (idxs, exps)
+        P = fb.primes[rng.randrange(fb.size)]
+        assert (ideal_mul(a, P, K).hnf_basis
+                == ideal_product_fractions(K, a.hnf_basis, P.hnf_basis))
+
+
+_CORRUPT_GEN_MULT_UNDER_O = """
+from dataclasses import replace
+
+from classgroup import ideals
+from classgroup.errors import VerificationFailed
+from classgroup.field import parse_field
+
+assert not __debug__, "run with python -O"
+K = parse_field([6, -1, 1])
+for p in (2, 5):
+    P = ideals.factor_prime(p, K)[0]
+    # alpha = 1: a*(p, 1) is a itself, one factor of p short in the norm
+    fake = replace(P, gen_mult=((1, 0), (0, 1)))
+    try:
+        ideals.ideal_mul(P.as_ideal(), fake, K)
+    except VerificationFailed as e:
+        print("rejected:", e)
+"""
+
+
+def test_two_generator_norm_check_survives_python_O():
+    assert run_under_O(_CORRUPT_GEN_MULT_UNDER_O) == [
+        "rejected: ideal norms do not multiply"] * 2
 
 
 def test_ideal_pow_small_exponents(q23, monkeypatch):

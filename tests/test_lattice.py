@@ -7,6 +7,7 @@ import pytest
 
 from oracles import brute_shortest
 from under_O import run_under_O
+from classgroup import kernels, lattice
 from classgroup.errors import DeterminantTooLarge, DimensionCap
 from classgroup.intlinalg import identity
 from classgroup.lattice import (GramLLL, LatticeBasis, bkz, cheon_reduce,
@@ -232,10 +233,11 @@ from classgroup.errors import VerificationFailed
 
 assert not __debug__, "run with python -O"
 # a block "shortest vector" of norm 0 with gcd 2 always looks like an
-# improvement, so only the primitivity check stands between it and the basis
+# improvement, so only the primitivity check stands between it and the basis;
+# a 2-dimensional block is read off in closed form, so the block has three
 lattice.enumerate_gram = lambda red: ([((2,) + (0,) * (red.k - 1), 0)], 1)
 try:
-    lattice.bkz(lattice.LatticeBasis([[3, 1], [1, 3]]), 2)
+    lattice.bkz(lattice.LatticeBasis([[3, 1, 0], [1, 3, 1], [0, 1, 3]]), 3)
 except VerificationFailed as e:
     print("rejected:", e)
 """
@@ -430,57 +432,58 @@ def test_block_gso_is_the_reduced_sub_lll_state():
 # (tours, enumeration nodes, sha256 of repr(U)) of bkz with beta = 3 and 4
 # on _seeded_bases(43, 30), recorded while each block was still LLL-reduced
 # on its own before enumeration: reading the block's GSO from the reduced
-# basis must take the same decisions
+# basis must take the same decisions.  The node counts were re-recorded when
+# 2-dimensional blocks went to the closed form, which counts no nodes
 _PINNED_BKZ = [
-    (1, 14, 'eb099f052092aa52b6d287c27ffbe4fab2f85cab3e4c69dc7fa9a23b641adffb'),
-    (1, 14, '25cbfd8a7a544de432f87f28e03d716b6117bb52c5b1ef91d30ac4f8cdadc688'),
+    (1, 8, 'eb099f052092aa52b6d287c27ffbe4fab2f85cab3e4c69dc7fa9a23b641adffb'),
+    (1, 8, '25cbfd8a7a544de432f87f28e03d716b6117bb52c5b1ef91d30ac4f8cdadc688'),
+    (1, 46, 'ed2d73ce0db8ae2fe62f64b7b4ba0dc8331e5fae5f9336c32c1db89fb061ad0c'),
     (1, 52, 'ed2d73ce0db8ae2fe62f64b7b4ba0dc8331e5fae5f9336c32c1db89fb061ad0c'),
-    (1, 58, 'ed2d73ce0db8ae2fe62f64b7b4ba0dc8331e5fae5f9336c32c1db89fb061ad0c'),
+    (1, 32, 'c481dbe53e5c80636ec80b1413ffb687aa2e573ef4e449329b16052806de10e1'),
     (1, 38, 'c481dbe53e5c80636ec80b1413ffb687aa2e573ef4e449329b16052806de10e1'),
-    (1, 44, 'c481dbe53e5c80636ec80b1413ffb687aa2e573ef4e449329b16052806de10e1'),
-    (1, 14, '11f792de22c64280d765e4c990e4bd7fb45f0b3f3b1810667de04bb81698c59b'),
-    (2, 72, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
-    (2, 80, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
-    (1, 56, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
-    (1, 72, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
-    (1, 46, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
-    (1, 54, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
-    (1, 14, 'f07ebdb18952fcc2ac8fdb44858bc750e165940df5c3ce7c14bb18d93af73cb8'),
-    (1, 50, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
-    (1, 58, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
-    (1, 58, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
-    (1, 68, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
-    (1, 22, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
-    (1, 24, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
-    (1, 14, '0efe6963b3360fe82b4c99835f88c6fb8fd80c8108734f477be393d2605bf16e'),
-    (1, 50, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
-    (1, 58, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
-    (1, 14, '7b0e2d77fc70a225369cf50d105339a49e5e334c1ba88929c54c99e2a88d5646'),
-    (1, 50, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
-    (1, 58, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
-    (1, 60, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
-    (1, 70, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
-    (2, 193, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
-    (2, 256, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
-    (1, 14, 'e9100f630b78400bd5c3f2670da280322d8bb6245995f5dd86d26d6615a24dc6'),
-    (1, 54, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
-    (1, 64, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
-    (2, 120, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
-    (2, 144, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
-    (1, 14, '0cee650ac15cdb096fed0a6ad6107b7ed688f0be7c1254c9324d4701a5deab7b'),
-    (1, 28, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
-    (1, 30, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
-    (2, 166, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
-    (2, 238, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
-    (1, 18, '07bf670df5e2e0fb8b53de226c9f80cbe257c9aa21437488fdaff93fe2b6dcad'),
-    (1, 58, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
-    (1, 68, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
-    (1, 40, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
-    (1, 46, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
+    (1, 8, '11f792de22c64280d765e4c990e4bd7fb45f0b3f3b1810667de04bb81698c59b'),
+    (2, 60, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
+    (2, 68, 'e6ad8875f3f31eba43be461e29973d6c67c2f9a49228fb3fec45038762513098'),
+    (1, 50, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
+    (1, 66, '3cd80d9ec53f1f7d5e0dffde5d201976027d834937fc5ead9f0d263f96a76810'),
+    (1, 40, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
+    (1, 48, '4a618f8b7dd2db22742b2fae869515abf60dd6cac5ced8bb43374646e7371eac'),
+    (1, 8, 'f07ebdb18952fcc2ac8fdb44858bc750e165940df5c3ce7c14bb18d93af73cb8'),
+    (1, 44, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
+    (1, 52, '873dc5f7b4a32288ca3f136d744a509b4d470381efb31ad5b9fe84b5ed38deef'),
+    (1, 52, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
+    (1, 62, 'a8c1b52ec38a1db09da73b3c57f033888aee626a8533bd7321b9a7e1ecc6b9fe'),
+    (1, 16, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
+    (1, 18, '3ac31df47fe6a25132ad5affe6ef956585ef9e19f6826d2528a9902b28a05bf0'),
+    (1, 8, '0efe6963b3360fe82b4c99835f88c6fb8fd80c8108734f477be393d2605bf16e'),
+    (1, 44, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
+    (1, 52, 'bed395df582b7e2cf5a9ca7a9c4a969d1060cb423bf4a8eee733168504676e0d'),
+    (1, 8, '7b0e2d77fc70a225369cf50d105339a49e5e334c1ba88929c54c99e2a88d5646'),
+    (1, 44, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
+    (1, 52, 'e4f4d126f51ec8d48779913f2b65fe2b06ecd622be35f8d32abda9b03c491e7b'),
+    (1, 54, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
+    (1, 64, 'cb1ba3ca12b2e62d6809bcb19c902ad7ab7c549eb48ec09490d801628efadc8d'),
+    (2, 181, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
+    (2, 244, 'c775b861c9c3343c24f87ee144807a1b70547566c79ab3252247c2c0f7ae6712'),
+    (1, 8, 'e9100f630b78400bd5c3f2670da280322d8bb6245995f5dd86d26d6615a24dc6'),
+    (1, 48, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
+    (1, 58, '177e8ff1c5c8abe2ee40fea0dfa3a59fde0415920f158fb356548b66074607a1'),
+    (2, 108, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
+    (2, 132, '1ae95e57a55ff3448d88d4416327fd2f35653c215039a670f21fe01f027bd5bc'),
+    (1, 8, '0cee650ac15cdb096fed0a6ad6107b7ed688f0be7c1254c9324d4701a5deab7b'),
+    (1, 22, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
+    (1, 24, '4fb35667e4a8a70ef20b75a99ac18f79efa75903fbaf5e6102753a1d7fc7d9e2'),
+    (2, 154, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
+    (2, 226, 'bac87303ad33d88ddb048767816ecebb4a8abe8888f9a411f5ea777c9919250e'),
+    (1, 12, '07bf670df5e2e0fb8b53de226c9f80cbe257c9aa21437488fdaff93fe2b6dcad'),
+    (1, 52, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
+    (1, 62, '4f3af0d041966f1b99273c4da634443646ea3595ebc57b405d3847b50faee833'),
+    (1, 32, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
+    (1, 38, '135c14d7b8d8c7a9104acd181ac311ef93427b9182049b7c4896c80356874bf9'),
+    (2, 64, '4b34eacd6cb2d0bd9f55a039084a83c2ce61582d9352b920f5375e23cc453aa6'),
     (2, 76, '4b34eacd6cb2d0bd9f55a039084a83c2ce61582d9352b920f5375e23cc453aa6'),
-    (2, 88, '4b34eacd6cb2d0bd9f55a039084a83c2ce61582d9352b920f5375e23cc453aa6'),
-    (2, 126, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
-    (2, 152, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
+    (2, 114, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
+    (2, 140, 'aaaca2a660c5c27906ba8122f42ebc661fdc4df97c7ce016636f48fe9cea0241'),
 ]
 
 
@@ -494,3 +497,86 @@ def test_bkz_decisions_pinned():
                             hashlib.sha256(repr(out.transform).encode())
                             .hexdigest()))
     assert got == _PINNED_BKZ
+
+
+def _closed_form_applies(G):
+    (a, b), (_, c) = G
+    return 2 * abs(b) <= a and 4 * (a * c - b * b) > a * min(a, c)
+
+
+def _counting_kernel(monkeypatch):
+    calls = []
+    inner = kernels.enum_collect
+
+    def counted(*args):
+        calls.append(1)
+        return inner(*args)
+
+    monkeypatch.setattr(kernels, "enum_collect", counted)
+    return calls
+
+
+def test_two_block_closed_form_matches_float_enumeration(monkeypatch):
+    # the same candidates in the same order, and so the same minimum, as
+    # the float kernel, with no kernel call; exact ties and entries past
+    # 2^256 included
+    calls = _counting_kernel(monkeypatch)
+    grams = []
+    for s in (1, 7, 2 ** 256 + 1):
+        grams += [[[s, 0], [0, s]], [[2 * s, s], [s, 2 * s]],
+                  [[2 * s, -s], [-s, 2 * s]]]
+    rng = random.Random(28)
+    while len(grams) < 600:
+        a = rng.randint(1, 2 ** rng.choice((6, 40, 300)))
+        b = rng.randint(-(a // 2), a // 2)
+        c = rng.randint(max(1, (b * b) // a), 3 * a)
+        if _closed_form_applies([[a, b], [b, c]]):
+            grams.append([[a, b], [b, c]])
+    below = 0
+    for G in grams:
+        assert _closed_form_applies(G)
+        below += G[1][1] < G[0][0]
+        del calls[:]
+        got, nodes = lattice._block_candidates(GramLLL(G))
+        assert (calls, nodes) == ([], 0)
+        want, _ = lattice.enumerate_gram(GramLLL(G))
+        assert calls
+        assert got == want, G
+        key = lambda t: (t[1], t[0])
+        assert min(got, key=key) == min(want, key=key)
+    assert below > 100
+    ties = lattice._block_candidates(GramLLL([[14, 7], [7, 14]]))[0]
+    assert ties == [((1, 0), 14), ((0, 1), 14), ((-1, 1), 14)]
+
+
+def test_two_block_falls_back_to_the_kernel(monkeypatch):
+    # a Gram that fails either integer test goes to enumerate_gram
+    calls = _counting_kernel(monkeypatch)
+    grams = [[[4, 3], [3, 10]], [[10, 5], [5, 3]]]
+    rng = random.Random(29)
+    while len(grams) < 100:
+        a, c = rng.randint(1, 2 ** 40), rng.randint(1, 2 ** 40)
+        b = rng.randint(-a, a)
+        if a * c > b * b and not _closed_form_applies([[a, b], [b, c]]):
+            grams.append([[a, b], [b, c]])
+    for G in grams:
+        del calls[:]
+        got = lattice._block_candidates(GramLLL(G))
+        assert calls
+        assert got == lattice.enumerate_gram(GramLLL(G))
+
+
+def test_collect_on_a_quadratic_field_never_enumerates(monkeypatch):
+    # every BKZ block of a quadratic field is 2-dimensional
+    from classgroup.field import parse_field
+    from classgroup.ideals import build_factor_base
+    from classgroup.relations import CollectionConfig, collect
+    calls = _counting_kernel(monkeypatch)
+    K = parse_field([250001, -1, 1])
+    fb = build_factor_base(K, 150)
+    for mode in ("plain", "multi"):
+        cfg = CollectionConfig(bound_B=150, k=2, A=2, beta=2, rng_seed=3,
+                               mode=mode)
+        matrix, stats = collect(K, fb, cfg)
+        assert stats["trials"] >= fb.size
+    assert calls == []

@@ -324,9 +324,9 @@ def test_multi_cap_keeps_the_prefix_and_stops_early(q23, monkeypatch):
     tried = []
     inner = relations.is_smooth_ideal
 
-    def recorded(x, fb, field):
+    def recorded(x, fb, field, norm=None):
         tried.append(x)
-        return inner(x, fb, field)
+        return inner(x, fb, field, norm)
 
     monkeypatch.setattr(relations, "is_smooth_ideal", recorded)
     rng = random.Random(6)
@@ -413,8 +413,8 @@ def test_relations_match_cofactor_reference(monkeypatch):
     tested = []
     inner = relations.is_smooth_ideal
 
-    def recorded(x, fb, field):
-        out = inner(x, fb, field)
+    def recorded(x, fb, field, norm=None):
+        out = inner(x, fb, field, norm)
         tested.append((x, out))
         return out
 
