@@ -16,9 +16,11 @@ Products multiply coordinate columns by the field's one product
 (NumberField.mult_columns, combine_columns), which the Buchmann-Lenstra route
 reduces mod p.  A product by a prime P = (p, pi) is the HNF of the 2n
 generators p*a and pi*a (Cohen, GTM 138, Sec. 4.7), pi*a read off pi's
-multiplication columns; other products take the n^2 products of the two
-bases.  A factor base keeps each prime power P^e after it is first built,
-so a power product builds only the factors its cached start leaves out.
+multiplication columns: p times a's HNF is already triangular, so the n
+columns of pi*a are folded into it by extended-gcd steps; other products take
+the n^2 products of the two bases.  A factor base keeps each prime power P^e
+after it is first built, so a power product builds only the factors its
+cached start leaves out.
 Valuations and divisions by P use an anti-uniformizer tau in
 p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
 exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
@@ -95,12 +97,61 @@ class PrimeIdeal:
 
 
 def _hnf_ideal(cols, field):
-    n = field.degree
-    h = column_hnf(cols, n)
+    return _ideal_of_hnf(column_hnf(cols, field.degree))
+
+
+def _ideal_of_hnf(h):
     norm = 1
-    for j in range(n):
-        norm *= h[j][j]
+    for j, c in enumerate(h):
+        norm *= c[j]
     return Ideal(tuple(tuple(c) for c in h), norm)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
+
+
+def _hnf_ideal_over(tri, cols):
+    """The Ideal spanned by tri and cols, where tri is upper triangular with
+    a positive diagonal (column j supported on rows 0..j): each column of
+    cols is folded into tri from its last row up, by one extended-gcd step
+    wherever the pivot does not divide it, and the entries above the
+    diagonal are then reduced as column_hnf reduces them.  Column j is kept
+    as its rows 0..j, and a folded column loses its last row at each step."""
+    n = len(tri)
+    h = [list(c[:j + 1]) for j, c in enumerate(tri)]
+    for v in cols:
+        v = list(v)
+        while v:
+            x = v.pop()
+            if not x:
+                continue
+            piv = h[len(v)]
+            d = piv[-1]
+            q, m = divmod(x, d)
+            if m:
+                g, s, t = _xgcd(d, x)
+                dg, xg = d // g, x // g
+                h[len(v)] = [s * a + t * b for a, b in zip(piv, v)] + [g]
+                v = [dg * b - xg * a for a, b in zip(piv, v)]
+            else:
+                v = [b - q * a for a, b in zip(piv, v)]
+    for j in range(1, n):
+        cj = h[j]
+        for i in range(j - 1, -1, -1):
+            ci = h[i]
+            q = cj[i] // ci[i]
+            if q:
+                for t in range(i + 1):
+                    cj[t] -= q * ci[t]
+    return _ideal_of_hnf([c + [0] * (n - 1 - j) for j, c in enumerate(h)])
 
 
 def unit_ideal(field):
@@ -162,11 +213,12 @@ def _ideal_product(a, b, field):
 def ideal_mul(a, b, field):
     """a*b, its norm checked.  For a PrimeIdeal b = (p, alpha) it is the HNF
     of the 2n generators p*g and alpha*g over a's HNF columns g, the columns
-    alpha*g from b.gen_mult; otherwise of the n^2 products."""
+    alpha*g from b.gen_mult folded into the triangular p*g; otherwise of the
+    n^2 products."""
     if isinstance(b, PrimeIdeal):
-        cols = [[b.p * v for v in g] for g in a.hnf_basis]
-        cols += [combine_columns(b.gen_mult, g) for g in a.hnf_basis]
-        out = _hnf_ideal(cols, field)
+        out = _hnf_ideal_over(
+            [[b.p * v for v in g] for g in a.hnf_basis],
+            [combine_columns(b.gen_mult, g) for g in a.hnf_basis])
     else:
         out = _ideal_product(a, b, field)
     if out.norm != a.norm * b.norm:
@@ -454,11 +506,11 @@ def _tau_over_p(gens, P):
 def ideal_divide_prime(ideal, P, field):
     """Exact division ideal * P^(-1); P must divide ideal.  Since
     p*P^(-1) = pO + tau*O, the quotient is ideal + (tau/p)*ideal: the HNF of
-    the generators g_j and g_j*tau/p."""
+    the generators g_j and g_j*tau/p, the latter folded into the g_j."""
     quotients = _tau_over_p(ideal.hnf_basis, P)
     if quotients is None:
         raise VerificationFailed(f"{P!r} does not divide the ideal")
-    out = _hnf_ideal([list(g) for g in ideal.hnf_basis] + quotients, field)
+    out = _hnf_ideal_over(ideal.hnf_basis, quotients)
     if out.norm * P.norm != ideal.norm:
         raise VerificationFailed(
             f"quotient by {P!r} has norm {out.norm}, expected "
@@ -467,13 +519,21 @@ def ideal_divide_prime(ideal, P, field):
 
 
 def valuation(target, P, field=None):
-    """Exact P-adic valuation of an Ideal or integral AlgebraicNumber: how
+    """Exact P-adic valuation of an Ideal, an integral AlgebraicNumber, or
+    the integer coordinates (a list) of a nonzero algebraic integer: how
     many times x -> x*tau/p keeps every generator integral, the generators
-    being the element itself or the HNF columns of the ideal."""
+    being the element itself or the HNF columns of the ideal.  A zero or
+    non-integral AlgebraicNumber raises ValueError; a caller that already
+    holds an element's integer coordinates passes them, and skips that
+    check."""
     if hasattr(target, "coords"):
         if target.is_zero or not target.is_integral:
             raise ValueError("valuation needs a nonzero algebraic integer")
         gens = [[c.numerator for c in target.coords]]
+    elif isinstance(target, list):
+        if not any(target):
+            raise ValueError("valuation needs a nonzero algebraic integer")
+        gens = [target]
     else:
         gens = target.hnf_basis
     v = 0
@@ -584,7 +644,8 @@ def is_smooth_ideal(target, fb, field, norm=None):
     """Exponent dict {factor base index: valuation} if the Ideal, or the
     principal ideal of an integral element, factors completely over fb, else
     None.  Reconstruction is verified exactly: prod norm(P)^e must equal the
-    norm, which a caller that holds |N(x)| of an element passes as `norm`."""
+    norm, which a caller that holds |N(x)| of an element passes as `norm`.
+    An element's valuations run on its integer coordinates, taken once."""
     if norm is None:
         norm = (integral_norm(target)[0] if hasattr(target, "coords")
                 else target.norm)
@@ -593,6 +654,8 @@ def is_smooth_ideal(target, fb, field, norm=None):
     res = smooth_part(norm, fb.bound)
     if res.cofactor != 1:
         return None
+    if hasattr(target, "coords"):
+        target = [c.numerator for c in target.coords]
     exps = {}
     check = 1
     for p in res.smooth_part:

@@ -8,15 +8,19 @@ Lovasz condition and all block comparisons are integer comparisons.  BKZ
 reads each block's GSO off the reduced basis's (d, lambda) with no sub-LLL:
 a projected block of an LLL-reduced basis is already LLL-reduced.  A
 2-dimensional BKZ block's short vectors are read off its integer Gram in
-closed form, from three exact quadratic forms.  Floating point appears only
-inside the enumeration kernel, whose candidate vectors are re-scored exactly
-before anything is accepted, with the search radius opened by a safety
-margin so the true minimum cannot be pruned away.
+closed form, from three exact quadratic forms.  A rank-2 lattice, the
+lattice of every ideal of a quadratic field, is one such block: BKZ-2 on it
+is Gauss-Lagrange reduction, which bkz runs on the Gram's three entries
+with no GramLLL, to the transform the tours would give.  Floating point
+appears only inside the enumeration kernel, whose candidate vectors are
+re-scored exactly before anything is accepted, with the search radius
+opened by a safety margin so the true minimum cannot be pruned away.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import kernels
 from .errors import (DeterminantTooLarge, DimensionCap, RankDeficient,
@@ -425,14 +429,57 @@ def theorem_bound_holds(norm2, beta, k, det_gram):
     return norm2 ** (k * (beta - 1)) <= beta ** (k * (k - 1)) * det_gram ** (beta - 1)
 
 
+def _gauss_lagrange(a, b, c):
+    """(U, |b_0|^2, det) of the rank-2 Gram [[a, b], [b, c]] reduced by
+    Gauss-Lagrange in integers (Cohen, GTM 138, Sec. 1.3): size-reduce
+    b_1 against b_0 with GramLLL._red's rounding, swap while c < a.  U's
+    columns express the reduced basis in the input one, and are those of
+    GramLLL's delta = 99/100 sweep followed by the closed-form 2-block
+    tours, which swap alike except at one tie: at 99a <= 100c < 100a and
+    2b = a, the tour's (-1, 1) beats (0, 1) at equal norm and b_0 becomes
+    b_1 - b_0, which ends the reduction.  A Gram that is not positive
+    definite raises RankDeficient."""
+    det = a * c - b * b
+    if a <= 0 or det <= 0:
+        raise RankDeficient("Gram matrix is not positive definite")
+    u0, u1, v0, v1 = 1, 0, 0, 1  # columns (u0, u1) and (v0, v1) of U
+    while True:
+        if 2 * abs(b) > a:
+            q = (2 * b + a) // (2 * a)
+            c -= q * (2 * b - q * a)
+            b -= q * a
+            v0 -= q * u0
+            v1 -= q * u1
+        if c >= a:
+            break
+        if 2 * b == a and 100 * c >= 99 * a:
+            a, b = c, c - b
+            u0, u1 = v0 - u0, v1 - u1
+            break
+        a, c = c, a
+        u0, u1, v0, v1 = v0, v1, u0, u1
+    return [[u0, v0], [u1, v1]], a, det
+
+
 def bkz(basis, beta):
     """BKZ-reduce with exact block SVP; hard postcondition: the smallest
     output vector satisfies the block-reduction quality bound
     |v| <= beta^((k-1)/(2(beta-1))) * det^(1/k) (checked exactly; a full
-    enumeration fallback enforces it in the rare case tours stall early)."""
+    enumeration fallback enforces it in the rare case tours stall early).
+    A rank-2 basis, whose one block is the whole lattice, is reduced by
+    Gauss-Lagrange on its Gram (_gauss_lagrange), with no GramLLL: the same
+    transform as the tours, one tour reported and no nodes."""
     k = basis.k
     if not 2 <= beta <= k:
         raise ValueError(f"block size {beta} outside [2, {k}]")
+    if k == 2:
+        (a, b), (_, c) = basis.gram()
+        U, v2, det_gram = _gauss_lagrange(a, b, c)
+        # b_0 is a shortest vector, so the bound always holds: v2^2 <= 4/3 det
+        if not theorem_bound_holds(v2, beta, k, det_gram):
+            raise VerificationFailed(
+                "BKZ output violates the block-reduction quality bound")
+        return _bkz_result(basis, U, beta, v2, det_gram, 0, 1, False)
     red = GramLLL(basis.gram())
     red.reduce()
     nodes_total = 0
@@ -472,14 +519,21 @@ def bkz(basis, beta):
         if not theorem_bound_holds(v2, beta, k, det_gram):
             raise VerificationFailed(
                 "BKZ output violates the block-reduction quality bound")
-    cols = _apply_transform(basis.columns, red.U)
-    out = LatticeBasis(cols, basis.scale_bits, transform=red.U)
+    return _bkz_result(basis, red.U, beta, v2, det_gram, nodes_total, tours,
+                       fallback)
+
+
+def _bkz_result(basis, U, beta, v2, det_gram, nodes, tours, fallback):
+    """bkz's (reduced basis, report) for the transform U."""
+    k = basis.k
+    out = LatticeBasis(_apply_transform(basis.columns, U), basis.scale_bits,
+                       transform=U)
     report = ReductionReport(
         block_size_beta=beta,
         first_vector_norm=math.exp(0.5 * log_big(v2)),
         hermite_bound=math.exp((k - 1) / (2 * (beta - 1)) * math.log(beta)
                                + log_big(det_gram) / (2 * k)),
-        enumeration_nodes=nodes_total,
+        enumeration_nodes=nodes,
         tours=tours,
         fallback_full_enum=fallback,
     )
@@ -545,7 +599,7 @@ def _gram_of(cols):
     for i in range(k):
         ci = cols[i]
         for j in range(i, k):
-            g[i][j] = g[j][i] = sum(a * b for a, b in zip(ci, cols[j]))
+            g[i][j] = g[j][i] = sum(map(mul, ci, cols[j]))
     return g
 
 

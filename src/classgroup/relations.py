@@ -136,8 +136,9 @@ def verify_relation(x, prime_exponents, field):
         raise VerificationFailed("relation generator is zero")
     if math.prod(P.norm ** e for P, e in prime_exponents.items()) != nx:
         return False
+    coords = [c.numerator for c in x.coords]
     for P, e in prime_exponents.items():
-        if valuation(x, P) != e:
+        if valuation(coords, P) != e:
             return False
     return True
 

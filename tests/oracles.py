@@ -10,7 +10,8 @@ Fraction arithmetic, degree patterns mod p by the kernels of powers of
 Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, unit
 logs by interval Horner evaluation of the power-basis polynomial at the root
 balls, presentations theta' = a(theta) by exact linear algebra on the powers
-of theta', structure constants by Fraction long division and Gauss-Jordan.
+of theta', structure constants by Fraction long division and Gauss-Jordan,
+rank-2 BKZ by the general path's LLL sweep and 2-block tours.
 """
 
 import itertools
@@ -583,3 +584,27 @@ def mult_table_fractions(field):
             out.append(coordinates(prod[:n]))
         table.append(out)
     return table
+
+
+def bkz_rank2_by_tours(gram):
+    """(U, |b_0|^2, det) of lattice.bkz's general path on a rank-2 Gram:
+    GramLLL's delta = 99/100 sweep, then tours over the one 2-block, whose
+    candidates (1, 0), (0, 1) and the one of (+-1, 1) with x*b <= 0 are
+    scored exactly and the least (norm^2, coefficients) under min(a, c)
+    replaces b_0 while it is shorter.  After the sweep |b| <= a/2 and
+    c >= 99a/100, so those candidates are the whole search."""
+    from classgroup.lattice import GramLLL
+
+    red = GramLLL(gram)
+    red.reduce()
+    while True:
+        (a, b), (_, c) = red.G
+        assert 2 * abs(b) <= a and 100 * c >= 99 * a
+        cands = [((1, 0), a), ((0, 1), c),
+                 ((-1 if b > 0 else 1, 1), a - 2 * abs(b) + c)]
+        w, n2 = min((t for t in cands if t[1] <= min(a, c)),
+                    key=lambda t: (t[1], t[0]))
+        if n2 >= red.d[0]:
+            return red.U, min(red.norms()), red.d[1]
+        red.insert_block_vector(0, 2, w)
+        red.reduce()

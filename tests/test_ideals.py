@@ -7,7 +7,8 @@ import pytest
 from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
-from classgroup.field import canonical_embedding, iv_endpoints, parse_field
+from classgroup.field import (canonical_embedding, combine_columns,
+                              iv_endpoints, parse_field)
 from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
                                bach_bound, build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
@@ -252,6 +253,29 @@ def test_two_generator_products_match_fraction_oracle(name):
                 == ideal_product_fractions(K, a.hnf_basis, P.hnf_basis))
 
 
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+def test_folded_product_hnf_is_column_hnf(name):
+    # a*P folds P's n columns alpha*g into the triangular p*H_a; the HNF is
+    # unique, so it must equal column_hnf of all 2n generators
+    make, ps = PRODUCT_FIELDS[name]
+    K = make()
+    primes = [P for p in ps for P in factor_prime(p, K)]
+    fb = FactorBase(max(P.norm for P in primes), primes, 0)
+    rng = random.Random(29)
+    for _ in range(60):
+        k = rng.randint(1, 3)
+        idxs = sorted(rng.sample(range(fb.size), k))
+        a = ideal_from_power_product(
+            fb, idxs, [rng.randint(1, 3) for _ in idxs], K)
+        P = fb.primes[rng.randrange(fb.size)]
+        tri = [[P.p * v for v in g] for g in a.hnf_basis]
+        cols = [combine_columns(P.gen_mult, g) for g in a.hnf_basis]
+        want = ideals._hnf_ideal(tri + cols, K)
+        got = ideals._hnf_ideal_over(tri, cols)
+        assert (got.hnf_basis, got.norm) == (want.hnf_basis, want.norm)
+        assert ideal_mul(a, P, K) == want
+
 _CORRUPT_GEN_MULT_UNDER_O = """
 from dataclasses import replace
 
@@ -314,6 +338,13 @@ def test_valuation_examples(qi):
     x = qi.element([2, 1])
     vals = sorted(valuation(x, P) for P in p5s)
     assert vals == [0, 1]
+    # integer coordinates give the element's valuation with no check; the
+    # element itself must be a nonzero algebraic integer
+    assert [valuation([2, 1], P) for P in p5s] == [valuation(x, P)
+                                                  for P in p5s]
+    for bad in (qi.zero(), qi.element([Fraction(1, 2), 0]), [0, 0]):
+        with pytest.raises(ValueError, match="nonzero algebraic integer"):
+            valuation(bad, p2)
 
 
 def test_smoothness_examples(qi):

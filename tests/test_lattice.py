@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_shortest
+from oracles import brute_shortest, bkz_rank2_by_tours
 from under_O import run_under_O
 from classgroup import kernels, lattice
-from classgroup.errors import DeterminantTooLarge, DimensionCap
+from classgroup.errors import DeterminantTooLarge, DimensionCap, RankDeficient
 from classgroup.intlinalg import identity
 from classgroup.lattice import (GramLLL, LatticeBasis, bkz, cheon_reduce,
                                 enumerate_svp, hnf_lattice, lattice_member,
@@ -580,3 +580,144 @@ def test_collect_on_a_quadratic_field_never_enumerates(monkeypatch):
         matrix, stats = collect(K, fb, cfg)
         assert stats["trials"] >= fb.size
     assert calls == []
+
+
+# the Gram of ideal_lattice(<2>) in x^2 - x + 1 (Q(sqrt -3), precision 128),
+# which compute --seed 3 reduces: hexagonal up to rounding, so the 2-block
+# tour takes (-1, 1) over (0, 1) at equal norm
+_HEXAGONAL = _gram_of([
+    [3368623568352063161630472814686750796980, 0],
+    [1684311784176031580815236407343375398490,
+     2917313585979872058846961106930432851755]])
+
+
+def _rank2_grams(rng, count):
+    """Positive definite 2x2 Grams: from random columns, from random entries
+    up to 2^300, and near-hexagonal ones [[a, +-a/2], [+-a/2, c]] with
+    99a <= 100c <= 100a, which size reduction leaves alone."""
+    out = []
+    while len(out) < count:
+        bits = rng.choice((4, 8, 30, 150))
+        G = _gram_of([[rng.randint(-2 ** bits, 2 ** bits) for _ in range(2)]
+                      for _ in range(2)])
+        a, c = rng.randint(1, 2 ** 300), rng.randint(1, 2 ** 300)
+        r = math.isqrt(a * c - 1)
+        grams = [G, [[a, (b := rng.randint(-r, r))], [b, c]]]
+        a = 2 * rng.randint(1, 2 ** rng.choice((3, 20, 300)))
+        c = rng.randint((99 * a + 99) // 100, a)
+        b = rng.choice((1, -1)) * a // 2
+        grams.append([[a, b], [b, c]])
+        out += [g for g in grams if g[0][0] * g[1][1] > g[0][1] ** 2]
+    return out
+
+
+def _recorded_rank2_bases(monkeypatch):
+    """Every lattice that collect reduces on Q(sqrt -1000003) at B = 150,
+    seed 3, in plain and multi mode."""
+    from classgroup import relations
+    from classgroup.field import parse_field
+    from classgroup.ideals import build_factor_base
+    recorded = []
+    inner = relations.bkz
+    monkeypatch.setattr(relations, "bkz", lambda basis, beta: (
+        recorded.append(basis), inner(basis, beta))[1])
+    K = parse_field([250001, -1, 1])
+    fb = build_factor_base(K, 150)
+    for mode in ("plain", "multi"):
+        relations.collect(K, fb, relations.CollectionConfig(
+            bound_B=150, rng_seed=3, mode=mode))
+    return recorded
+
+
+def test_rank2_gauss_lagrange_matches_the_tours(monkeypatch):
+    # the transform, the first norm and the quality bound of the general
+    # path's tours (tests/oracles.py), exact ties and entries past 2^256
+    # included
+    grams = [_HEXAGONAL]
+    for s in (1, 7, 2 ** 256 + 1):
+        grams += [[[s, 0], [0, s]], [[2 * s, s], [s, 2 * s]],
+                  [[2 * s, -s], [-s, 2 * s]]]
+    grams += _rank2_grams(random.Random(29), 2000)
+    ties = 0
+    for G in grams:
+        (a, b), (_, c) = G
+        U, v2, det = lattice._gauss_lagrange(a, b, c)
+        assert (U, v2, det) == bkz_rank2_by_tours(G), G
+        assert theorem_bound_holds(v2, 2, 2, det)
+        assert abs(U[0][0] * U[1][1] - U[0][1] * U[1][0]) == 1
+        red = GramLLL(G)
+        red.reduce()
+        (a, b), (_, c) = red.G
+        ties += 2 * b == a and c < a
+    assert len(grams) >= 2000 and ties > 100
+    bases = _recorded_rank2_bases(monkeypatch)
+    assert len(bases) > 100
+    for basis in bases + [LatticeBasis([[1, 0], [1, 1]])]:
+        out, report = bkz(basis, 2)
+        U, v2, det = bkz_rank2_by_tours(basis.gram())
+        assert out.transform == U
+        assert out.columns == _apply_transform(basis.columns, U)
+        assert min(map(sum, ([x * x for x in c] for c in out.columns))) == v2
+        assert (report.tours, report.enumeration_nodes,
+                report.fallback_full_enum) == (1, 0, False)
+        assert theorem_bound_holds(v2, 2, 2, det)
+
+
+def test_hexagonal_tie_takes_the_tour_vector():
+    # at equal norm the tour's (-1, 1) beats (0, 1), so b_0 becomes b_1 - b_0
+    # rather than b_1, and a plain swap would give another basis
+    (a, b), (_, c) = _HEXAGONAL
+    U, v2, _ = lattice._gauss_lagrange(a, b, c)
+    red = GramLLL(_HEXAGONAL)
+    red.reduce()
+    (a, b), (_, c) = red.G
+    assert 2 * b == a and 99 * a <= 100 * c < 100 * a
+    assert v2 == c
+    assert [U[0][0], U[1][0]] == [red.U[t][1] - red.U[t][0] for t in (0, 1)]
+
+
+def test_quadratic_collect_builds_no_gram_lll(monkeypatch):
+    from classgroup.field import parse_field
+    from classgroup.ideals import build_factor_base
+    from classgroup.relations import CollectionConfig, collect
+    built = []
+    inner = GramLLL.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        inner(self, *args, **kwargs)
+
+    monkeypatch.setattr(GramLLL, "__init__", counted)
+    K = parse_field([250001, -1, 1])
+    fb = build_factor_base(K, 150)
+    for mode in ("plain", "multi"):
+        matrix, stats = collect(K, fb, CollectionConfig(
+            bound_B=150, rng_seed=3, mode=mode))
+        assert stats["trials"] >= fb.size
+    assert built == []
+    GramLLL([[2, 1], [1, 2]])
+    assert built == [1]
+
+
+def test_rank2_rank_deficient_basis():
+    for cols in ([[1, 2], [2, 4]], [[3, -1], [0, 0]], [[0, 0], [0, 0]]):
+        with pytest.raises(RankDeficient, match="not positive definite"):
+            bkz(LatticeBasis(cols), 2)
+
+
+_RANK_DEFICIENT_UNDER_O = """
+from classgroup import lattice
+from classgroup.errors import RankDeficient
+
+assert not __debug__, "run with python -O"
+# parallel columns: the Gram is singular, so bkz must refuse it
+try:
+    lattice.bkz(lattice.LatticeBasis([[1, 2], [2, 4]]), 2)
+except RankDeficient as e:
+    print("rejected:", e)
+"""
+
+
+def test_rank2_rank_deficiency_survives_python_O():
+    assert run_under_O(_RANK_DEFICIENT_UNDER_O) == [
+        "rejected: Gram matrix is not positive definite"]
