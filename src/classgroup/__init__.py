@@ -8,7 +8,7 @@ approximation of the zeta residue.
 """
 
 from .errors import ClassGroupError
-from .field import AlgebraicNumber, NumberField, canonical_embedding, norm_of, parse_field
+from .field import AlgebraicNumber, NumberField, norm_of, parse_field
 from .ideals import FactorBase, Ideal, PrimeIdeal, build_factor_base, factor_prime
 from .intlinalg import GroupStructure, class_group_from_relations
 from .lattice import LatticeBasis, ReductionReport, bkz, cheon_reduce, enumerate_svp, hnf_lattice, lll

@@ -11,18 +11,19 @@ by integer factors as relations are added), so ACCEPT iff the ratio lies in
 (2^-1/2, 2^1/2): the geometric midpoint between the correct value 1 and the
 smallest possible corruption 2.
 
-The regulator works in integers: unit logs are interval logs of the field's
-integer embedding, kept as integer centres and radii, and their minor's
-determinant is a Bareiss determinant with a Hadamard error bound.
+The regulator works in integers: unit logs are fixed-point logs (an atanh
+series after scaling by a power of 2) of the bounds from the field's integer
+embedding, kept as integer centres and radii, and their minor's determinant
+is a Bareiss determinant with a Hadamard error bound.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import polynomials as poly
 from .errors import PrecisionExhausted, VerificationFailed, ZeroVolume
-from .field import combine_columns, combine_enclosures, iv_scaled
+from .field import combine_columns, combine_enclosures
 from .ideals import factor_prime, ideal_lattice, unit_ideal
 from .lattice import GramLLL, _gram_of, enumerate_gram
 from .polynomials import primes_up_to
@@ -170,12 +171,20 @@ def _power(field, x, e):
     return out
 
 
+_LOG_SCALE_BITS = 64
+_LOG_GUARD_BITS = 16
+_UNIT_LOG_TOL = 1e-9
+
+
 def log_embedding(field, x):
     """Unit-log vector of length r1 + r2 of an algebraic integer x:
     log|sigma_i(x)| at real places and log(|sigma_i(x)|^2) at complex places
-    (the usual d_i weights), one interval log per place of the integer bounds
-    from field.embed: |V| -+ R at a real place, and at a pair the bounds of
-    (A^2 + B^2)/2 over its coordinates A = sqrt2*Re and B = sqrt2*Im."""
+    (the usual d_i weights), as integer pairs (c, r) with
+    |2^bits log_i(x) - c| <= r, bits = precision + _LOG_SCALE_BITS.  Each
+    place has integer bounds from field.embed: |V| -+ R at a real place, and
+    at a pair the bounds of (A^2 + B^2)/2 over its coordinates A = sqrt2*Re
+    and B = sqrt2*Im; log is increasing, so (c, r) spans the fixed-point log
+    of the lower bound less its error and that of the upper one plus its."""
     if not x.is_integral:
         raise ValueError("log_embedding needs an algebraic integer")
     r1 = field.signature[0]
@@ -188,12 +197,60 @@ def log_embedding(field, x):
         bounds.append((lo, hi, 2 * scale * scale))
     if min(lo for lo, _, _ in bounds) <= 0:
         raise PrecisionExhausted("embedding interval touches zero")
-    return [field.iv.log(field.frac_iv(Fraction(lo, den), Fraction(hi, den)))
-            for lo, hi, den in bounds]
+    bits = field.precision + _LOG_SCALE_BITS
+    out = []
+    for lo, hi, den in bounds:
+        v, err = _ln_fixed(lo, den, bits)
+        v2, err2 = _ln_fixed(hi, den, bits)
+        lo, hi = v - err, v2 + err2
+        c = (lo + hi) >> 1
+        out.append((c, max(hi - c, c - lo)))
+    return out
 
 
-_LOG_SCALE_BITS = 64
-_UNIT_LOG_TOL = 1e-9
+def _ln_fixed(a, q, bits):
+    """(v, err) with |2^bits ln(a/q) - v| <= err, for integers a, q >= 1, by
+    argument reduction and the atanh series (Brent, J. ACM 1976).  At the
+    working width w = bits + _LOG_GUARD_BITS and e = bitlen(a) - bitlen(q),
+    M = floor(a 2^(w-e) / q) lies in [2^(w-1), 2^(w+1)), so
+    z = (M - 2^w)/(M + 2^w) has |z| <= 1/3, and
+    ln(a/q) = 2 atanh(z) + e ln 2 + (ln of the floor's loss, in [0, 2^(1-w))).
+    The series runs on |z| and takes z's sign after: a floored negative
+    term would stop at -1, never at 0."""
+    w = bits + _LOG_GUARD_BITS
+    e = a.bit_length() - q.bit_length()
+    m = (a << (w - e)) // q if e <= w else a // (q << (e - w))
+    one = 1 << w
+    s, err = _atanh_fixed(abs(m - one), m + one, w)
+    ln2, err2 = _ln2_fixed(w)
+    v = 2 * (s if m >= one else -s) + e * ln2
+    err = 2 * err + 2 + abs(e) * err2
+    g = _LOG_GUARD_BITS
+    return (v + (1 << (g - 1))) >> g, -(-err >> g) + 1
+
+
+@functools.lru_cache(maxsize=None)
+def _ln2_fixed(w):
+    """(v, err) with |2^w ln 2 - v| <= err: ln 2 = 2 atanh(1/3)."""
+    s, err = _atanh_fixed(1, 3, w)
+    return 2 * s, 2 * err
+
+
+def _atanh_fixed(num, den, w):
+    """(s, err) with |2^w atanh(num/den) - s| <= err, for 0 <= num/den <=
+    1/3: the series sum z^(2k+1)/(2k+1) at 2^-w, summed while its terms are
+    nonzero.  With z^2 <= 1/9 each of the k terms is within 2 units after
+    its two floors (a power of z, then the division); the floor of z moves
+    the sum by under 9/8 of a unit and the dropped tail is under 1."""
+    z = (num << w) // den
+    z2 = (z * z) >> w
+    s = term = z
+    k = 1
+    while term:
+        term = (term * z2) >> w
+        s += term // (2 * k + 1)
+        k += 1
+    return s, 2 * k + 3
 
 
 def regulator_from_kernel(kernel, generators, field, logs=None):
@@ -222,8 +279,7 @@ def regulator_from_kernel(kernel, generators, field, logs=None):
         logs = {}
     for g in generators:
         if g not in logs:
-            logs[g] = tuple(zip(*(iv_scaled(v, 1 << bits)
-                                  for v in log_embedding(field, g))))
+            logs[g] = tuple(zip(*log_embedding(field, g)))
     gen_c, gen_r = zip(*(logs[g] for g in generators))
     unit_c, unit_r = zip(*(combine_enclosures(v, gen_c, gen_r) for v in kernel))
     shift = bits - _LOG_SCALE_BITS

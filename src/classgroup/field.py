@@ -27,10 +27,9 @@ The n disks, conjugates included, are checked pairwise disjoint, so each
 provably holds one simple root, and the r1 disks centred on the real axis
 (r1 from a Sturm count) hold the real roots.  The embedding table of the
 integral basis is exact at the disk centres, with a bound for the disk
-radius.  mpmath's interval arithmetic remains in two places: the interval
-view of the disks and of sigma(x) (root_balls, embedding_data,
-canonical_embedding), against which the table is tested, and the
-logarithms of unit logs (analytic.log_embedding).
+radius.  It is the one embedding: element embeddings (`embed`) and unit
+logs (analytic.log_embedding) are read off it in integers.  The tests
+check it against an interval view of the disks built in tests/oracles.py.
 
 Embedding convention: a complex conjugate pair contributes the two real
 coordinates (sqrt(2)*Re, sqrt(2)*Im), which makes det sigma(O_K) equal to
@@ -43,10 +42,6 @@ import itertools
 import json
 import math
 from fractions import Fraction
-
-import mpmath
-from mpmath.ctx_iv import MPIntervalContext
-from mpmath.libmp import to_rational
 
 from . import polynomials as poly
 from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
@@ -110,20 +105,6 @@ def combine_enclosures(coeffs, centres, radii):
     return V, R
 
 
-class _RootBall:
-    """Certified enclosure of one embedding; complex ones have im != None."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im=None):
-        self.re = re
-        self.im = im
-
-    @property
-    def is_real(self):
-        return self.im is None
-
-
 class NumberField:
     """Immutable number field."""
 
@@ -139,7 +120,7 @@ class NumberField:
         self.poly = tuple(coeffs)
         self.degree = n
         self.precision = int(precision)
-        self._iv = self._disks = self._roots = None
+        self._disks = None
         self._embedding_table = self._doubled = None
         r1 = poly.count_real_roots(coeffs)
         assert (n - r1) % 2 == 0
@@ -262,16 +243,6 @@ class NumberField:
 
     # -- embeddings ------------------------------------------------------------
 
-    @property
-    def iv(self):
-        """mpmath's interval context at the field precision plus guard bits,
-        built on first use: only unit logs and the interval view of the
-        embedding need it."""
-        if self._iv is None:
-            self._iv = MPIntervalContext()
-            self._iv.prec = self.precision + _GUARD_BITS
-        return self._iv
-
     def root_disks(self):
         """The certified root disks in canonical order, as (disks, bits):
         each (A, B, R) is the disk of centre (A + iB)/2^bits and radius
@@ -281,21 +252,6 @@ class NumberField:
         if self._disks is None:
             self._disks = self._certify_roots(self.precision)
         return self._disks
-
-    def root_balls(self):
-        """Interval view of root_disks: the real interval around each centre
-        and, for a pair, the imaginary one, both of the disk's radius."""
-        if self._roots is None:
-            disks, bits = self.root_disks()
-            den = 1 << bits
-            self._roots = [
-                _RootBall(self.frac_iv(Fraction(a - r, den),
-                                       Fraction(a + r, den)),
-                          None if b == 0 else
-                          self.frac_iv(Fraction(b - r, den),
-                                       Fraction(b + r, den)))
-                for a, b, r in disks]
-        return self._roots
 
     def _certify_roots(self, precision):
         """Newton disks around the roots of T, in integers, as (disks, bits)
@@ -341,44 +297,6 @@ class NumberField:
             if not any(poly.rem_monic(list(self.poly), f)):
                 raise Reducible(
                     f"polynomial has a factor of degree {len(f) - 1}")
-
-    def frac_iv(self, lo, hi):
-        """Interval enclosing the exact rationals [lo, hi]."""
-        ctx = self.iv
-        a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
-        b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
-        return ctx.mpf([a.a, b.b])
-
-    def embedding_data(self, x):
-        """Raw embeddings of x: (list of real intervals, list of (re, im))."""
-        assert x.field is self or x.field.poly == self.poly
-        pb = x.to_power_basis()
-        reals, cplx = [], []
-        zero = self.iv.mpf(0)
-        for ball in self.root_balls():
-            if ball.is_real:
-                reals.append(_eval_poly_civ(self.iv, pb, ball.re, zero)[0])
-            else:
-                cplx.append(_eval_poly_civ(self.iv, pb, ball.re, ball.im))
-        return reals, cplx
-
-    def canonical_embedding(self, x):
-        """The n real coordinates (sigma_1..sigma_r1, then sqrt2*Re, sqrt2*Im
-        per conjugate pair), as intervals at the field precision: the
-        interval view, against which the integer table is tested."""
-        ctx = self.iv
-        reals, cplx = self.embedding_data(x)
-        sqrt2 = ctx.sqrt(ctx.mpf(2))
-        out = list(reals)
-        for re, im in cplx:
-            out.append(sqrt2 * re)
-            out.append(sqrt2 * im)
-        tol = mpmath.mpf(2) ** (-self.precision)
-        for v in out:
-            if mpmath.mpf(v.delta.b) > tol * (1 + abs(mpmath.mpf(v.mid.b))):
-                raise PrecisionExhausted(
-                    "embedding interval wider than 2^-precision")
-        return out
 
     def embedding_table(self):
         """Scaled-integer canonical embedding of the integral basis, built
@@ -559,27 +477,6 @@ def _small_factors(disks, bits, r1, degrees):
     return found
 
 
-def _exact(t):
-    """Exact value of a raw mpf tuple; mpmath.mpf(x) would round to the
-    precision of the ambient context."""
-    num, den = to_rational(t)
-    return Fraction(int(num), int(den))
-
-
-def iv_endpoints(interval):
-    """Exact rational endpoints of an interval-context number."""
-    lo, hi = interval._mpi_
-    return _exact(lo), _exact(hi)
-
-
-def iv_scaled(interval, scale):
-    """Integers (c, r) with |scale*v - c| <= r for every v in the interval."""
-    lo, hi = iv_endpoints(interval)
-    lo, hi = lo * scale, hi * scale
-    c = math.floor((lo + hi) / 2)
-    return c, max(math.ceil(hi) - c, c - math.floor(lo))
-
-
 def _fixed_horner(scaled, x, y, w):
     """T(z) and T'(z) at z = (x + iy)/2^w in fixed point, for T given by its
     coefficients times 2^w (a monic T's leading one too); each product is
@@ -722,24 +619,15 @@ def _ceil_root2(v, g):
     return -(-(math.isqrt(2 * v * v - 1) + 1) >> g)
 
 
-def _eval_poly_civ(ctx, coeffs, re, im):
-    """Interval Horner at re + i*im; at im = 0 the imaginary part stays
-    exactly zero, so the real part is the real Horner value."""
-    are, aim = ctx.mpf(0), ctx.mpf(0)
-    for c in reversed(coeffs):
-        c = Fraction(c)
-        cc = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
-        are, aim = are * re - aim * im + cc, are * im + aim * re
-    return are, aim
-
-
 class AlgebraicNumber:
     """Element of a number field, exact coordinates over the integral basis."""
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field, coords):
-        assert len(coords) == field.degree
+        if len(coords) != field.degree:
+            raise ValueError(f"{len(coords)} coordinates in a field of degree "
+                             f"{field.degree}")
         self.field = field
         self.coords = tuple(Fraction(c) for c in coords)
 
@@ -751,22 +639,17 @@ class AlgebraicNumber:
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coords)
 
-    def to_power_basis(self):
-        n = self.field.degree
-        out = [Fraction(0)] * n
-        for i, c in enumerate(self.coords):
-            if c:
-                for j in range(n):
-                    out[j] += c * self.field.basis[i][j]
-        return out
+    def _same_field(self, other):
+        if self.field is not other.field:
+            raise ValueError("arithmetic on elements of different fields")
 
     def __add__(self, other):
-        assert self.field is other.field
+        self._same_field(other)
         return AlgebraicNumber(self.field,
                                [a + b for a, b in zip(self.coords, other.coords)])
 
     def __sub__(self, other):
-        assert self.field is other.field
+        self._same_field(other)
         return AlgebraicNumber(self.field,
                                [a - b for a, b in zip(self.coords, other.coords)])
 
@@ -776,7 +659,7 @@ class AlgebraicNumber:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return AlgebraicNumber(self.field, [a * other for a in self.coords])
-        assert self.field is other.field
+        self._same_field(other)
         return AlgebraicNumber(self.field,
                                self.field.multiply(self.coords, other.coords))
 
@@ -806,10 +689,6 @@ class AlgebraicNumber:
 
 def parse_field(coeffs, basis=None, precision=128):
     return NumberField(coeffs, basis=basis, precision=precision)
-
-
-def canonical_embedding(x):
-    return x.field.canonical_embedding(x)
 
 
 def norm_of(x):

@@ -194,7 +194,8 @@ def integral_norm(x):
 def ideal_from_element(x):
     """Principal ideal <x> for integral x; its norm is checked against
     |N(x)|, the determinant of the multiplication-by-x columns."""
-    assert not x.is_zero
+    if x.is_zero:
+        raise ValueError("the zero element generates no ideal of finite norm")
     nx, cols = integral_norm(x)
     ideal = _hnf_ideal(cols, x.field)
     if ideal.norm != nx:

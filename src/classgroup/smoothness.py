@@ -52,7 +52,8 @@ def _prime_table(B):
 def smooth_part(N, B):
     """B-smooth part of N >= 1: exponents of all primes <= B plus the
     cofactor, which has no prime factor <= B.  Deterministic trial division."""
-    assert N >= 1 and B >= 2
+    if N < 1 or B < 2:
+        raise ValueError(f"smooth_part needs N >= 1 and B >= 2, got {N}, {B}")
     cof, exps = kernels.trial_divide_int64(N, _prime_table(B))
     return SmoothnessResult(exps, cof)
 

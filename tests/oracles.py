@@ -7,13 +7,16 @@ ranks mod p by plain elementary operations, shortest vectors by exhaustive
 coefficient boxes, Dickman rho by marching quadrature, and ideal valuations
 and prime divisions by lattice containment and products with p*P^(-1) over
 Fraction arithmetic, degree patterns mod p by the kernels of powers of
-Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, unit
-logs by interval Horner evaluation of the power-basis polynomial at the root
-balls, presentations theta' = a(theta) by exact linear algebra on the powers
-of theta', structure constants by Fraction long division and Gauss-Jordan,
+Berlekamp's matrix, relations through the cofactor ideal b = <x>/a, the
+embedding and unit logs by interval Horner evaluation of the power-basis
+polynomial at the root balls (mpmath intervals around the certified root
+disks; the library has no interval arithmetic), presentations
+theta' = a(theta) by exact linear algebra on the powers of theta',
+structure constants by Fraction long division and Gauss-Jordan,
 rank-2 BKZ by the general path's LLL sweep and 2-block tours.
 """
 
+import functools
 import itertools
 import math
 import random
@@ -479,6 +482,121 @@ def dickman_quadrature(u_target, steps_per_unit):
     return (4 * fine - coarse) / 3
 
 
+# -- the interval view of the embedding ---------------------------------------
+#
+# mpmath's interval arithmetic at the field precision plus the library's
+# guard bits, around its certified root disks: the reference against which
+# the integer embedding table and the fixed-point unit logs are tested.
+
+@functools.lru_cache(maxsize=None)
+def interval_context(precision):
+    """mpmath's interval context at precision plus the guard bits."""
+    from mpmath.ctx_iv import MPIntervalContext
+
+    from classgroup.field import _GUARD_BITS
+
+    ctx = MPIntervalContext()
+    ctx.prec = precision + _GUARD_BITS
+    return ctx
+
+
+def _exact(t):
+    """Exact value of a raw mpf tuple; mpmath.mpf(x) would round to the
+    precision of the ambient context."""
+    from mpmath.libmp import to_rational
+
+    num, den = to_rational(t)
+    return Fraction(int(num), int(den))
+
+
+def iv_endpoints(interval):
+    """Exact rational endpoints of an interval-context number."""
+    lo, hi = interval._mpi_
+    return _exact(lo), _exact(hi)
+
+
+def frac_iv(ctx, lo, hi):
+    """Interval enclosing the exact rationals [lo, hi]."""
+    a = ctx.mpf(lo.numerator) / ctx.mpf(lo.denominator)
+    b = ctx.mpf(hi.numerator) / ctx.mpf(hi.denominator)
+    return ctx.mpf([a.a, b.b])
+
+
+@functools.lru_cache(maxsize=64)
+def root_balls(field):
+    """Interval view of field.root_disks(): per disk a pair (re, im) of the
+    real interval around its centre and, for a conjugate pair, the
+    imaginary one (None at a real root), both of the disk's radius."""
+    ctx = interval_context(field.precision)
+    disks, bits = field.root_disks()
+    den = 1 << bits
+    return [(frac_iv(ctx, Fraction(a - r, den), Fraction(a + r, den)),
+             None if b == 0 else
+             frac_iv(ctx, Fraction(b - r, den), Fraction(b + r, den)))
+            for a, b, r in disks]
+
+
+def to_power_basis(x):
+    """Coordinates of x over the power basis of theta."""
+    basis = x.field.basis
+    out = [Fraction(0)] * x.field.degree
+    for i, c in enumerate(x.coords):
+        if c:
+            for j, b in enumerate(basis[i]):
+                out[j] += c * b
+    return out
+
+
+def _eval_poly_civ(ctx, coeffs, re, im):
+    """Interval Horner at re + i*im; at im = 0 the imaginary part stays
+    exactly zero, so the real part is the real Horner value."""
+    are, aim = ctx.mpf(0), ctx.mpf(0)
+    for c in reversed(coeffs):
+        cc = ctx.mpf(c.numerator) / ctx.mpf(c.denominator)
+        are, aim = are * re - aim * im + cc, are * im + aim * re
+    return are, aim
+
+
+def embedding_data(field, x):
+    """Raw embeddings of x by interval Horner evaluation of its power-basis
+    polynomial at the root balls: (list of real intervals, list of
+    (re, im))."""
+    ctx = interval_context(field.precision)
+    pb = to_power_basis(x)
+    reals, cplx = [], []
+    zero = ctx.mpf(0)
+    for re, im in root_balls(field):
+        if im is None:
+            reals.append(_eval_poly_civ(ctx, pb, re, zero)[0])
+        else:
+            cplx.append(_eval_poly_civ(ctx, pb, re, im))
+    return reals, cplx
+
+
+def canonical_embedding(x):
+    """The n real coordinates of x (sigma_1..sigma_r1, then sqrt2*Re,
+    sqrt2*Im per conjugate pair) as intervals; PrecisionExhausted when one
+    is wider than 2^-precision relative to 1 + |value|."""
+    import mpmath
+
+    from classgroup.errors import PrecisionExhausted
+
+    field = x.field
+    ctx = interval_context(field.precision)
+    reals, cplx = embedding_data(field, x)
+    sqrt2 = ctx.sqrt(ctx.mpf(2))
+    out = list(reals)
+    for re, im in cplx:
+        out.append(sqrt2 * re)
+        out.append(sqrt2 * im)
+    tol = mpmath.mpf(2) ** (-field.precision)
+    for v in out:
+        if mpmath.mpf(v.delta.b) > tol * (1 + abs(mpmath.mpf(v.mid.b))):
+            raise PrecisionExhausted(
+                "embedding interval wider than 2^-precision")
+    return out
+
+
 def cubic_unit_search(field, box=8):
     """Smallest positive unit-log length among units a + b*theta + c*theta^2
     with bounded coefficients; for unit rank 1 this is the regulator when the
@@ -492,7 +610,7 @@ def cubic_unit_search(field, box=8):
         x = field.element([a, b, c])
         if abs(x.norm()) != 1:
             continue
-        reals, cplx = field.embedding_data(x)
+        reals, cplx = embedding_data(field, x)
         lv = abs(float(mpmath.mpf(mpmath.log(abs(mpmath.mpf(reals[0].mid.b))))))
         if lv > 1e-9 and (best is None or lv < best):
             best = lv
@@ -503,14 +621,13 @@ def log_embedding_horner(field, x):
     """Unit-log vector of x from its power-basis polynomial evaluated at
     each certified root ball in interval arithmetic: log|sigma_i(x)| at real
     places, log(|sigma_i(x)|^2) at complex ones."""
-    from classgroup.field import iv_endpoints
-
-    reals, cplx = field.embedding_data(x)
+    ctx = interval_context(field.precision)
+    reals, cplx = embedding_data(field, x)
     out = []
     for m in [abs(v) for v in reals] + [re * re + im * im for re, im in cplx]:
         if iv_endpoints(m)[0] <= 0:
             raise ValueError("embedding interval touches zero")
-        out.append(field.iv.log(m))
+        out.append(ctx.log(m))
     return out
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 
 from oracles import (cubic_unit_search, degree_pattern_by_frobenius_kernel,
-                     log_embedding_horner, pell_fundamental_unit,
-                     torsion_count_direct)
+                     iv_endpoints, log_embedding_horner,
+                     pell_fundamental_unit, torsion_count_direct)
 from test_acceptance import IMAG_DISCS, poly_for_disc
 from under_O import run_under_O
 from classgroup import analytic, polynomials as poly
@@ -14,7 +14,7 @@ from classgroup.analytic import (compute_analytic, count_roots_of_unity,
                                  det_error_bound, euler_residue,
                                  log_embedding, regulator_from_kernel, verify)
 from classgroup.errors import ZeroVolume
-from classgroup.field import iv_endpoints, parse_field
+from classgroup.field import parse_field
 from classgroup.ideals import build_factor_base, factor_prime
 from classgroup.intlinalg import left_kernel
 from classgroup.polynomials import (bareiss_det, degree, degree_pattern,
@@ -468,14 +468,15 @@ def test_regulator_log_cache_computes_each_generator_once(cubic,
 ])
 def test_log_embedding_matches_horner_reference(coeffs, basis, elements):
     K = parse_field(coeffs, basis=basis)
+    scale = 1 << (K.precision + analytic._LOG_SCALE_BITS)
     for coords in elements:
         table = log_embedding(K, K.element(coords))
         # the reference at twice the precision is far narrower than the
         # table's interval, so missing it means a lost radius
         ref = log_embedding_horner(K.doubled(), K.doubled().element(coords))
         assert len(table) == len(ref) == sum(K.signature)
-        for a, b in zip(table, ref):
-            lo, hi = iv_endpoints(a)
+        for (c, r), b in zip(table, ref):
+            lo, hi = Fraction(c - r, scale), Fraction(c + r, scale)
             rlo, rhi = iv_endpoints(b)
             assert max(lo, rlo) <= min(hi, rhi)
             assert hi - lo < Fraction(1, 2 ** 100)
@@ -485,6 +486,59 @@ def test_log_embedding_needs_an_algebraic_integer(sqrt2):
     with pytest.raises(ValueError):
         log_embedding(sqrt2, sqrt2.element([Fraction(1, 2), 0]))
 
+
+
+def _log_inputs(rng, w):
+    """(a, q) pairs for the fixed-point log at working width w: a/q within
+    2^-300 of 1 on both sides, a/q < 1, |bitlen(a) - bitlen(q)| beyond w,
+    a = q, values near 2^600 and 2^-600, and the extremes z = -+1/3 of the
+    reduced argument."""
+    out = []
+    for _ in range(250):
+        q = rng.getrandbits(rng.randint(400, 900)) | 1 << 399
+        d = rng.randint(1, q >> 300)
+        out += [(q + d, q), (q - d, q)]
+    for _ in range(400):
+        q = rng.getrandbits(rng.randint(1, 700)) | 1
+        out.append((rng.randint(1, q), q) if q > 1 else (1, 2))
+    for _ in range(200):
+        big = rng.getrandbits(rng.randint(w + 1, 3 * w)) | 1 << w
+        small = rng.getrandbits(rng.randint(1, 40)) | 1
+        out += [(big, small), (small, big)]
+    for _ in range(200):
+        q = rng.getrandbits(rng.randint(1, 700)) | 1
+        out.append((q, q))
+    for _ in range(200):
+        t = rng.randint(-2 ** 40, 2 ** 40)
+        q = rng.getrandbits(rng.randint(1, 100)) | 1
+        out += [((1 << 600) + t, 1), (1, (1 << 600) + t),
+                (((1 << 600) + t) * q, q), (q, ((1 << 600) + t) * q)]
+    for la in range(1, 40):
+        for lq in (1, 2, 7, 64, w, w + 1):
+            out += [(1 << (la - 1), (1 << lq) - 1), ((1 << la) - 1,
+                                                      1 << (lq - 1))]
+    return out
+
+
+@pytest.mark.parametrize("bits", [192, 320])
+def test_fixed_point_log_encloses_mpmath(bits):
+    # the reference is mpmath's log at 4x the working width, whose own
+    # error is far below one unit at 2^-bits
+    import mpmath
+
+    w = bits + analytic._LOG_GUARD_BITS
+    pairs = _log_inputs(random.Random(bits), w)
+    assert len(pairs) >= 2000
+    with mpmath.workprec(4 * w):
+        scale = mpmath.ldexp(1, bits)
+        for a, q in pairs:
+            v, err = analytic._ln_fixed(a, q, bits)
+            ref = (mpmath.log(a) - mpmath.log(q)) * scale
+            assert abs(ref - v) <= err, (a, q)
+            e = a.bit_length() - q.bit_length()
+            assert err <= 2 + abs(e) // 128, (a, q, err)
+            if a == q:
+                assert v == 0
 
 def test_det_error_bound_encloses_perturbed_determinants():
     rng = random.Random(41)

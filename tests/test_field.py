@@ -3,15 +3,15 @@ import random
 import time
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 from classgroup.errors import (BasisNotClosed, BasisNotUnimodularScaling,
                                NonMonic, PrecisionExhausted, Reducible)
 from classgroup import polynomials as poly
-from classgroup.field import (canonical_embedding, combine_columns,
-                              iv_endpoints, norm_of, parse_field)
-from oracles import large_presentation
+from classgroup.field import combine_columns, norm_of, parse_field
+from under_O import run_under_O
+from oracles import (canonical_embedding, embedding_data, interval_context,
+                     iv_endpoints, large_presentation, root_balls)
 
 
 def mid(iv):
@@ -220,8 +220,8 @@ def test_norm_multiplicative_and_interval_containment(coeffs):
             continue
         assert norm_of(a * b) == norm_of(a) * norm_of(b)
         # interval product of conjugates contains the exact resultant value
-        reals, cplx = K.embedding_data(a)
-        prod = K.iv.mpf(1)
+        reals, cplx = embedding_data(K, a)
+        prod = interval_context(K.precision).mpf(1)
         for v in reals:
             prod *= v
         for re, im in cplx:
@@ -263,11 +263,11 @@ _BASES = {(4, 0, 1): [[1, 0], [0, Fraction(1, 2)]]}
 def test_root_balls_certified(coeffs):
     K = parse_field(coeffs)
     r1, r2 = K.signature
-    balls = K.root_balls()
-    assert [b.is_real for b in balls] == [True] * r1 + [False] * r2
+    balls = root_balls(K)
+    assert [im is None for _, im in balls] == [True] * r1 + [False] * r2
     zero = (Fraction(0), Fraction(0))
-    boxes = [(iv_endpoints(b.re), zero if b.is_real else iv_endpoints(b.im))
-             for b in balls]
+    boxes = [(iv_endpoints(re), zero if im is None else iv_endpoints(im))
+             for re, im in balls]
     width = Fraction(1, 2 ** (K.precision + 32))
     for re, im in boxes:
         assert re[1] - re[0] < width and im[1] - im[0] < width
@@ -348,3 +348,36 @@ def test_field_file_roundtrip(tmp_path):
                               "basis": ["1", "0", "0", "1/2"]}))
     K2 = load_field_file(str(p2))
     assert K2.discriminant == -4
+
+
+_INPUT_CHECKS = """
+from classgroup.field import parse_field
+from classgroup.ideals import ideal_from_element
+from classgroup.smoothness import is_smooth, smooth_part
+K, L = parse_field([1, 0, 1]), parse_field([-2, 0, 1])
+cases = [
+    lambda: smooth_part(0, 10),
+    lambda: smooth_part(-6, 10),
+    lambda: smooth_part(6, 1),
+    lambda: is_smooth(-6, 10),
+    lambda: K.element([1, 2, 3]),
+    lambda: K.element([1]),
+    lambda: K.element([1, 1]) + L.element([1, 1]),
+    lambda: K.element([1, 1]) - L.element([1, 1]),
+    lambda: K.element([1, 1]) * L.element([1, 1]),
+    lambda: ideal_from_element(K.zero()),
+]
+for case in cases:
+    try:
+        print(f"returned {case()!r}")
+    except Exception as exc:
+        print(type(exc).__name__)
+"""
+
+
+def test_input_checks_raise_value_error_also_under_python_O():
+    expected = ["ValueError"] * 10
+    assert run_under_O(_INPUT_CHECKS) == expected
+    lines = []
+    exec(_INPUT_CHECKS, {"print": lines.append})
+    assert lines == expected

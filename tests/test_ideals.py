@@ -7,8 +7,7 @@ import pytest
 from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
-from classgroup.field import (canonical_embedding, combine_columns,
-                              iv_endpoints, parse_field)
+from classgroup.field import combine_columns, parse_field
 from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
                                bach_bound, build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
@@ -17,9 +16,10 @@ from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
                                unit_ideal, valuation)
 from classgroup.polynomials import bareiss_det, primes_up_to
 from under_O import run_under_O
-from oracles import (column_hnf_naive, divide_prime_by_inverse,
-                     ideal_product_fractions, in_column_hnf,
-                     principal_ideal_fractions, valuation_by_containment)
+from oracles import (canonical_embedding, column_hnf_naive,
+                     divide_prime_by_inverse, ideal_product_fractions,
+                     in_column_hnf, iv_endpoints, principal_ideal_fractions,
+                     valuation_by_containment)
 
 
 def test_factor_prime_examples(qi):

@@ -3,7 +3,12 @@ rank, and the non-maximal-basis input path."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 from conftest import field_file
 from oracles import class_number_imag_quadratic, large_presentation
@@ -62,8 +67,8 @@ def test_dedekind_cubic_common_index_divisor(tmp_path):
     # inert.  Reg = log|eps| for the unit eps = -13 + 13 theta - 3 theta^2,
     # coordinates (-13, 16, -6); it is out of reach of cubic_unit_search's
     # default box
-    from classgroup.analytic import log_embedding
-    from classgroup.field import iv_endpoints, load_field_file
+    from classgroup.analytic import _LOG_SCALE_BITS, log_embedding
+    from classgroup.field import load_field_file
     p = tmp_path / "f.json"
     p.write_text(json.dumps({"poly": [-8, -2, -1, 1],
                              "basis": ["1", "0", "0", "0", "1", "0",
@@ -75,7 +80,9 @@ def test_dedekind_cubic_common_index_divisor(tmp_path):
     assert abs(eps.norm()) == 1
     assert abs(K.element([1, 0, 1]).norm()) == 2
     assert abs(K.element([-5, -2, 2]).norm()) == 5
-    lo, hi = iv_endpoints(log_embedding(K, eps)[0])
+    c, r = log_embedding(K, eps)[0]
+    scale = 1 << (K.precision + _LOG_SCALE_BITS)
+    lo, hi = Fraction(c - r, scale), Fraction(c + r, scale)
     assert abs(float(lo) + 7.0273467934) < 1e-10
     assert abs(float(hi) + 7.0273467934) < 1e-10
     res = cli.run_compute(cli.RunConfig(field_path=str(p), seed=3))
@@ -83,6 +90,31 @@ def test_dedekind_cubic_common_index_divisor(tmp_path):
     assert int(res.group.class_number) == 1
     assert abs(res.regulator - 7.0273467934) < 1e-6
 
+
+
+_NO_MPMATH = """
+import json, sys
+import classgroup
+from classgroup import cli
+for name, poly in (("z7", [1] * 7), ("sqrt2", [-2, 0, 1])):
+    path = sys.argv[1] + "/" + name + ".json"
+    json.dump({"poly": poly}, open(path, "w"))
+    res = cli.run_compute(cli.RunConfig(field_path=path, seed=3))
+    print(name, res.verdict, repr(res.regulator))
+print("mpmath" in sys.modules)
+"""
+
+
+def test_compute_runs_without_mpmath(tmp_path):
+    # a fresh interpreter, so that no test's import of mpmath hides one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", _NO_MPMATH, str(tmp_path)],
+                         env=dict(os.environ, PYTHONPATH=path),
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "z7 ACCEPT 2.1018187284902896", "sqrt2 ACCEPT 0.881373587019543",
+        "False"]
 
 def test_multi_and_cheon_end_to_end(tmp_path):
     for mode in ("multi", "cheon"):
