@@ -103,8 +103,10 @@ def _desk_bound_floor(field):
 
 def _bound_and_block(field, B, beta):
     """Factor-base bound and BKZ block size of `compute` and `collect`: the
-    given values, else the parameter plan's, with B raised to the desk floor;
-    beta is clamped to 2..degree.  A B above MAX_BOUND raises BoundTooLarge
+    given values, else the parameter plan's B raised to the desk floor, and
+    beta = 2; beta is clamped to 2..degree.  The plan's block size is a
+    prediction only: at desk scale every beta tried gave the same relations,
+    and beta = 2 costs least.  A B above MAX_BOUND raises BoundTooLarge
     before any sieve runs."""
     plan = params.select_params(field)
     B = B or max(plan.B, _desk_bound_floor(field))
@@ -114,7 +116,7 @@ def _bound_and_block(field, B, beta):
             f"{len(str(abs(field.discriminant)))} digits) is above "
             f"{MAX_BOUND:.0e}, more than the prime sieve can hold; the field "
             "file needs an integral basis of O_K")
-    return B, max(2, min(beta or plan.beta_block, field.degree))
+    return B, max(2, min(beta or 2, field.degree))
 
 
 def run_compute(cfg):
@@ -277,6 +279,7 @@ def _cmd_lnot(args):
     return 0
 
 
+_BETA_HELP = "BKZ block size, clamped to 2..degree (default 2)"
 _THREADS_HELP = ("accepted for compatibility and has no effect: collection "
                  "runs on one thread")
 
@@ -303,7 +306,7 @@ def build_parser():
     pc.add_argument("--seed", type=int, default=0)
     pc.add_argument("--precision", type=int, default=None)
     pc.add_argument("--B", type=int, default=None)
-    pc.add_argument("--beta", type=int, default=None)
+    pc.add_argument("--beta", type=int, default=None, help=_BETA_HELP)
     pc.add_argument("--k", type=int, default=2)
     pc.add_argument("--A", type=int, default=2)
     pc.add_argument("--K", type=int, default=2)
@@ -323,7 +326,7 @@ def build_parser():
     pl.add_argument("--mode", choices=["plain", "multi"], default="plain")
     pl.add_argument("--seed", type=int, default=0)
     pl.add_argument("--B", type=int, default=None)
-    pl.add_argument("--beta", type=int, default=None)
+    pl.add_argument("--beta", type=int, default=None, help=_BETA_HELP)
     pl.add_argument("--k", type=int, default=2)
     pl.add_argument("--A", type=int, default=2)
     pl.add_argument("--K", type=int, default=2)

@@ -15,6 +15,13 @@ with no GramLLL, to the transform the tours would give.  Floating point
 appears only inside the enumeration kernel, whose candidate vectors are
 re-scored exactly before anything is accepted, with the search radius
 opened by a safety margin so the true minimum cannot be pruned away.
+
+A lattice of rank above 2 whose entries are scaled by more than
+2^ROUND_BITS is first reduced as a copy rounded to that scale (Buchmann,
+Reducing lattice bases by means of approximations, ANTS-I, 1994); the
+copy's transform is applied to the exact columns, and the quality bound is
+checked on the exact Gram and determinant.  Only if that check fails, or
+the copy is rank deficient, is the lattice reduced again at full scale.
 """
 
 import math
@@ -32,6 +39,7 @@ ENUM_DIM_CAP = 30
 _ENUM_MARGIN = 1e-3  # relative opening of the float search radius
 _ENUM_MAX_OUT = 20000  # candidates kept per kernel call before tightening
 _MAX_TOURS = 64
+ROUND_BITS = 32  # scale of the rounded copy bkz reduces first
 
 
 @dataclass
@@ -57,6 +65,10 @@ class LatticeBasis:
         return _gram_of(self.columns)
 
     def det_squared(self):
+        """det of the Gram; for a square basis det(B)^2, whose Bareiss
+        entries are half the Gram's size."""
+        if self.k == self.n:
+            return bareiss_det(self.columns) ** 2
         return bareiss_det(self.gram())
 
 
@@ -69,6 +81,8 @@ class ReductionReport:
     m_sub: int = None  # sublattice dimension chosen by cheon_reduce
     tours: int = 0
     fallback_full_enum: bool = False
+    # the rounded copy was refused, so the lattice was reduced at full scale
+    full_scale_retry: bool = False
 
 
 def log_big(n):
@@ -270,7 +284,8 @@ def _unimodular_first_col(w):
     m = len(w)
     v = [int(x) for x in w]
     M = identity(m)
-    assert any(v), "zero vector cannot start a basis"
+    if not any(v):
+        raise VerificationFailed("zero vector cannot start a basis")
     while True:
         nz = [t for t in range(m) if v[t] != 0]
         if len(nz) == 1:
@@ -284,7 +299,8 @@ def _unimodular_first_col(w):
             for r in range(m):
                 M[r][piv] += q * M[r][t]
     t = next(i for i in range(m) if v[i] != 0)
-    assert abs(v[t]) == 1, "input vector was not primitive"
+    if abs(v[t]) != 1:
+        raise VerificationFailed("input vector was not primitive")
     if t != 0:
         v[0], v[t] = v[t], v[0]
         for r in range(m):
@@ -382,7 +398,8 @@ def shortest_of_gram(gram, cap=ENUM_DIM_CAP):
     if k > cap:
         raise DimensionCap(f"enumeration dimension {k} exceeds cap {cap}")
     if k == 1:
-        assert gram[0][0] > 0
+        if gram[0][0] <= 0:
+            raise RankDeficient("Gram matrix is not positive definite")
         return (1,), gram[0][0], 1
     red = GramLLL(gram)
     red.reduce()
@@ -468,7 +485,12 @@ def bkz(basis, beta):
     enumeration fallback enforces it in the rare case tours stall early).
     A rank-2 basis, whose one block is the whole lattice, is reduced by
     Gauss-Lagrange on its Gram (_gauss_lagrange), with no GramLLL: the same
-    transform as the tours, one tour reported and no nodes."""
+    transform as the tours, one tour reported and no nodes.
+    A basis of rank k > 2 with scale_bits above ROUND_BITS is reduced in
+    two passes at most: first a copy rounded to 2^ROUND_BITS, whose
+    transform is kept only if the exact columns it gives pass the bound on
+    their exact Gram and determinant; then, if the copy is rank deficient
+    or fails the bound, the full-scale lattice (report.full_scale_retry)."""
     k = basis.k
     if not 2 <= beta <= k:
         raise ValueError(f"block size {beta} outside [2, {k}]")
@@ -479,8 +501,46 @@ def bkz(basis, beta):
         if not theorem_bound_holds(v2, beta, k, det_gram):
             raise VerificationFailed(
                 "BKZ output violates the block-reduction quality bound")
-        return _bkz_result(basis, U, beta, v2, det_gram, 0, 1, False)
-    red = GramLLL(basis.gram())
+        return _bkz_result(basis, U, _apply_transform(basis.columns, U), beta,
+                           v2, det_gram, 0, 1, False)
+    retry = False
+    if basis.scale_bits > ROUND_BITS:
+        shift = basis.scale_bits - ROUND_BITS
+        half = 1 << (shift - 1)
+        rounded = [[(c + half) >> shift for c in col] for col in basis.columns]
+        try:
+            red, nodes, tours, fallback = _bkz_gram(_gram_of(rounded), beta)
+        except RankDeficient:
+            pass
+        else:
+            cols = _apply_transform(basis.columns, red.U)
+            v2 = min(sum(x * x for x in col) for col in cols)
+            det_gram = basis.det_squared()
+            if theorem_bound_holds(v2, beta, k, det_gram):
+                return _bkz_result(basis, red.U, cols, beta, v2, det_gram,
+                                   nodes, tours, fallback)
+        retry = True
+    red, nodes, tours, fallback = _bkz_gram(basis.gram(), beta)
+    v2, det_gram = min(red.norms()), red.det_gram()
+    if not theorem_bound_holds(v2, beta, k, det_gram):
+        raise VerificationFailed(
+            "BKZ output violates the block-reduction quality bound")
+    out, report = _bkz_result(basis, red.U,
+                              _apply_transform(basis.columns, red.U), beta,
+                              v2, det_gram, nodes, tours, fallback)
+    report.full_scale_retry = retry
+    return out, report
+
+
+def _bkz_gram(gram, beta):
+    """BKZ tours on an integer Gram of rank at least 3; returns (the
+    GramLLL state, enumeration nodes, tours, whether the full enumeration
+    ran).  The enumeration runs when the tours end short of the quality
+    bound on this Gram, and inserts the true shortest vector, which always
+    satisfies it since lambda_1 <= sqrt(k) det^(1/k) <=
+    beta^((k-1)/(2(beta-1))) det^(1/k)."""
+    k = len(gram)
+    red = GramLLL(gram)
     red.reduce()
     nodes_total = 0
     tours = 0
@@ -504,30 +564,21 @@ def bkz(basis, beta):
                 improved = True
         if not improved:
             break
-    fallback = False
-    v2 = min(red.norms())
-    det_gram = red.det_gram()
-    if not theorem_bound_holds(v2, beta, k, det_gram):
-        # enforce the guarantee with the true shortest vector (always valid
-        # since lambda_1 <= sqrt(k) det^(1/k) <= beta^((k-1)/(2(beta-1))) det^(1/k))
-        coeffs, v2, nodes = shortest_of_gram(red.G)
+    fallback = not theorem_bound_holds(min(red.norms()), beta, k,
+                                       red.det_gram())
+    if fallback:
+        coeffs, _, nodes = shortest_of_gram(red.G)
         nodes_total += nodes
         red.insert_block_vector(0, k, list(coeffs))
         red.reduce()
-        fallback = True
-        v2 = min(red.norms())
-        if not theorem_bound_holds(v2, beta, k, det_gram):
-            raise VerificationFailed(
-                "BKZ output violates the block-reduction quality bound")
-    return _bkz_result(basis, red.U, beta, v2, det_gram, nodes_total, tours,
-                       fallback)
+    return red, nodes_total, tours, fallback
 
 
-def _bkz_result(basis, U, beta, v2, det_gram, nodes, tours, fallback):
-    """bkz's (reduced basis, report) for the transform U."""
+def _bkz_result(basis, U, cols, beta, v2, det_gram, nodes, tours, fallback):
+    """bkz's (reduced basis, report) for the transform U, which gives the
+    exact columns cols."""
     k = basis.k
-    out = LatticeBasis(_apply_transform(basis.columns, U), basis.scale_bits,
-                       transform=U)
+    out = LatticeBasis(cols, basis.scale_bits, transform=U)
     report = ReductionReport(
         block_size_beta=beta,
         first_vector_norm=math.exp(0.5 * log_big(v2)),

@@ -202,9 +202,13 @@ def _lattice_of(a, field):
             f"ideal lattice still ambiguous at {2 * field.precision} bits") from e
 
 
-def _reduce_ideal(a, beta, field):
-    """BKZ-reduce sigma(a); returns the reduced basis."""
-    return bkz(_lattice_of(a, field), beta)[0]
+def _reduce_ideal(a, beta, field, stats=None):
+    """BKZ-reduce sigma(a); returns the reduced basis, and counts a
+    full-scale retry in stats["full_scale_retries"] when stats is given."""
+    red, report = bkz(_lattice_of(a, field), beta)
+    if stats is not None:
+        stats["full_scale_retries"] += report.full_scale_retry
+    return red
 
 
 def _shortest_column(red):
@@ -235,16 +239,17 @@ def _candidates(red, mode, beta):
                    for t2 in range(k)]
 
 
-def derive_relations(idxs, exps, cfg, field, fb, cap=None):
+def derive_relations(idxs, exps, cfg, field, fb, cap=None, stats=None):
     """Algorithm-1 step in every mode: reduce a = prod fb[idxs]^exps once and
     try each candidate vector x; <x> = a*b gives a relation, the factorization
     of <x>, when <x> is smooth over the base.  Returns
     [(x_v, {PrimeIdeal: e})] without duplicate relations; with `cap`, the
-    candidates stop at the cap-th."""
+    candidates stop at the cap-th; with `stats`, a full-scale BKZ retry is
+    counted there (_reduce_ideal)."""
     a = ideal_from_power_product(fb, idxs, exps, field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
-    red = _reduce_ideal(a, beta, field)
+    red = _reduce_ideal(a, beta, field, stats)
     results = []
     seen = set()
     for col in _candidates(red, cfg.mode, beta):
@@ -281,11 +286,15 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     trial can add several rows); a window ends after the first trial that
     leaves both and a row added in the window.
     stats "hit_rate" is the share of trials that gave at least one row, a
-    probability like "predicted_rate".  Deterministic for a fixed
+    probability like "predicted_rate"; "beta" is the block size that ran and
+    "full_scale_retries" counts the reductions whose rounded copy was
+    refused (lattice.bkz).  Deterministic for a fixed
     (field, fb, cfg) including seed; every trial runs on the calling
     thread, and cfg.threads has no effect."""
     cfg.validate(fb)
     rng = random.Random(cfg.rng_seed)
+    n = field.degree
+    beta = max(2, min(cfg.beta, n))
     free = 0
     if matrix is None:
         matrix = RelationMatrix(fb)
@@ -303,7 +312,8 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     trials = 0
     hits = 0
     productive = 0  # trials that gave at least one row
-    stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode}
+    stats = {"trials": 0, "hits": 0, "free": free, "mode": cfg.mode,
+             "beta": beta, "full_scale_retries": 0}
     while True:
         # the one stop check, once both are met; RankDeficient: collect on
         group = check = None
@@ -332,7 +342,8 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
                                       trials if trials < fb.size else None)
             cap = max(1, target_rows - len(matrix.rows))
             # a module-global lookup, so a replaced deriver takes effect
-            rels = derive_relations(idxs, exps, cfg, field, fb, cap)[:cap]
+            rels = derive_relations(idxs, exps, cfg, field, fb, cap,
+                                    stats)[:cap]
             for x, prime_exps in rels:
                 if not verify_relation(x, prime_exps, field):
                     raise VerificationFailed(
@@ -349,8 +360,6 @@ def collect(field, fb, cfg, matrix=None, target_rows=None):
     stats.update(trials=trials, hits=hits, rows=len(matrix.rows))
     if trials:
         rate = productive / trials
-        n = field.degree
-        beta = max(2, min(cfg.beta, n))
         bound_b = math.exp((n * (n - 1)) / (2 * (beta - 1)) * math.log(beta)) \
             * math.sqrt(abs(field.discriminant))
         pred = heuristic_probability(max(2, int(bound_b)), fb.bound)

@@ -721,3 +721,156 @@ except RankDeficient as e:
 def test_rank2_rank_deficiency_survives_python_O():
     assert run_under_O(_RANK_DEFICIENT_UNDER_O) == [
         "rejected: Gram matrix is not positive definite"]
+
+
+def _near_parallel_basis(scale_bits=128):
+    """Three columns at scale 2^scale_bits that differ only below bit 96:
+    the rounded copy sees one column three times, so its Gram is singular,
+    while the exact columns are independent."""
+    base = [3 << (scale_bits - 1), 5 << (scale_bits - 2), 7 << scale_bits]
+    delta = [[1 << 90, 0, 0], [0, 3 << 80, 0], [0, 0, 5 << 70]]
+    return LatticeBasis([[x + d for x, d in zip(base, col)] for col in delta],
+                        scale_bits)
+
+
+def test_rounded_copy_rank_deficient_retries_at_full_scale():
+    basis = _near_parallel_basis()
+    shift = basis.scale_bits - lattice.ROUND_BITS
+    rounded = [[(c + (1 << (shift - 1))) >> shift for c in col]
+               for col in basis.columns]
+    assert rounded[0] == rounded[1] == rounded[2]
+    assert bareiss_det(basis.gram()) > 0
+    for beta in (2, 3):
+        out, report = bkz(basis, beta)
+        assert report.full_scale_retry
+        # the full-scale pass is the exact reduction of the same columns
+        want, exact = bkz(LatticeBasis(basis.columns), beta)
+        assert not exact.full_scale_retry
+        assert (out.columns, out.transform) == (want.columns, want.transform)
+        assert (report.tours, report.enumeration_nodes,
+                report.fallback_full_enum, report.first_vector_norm,
+                report.hermite_bound) == (
+            exact.tours, exact.enumeration_nodes, exact.fallback_full_enum,
+            exact.first_vector_norm, exact.hermite_bound)
+
+
+def test_rounded_copy_refused_by_the_exact_bound_retries(monkeypatch):
+    # bkz checks the bound four times when it retries: the rounded copy's
+    # tours on its own Gram, the copy's exact columns, then the full-scale
+    # tours and their result.  Refusing the second check alone forces the
+    # full-scale pass, which is the exact reduction of the same columns
+    cols = _seeded_bases(43, 1)[0]
+    scaled = LatticeBasis([[x << 96 for x in col] for col in cols],
+                          scale_bits=128)
+    want, _ = bkz(LatticeBasis(scaled.columns), 3)
+    calls = []
+    inner = lattice.theorem_bound_holds
+
+    def second_fails(*args):
+        calls.append(args)
+        return len(calls) != 2 and inner(*args)
+
+    monkeypatch.setattr(lattice, "theorem_bound_holds", second_fails)
+    out, report = bkz(scaled, 3)
+    assert len(calls) == 4 and report.full_scale_retry
+    assert (out.columns, out.transform) == (want.columns, want.transform)
+    del calls[:]
+    monkeypatch.setattr(lattice, "theorem_bound_holds",
+                        lambda *args: calls.append(args) or inner(*args))
+    out, report = bkz(scaled, 3)
+    assert len(calls) == 2 and not report.full_scale_retry
+
+
+def _ideal_lattices(coeffs, B, count, seed):
+    """sigma(a) of random power products a of the factor base at bound B."""
+    from classgroup.field import parse_field
+    from classgroup.ideals import (build_factor_base,
+                                   ideal_from_power_product, ideal_lattice)
+    from classgroup.relations import CollectionConfig, sample_ideal
+    K = parse_field(coeffs)
+    fb = build_factor_base(K, B)
+    cfg = CollectionConfig(bound_B=B, k=3, A=3)
+    rng = random.Random(seed)
+    return [ideal_lattice(ideal_from_power_product(
+        fb, *sample_ideal(fb, cfg, rng), K), K) for _ in range(count)]
+
+
+def test_rounded_reduction_of_cyclotomic_ideal_lattices():
+    # zeta7 and zeta11: the rounded copy's transform is unimodular, its
+    # exact columns meet the quality bound, and no lattice retries
+    checked = 0
+    for coeffs, B in (([1] * 7, 60), ([1] * 11, 200)):
+        for L in _ideal_lattices(coeffs, B, 12, 7):
+            assert L.scale_bits > lattice.ROUND_BITS
+            det_gram = bareiss_det(L.gram())
+            for beta in (2, 3, 5):
+                out, report = bkz(L, beta)
+                assert not report.full_scale_retry
+                assert abs(bareiss_det(out.transform)) == 1
+                assert out.columns == _apply_transform(L.columns,
+                                                       out.transform)
+                v2 = min(sum(x * x for x in col) for col in out.columns)
+                assert theorem_bound_holds(v2, beta, L.k, det_gram)
+                checked += 1
+    assert checked == 72
+
+
+def test_collect_counts_full_scale_retries(monkeypatch):
+    # a copy rounded below every entry is all zeros, so each reduction
+    # retries at full scale; collect counts every retry the reports record.
+    # On zeta7 the full-scale pass stores the rows the rounded one does; a
+    # generator may differ by a unit, which the rows do not see
+    from classgroup import relations
+    from classgroup.field import parse_field
+    from classgroup.ideals import build_factor_base
+    K = parse_field([1] * 7)
+    fb = build_factor_base(K, 60)
+
+    def run():
+        M, stats = relations.collect(K, fb, relations.CollectionConfig(
+            bound_B=60, rng_seed=3))
+        return [(r.exponents, r.provenance) for r in M.rows], stats
+
+    rows, stats = run()
+    assert (stats["beta"], stats["full_scale_retries"]) == (2, 0)
+    reports = []
+    inner = relations.bkz
+    monkeypatch.setattr(relations, "bkz", lambda basis, beta: (
+        lambda out: reports.append(out[1]) or out)(inner(basis, beta)))
+    monkeypatch.setattr(lattice, "ROUND_BITS", -64)
+    again, stats = run()
+    assert again == rows
+    assert len(reports) == stats["trials"] > 0
+    assert all(r.full_scale_retry for r in reports)
+    assert stats["full_scale_retries"] == stats["trials"]
+
+
+_BAD_FIRST_COLUMN_UNDER_O = """
+from classgroup import lattice
+from classgroup.errors import RankDeficient, VerificationFailed
+
+assert not __debug__, "run with python -O"
+for call in (lambda: lattice._unimodular_first_col([2, 4, -6]),
+             lambda: lattice._unimodular_first_col([0, 0, 0]),
+             lambda: lattice.shortest_of_gram([[0]])):
+    try:
+        call()
+    except (RankDeficient, VerificationFailed) as e:
+        print(type(e).__name__ + ":", e)
+# bkz's full-enumeration fallback inserts what shortest_of_gram returns: a
+# non-primitive vector there must stop the reduction
+lattice.theorem_bound_holds = lambda *args: False
+lattice.shortest_of_gram = lambda G: ((2,) + (0,) * (len(G) - 1), 0, 1)
+try:
+    lattice.bkz(lattice.LatticeBasis([[3, 1, 0], [1, 3, 1], [0, 1, 3]]), 2)
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_first_column_checks_survive_python_O():
+    assert run_under_O(_BAD_FIRST_COLUMN_UNDER_O) == [
+        "VerificationFailed: input vector was not primitive",
+        "VerificationFailed: zero vector cannot start a basis",
+        "RankDeficient: Gram matrix is not positive definite",
+        "rejected: input vector was not primitive"]

@@ -227,3 +227,48 @@ def test_large_presentations_give_the_small_answer(tmp_path):
                 repr(small.statistics["residue"]), (T, digits)
             assert math.isclose(res.regulator, small.regulator,
                                 rel_tol=1e-12), (T, digits)
+
+
+# seed 3, default arguments: (h, divisors, repr(Reg), repr(ratio), rows),
+# the answers the plan's block sizes (5, 8, 7, 5) gave before beta = 2
+# became the default and ideal lattices were reduced as rounded copies
+_DEFAULT_PINS = [
+    ([1] * 7, (1, (), "2.1018187284902896", "0.9984452399645544", 18)),
+    ([1] * 11, (1, (), "26.171106009435153", "0.994580835553879", 22)),
+    ([1] + [0] * 7 + [1],
+     (1, (), "19.534360052959325", "1.000429717630132", 18)),
+    ([1, -1, 0, 0, 0, 0, 1],
+     (1, (), "0.658529208858349", "0.9994609816443306", 16)),
+]
+
+
+def test_default_block_size_pins(tmp_path):
+    for coeffs, want in _DEFAULT_PINS:
+        res = run(tmp_path, coeffs)
+        g = res.group
+        assert (g.class_number, tuple(g.elementary_divisors),
+                repr(res.regulator), repr(res.ratio),
+                res.statistics["relations"]) == want, coeffs
+        assert res.config["beta"] == 2
+        assert [(r["beta"], r["full_scale_retries"])
+                for r in res.statistics["rounds"]] == [(2, 0)], coeffs
+
+
+def test_default_block_size_in_multi_mode(tmp_path):
+    # beta = 2 loosens the bound on multi mode's +-1 combinations (on these
+    # fields every one passes), but a trial still stops at its row cap: the
+    # answer, rows, trials and hits equal those at the plan's block size
+    for coeffs, plan_beta in (([1] * 7, 5), ([-2, 0, 0, 0, 0, 1], 5),
+                              ([1, -1, 0, 0, 0, 0, 1], 5)):
+        default, plan = (run(tmp_path, coeffs, mode="multi", beta=beta)
+                         for beta in (None, plan_beta))
+        assert default.config["beta"] == 2, coeffs
+        assert default.group == plan.group, coeffs
+        assert repr(default.regulator) == repr(plan.regulator), coeffs
+        assert repr(default.ratio) == repr(plan.ratio), coeffs
+        assert default.statistics["relations"] == \
+            plan.statistics["relations"], coeffs
+        assert [(r["trials"], r["hits"]) for r in
+                default.statistics["rounds"]] == \
+            [(r["trials"], r["hits"]) for r in plan.statistics["rounds"]], \
+            coeffs
