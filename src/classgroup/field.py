@@ -45,7 +45,7 @@ from fractions import Fraction
 
 from . import polynomials as poly
 from .errors import (BasisNotClosed, BasisNotUnimodularScaling, NonMonic,
-                     PrecisionExhausted, Reducible)
+                     PrecisionExhausted, Reducible, VerificationFailed)
 
 _GUARD_BITS = 64
 _ABERTH_BITS = 64  # the Aberth iteration's first working precision
@@ -123,7 +123,9 @@ class NumberField:
         self._disks = None
         self._embedding_table = self._doubled = None
         r1 = poly.count_real_roots(coeffs)
-        assert (n - r1) % 2 == 0
+        if (n - r1) % 2:
+            raise VerificationFailed(
+                f"{r1} real roots leave an odd number of complex roots")
         self.signature = (r1, (n - r1) // 2)
         if open_degrees & {1, 2}:
             self._check_small_factors(open_degrees)
@@ -149,12 +151,13 @@ class NumberField:
                 "index squared does not divide disc(T)")
         self.discriminant = disc_T // (self.index ** 2)
 
-        assert (self.discriminant < 0) == (self.signature[1] % 2 == 1), \
-            "discriminant sign must be (-1)^r2"
+        if (self.discriminant < 0) != (self.signature[1] % 2 == 1):
+            raise VerificationFailed("discriminant sign must be (-1)^r2")
         # Minkowski's (n^n/n!) (pi/4)^(n/2) <= sqrt|disc| in logs, which take
         # any |disc|; sanity only
-        assert (n * math.log(n) - math.lgamma(n + 1) + n / 2 * math.log(
-            math.pi / 4) <= math.log(abs(self.discriminant)) / 2 + 1e-9)
+        if (n * math.log(n) - math.lgamma(n + 1) + n / 2 * math.log(
+                math.pi / 4) > math.log(abs(self.discriminant)) / 2 + 1e-9):
+            raise VerificationFailed("discriminant below Minkowski's bound")
 
         # the inverse basis matrix as integers over one common denominator
         inv = invert_fractions(basis)

@@ -18,13 +18,24 @@ reduces mod p.  A product by a prime P = (p, pi) is the HNF of the 2n
 generators p*a and pi*a (Cohen, GTM 138, Sec. 4.7), pi*a read off pi's
 multiplication columns: p times a's HNF is already triangular, so the n
 columns of pi*a are folded into it by extended-gcd steps; other products take
-the n^2 products of the two bases.  A factor base keeps each prime power P^e
-after it is first built, so a power product builds only the factors its
-cached start leaves out.
+the n^2 products of the two bases.  An ideal whose HNF diagonal is
+(N, 1, ..., 1) is cyclic, O/a = Z/N, and x lies in it exactly when
+x_0 = sum_{j>=1} x_j*H[0][j] (mod N); two cyclic ideals of coprime norms
+multiply as their intersection, whose residues H[0][j] are the CRT lifts of
+theirs, in O(n) steps.  A factor base keeps each prime power P^e after it
+is first built, so a power product builds only the factors its cached start
+leaves out, and joins P^e by one such CRT product when P is unramified of
+degree 1 and cyclic, as almost every base prime is at desk scale.
 Valuations and divisions by P use an anti-uniformizer tau in
 p*P^(-1) outside pO_K (Cohen, GTM 138, Sec. 4.8.3): x*tau/p is integral
-exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.
-Norm checks on products and divisions raise VerificationFailed.
+exactly when x lies in P, and ideal * P^(-1) = ideal + (tau/p)*ideal.  The
+smoothness test of an element avoids that loop where it can: with k what
+is left of v_p(N(x)), v_P(x) at such a P is min(k, v_p(x_0 - sum x_j*H[0][j]))
+over the HNF of P^k, and when every prime above p is in the base the last
+one's valuation is what the norm leaves.  verify_relation keeps the tau
+loop, so a stored relation is checked by an algorithm independent of the
+one that found it.  Norm checks on products and divisions raise
+VerificationFailed.
 
 A factor base builds only its primes: T mod p is factored once, and only
 the factors with p^f <= B become prime ideals.
@@ -211,12 +222,43 @@ def _ideal_product(a, b, field):
     return _hnf_ideal(cols, field)
 
 
+def _is_cyclic(a):
+    """Whether a's HNF diagonal is (N, 1, ..., 1): then O/a is Z/N, which
+    omega_0 generates, and x lies in a exactly when
+    x_0 = sum_{j>=1} x_j*H[0][j] (mod N)."""
+    return a.norm == a.hnf_basis[0][0]
+
+
+def _has_cyclic_powers(P):
+    """Whether every power of P is cyclic: P is unramified of degree 1 and
+    cyclic, so O/P^k is Z/p^k and omega_0, outside P, generates it."""
+    return P.ram_e == 1 and P.res_f == 1 and _is_cyclic(P)
+
+
+def _crt_product(a, b):
+    """a*b = a cap b for cyclic a, b of coprime norms: the congruence mod
+    N(a)*N(b) whose residues are the CRT lifts of a's and b's."""
+    n, na, nb = len(a.hnf_basis), a.norm, b.norm
+    u = pow(na, -1, nb)
+    cols = [[na * nb] + [0] * (n - 1)]
+    for j in range(1, n):
+        r = a.hnf_basis[j][0]
+        col = [0] * n
+        col[0], col[j] = r + na * ((b.hnf_basis[j][0] - r) * u % nb), 1
+        cols.append(col)
+    return Ideal(tuple(map(tuple, cols)), na * nb)
+
+
 def ideal_mul(a, b, field):
-    """a*b, its norm checked.  For a PrimeIdeal b = (p, alpha) it is the HNF
-    of the 2n generators p*g and alpha*g over a's HNF columns g, the columns
-    alpha*g from b.gen_mult folded into the triangular p*g; otherwise of the
-    n^2 products."""
-    if isinstance(b, PrimeIdeal):
+    """a*b, its norm checked.  When a and b are cyclic (_is_cyclic) of
+    coprime norms it is their intersection, read off by CRT.  Otherwise, for
+    a PrimeIdeal b = (p, alpha), it is the HNF of the 2n generators p*g and
+    alpha*g over a's HNF columns g, the columns alpha*g from b.gen_mult
+    folded into the triangular p*g; otherwise of the n^2 products."""
+    if (_is_cyclic(a) and _is_cyclic(b)
+            and math.gcd(a.norm, b.norm) == 1):
+        out = _crt_product(a, b)
+    elif isinstance(b, PrimeIdeal):
         out = _hnf_ideal_over(
             [[b.p * v for v in g] for g in a.hnf_basis],
             [combine_columns(b.gen_mult, g) for g in a.hnf_basis])
@@ -400,7 +442,10 @@ def _maximal_ideals_modp(p, field):
             if dep:
                 break
         for g, e in poly.factor_mod_p(dep[0], p):
-            assert poly.degree(g) == 1 and e == 1, "minimal polynomial must split"
+            if poly.degree(g) != 1 or e != 1:
+                raise VerificationFailed(
+                    f"minimal polynomial mod {p} must split into distinct "
+                    "linear factors")
             shifted = [(a + g[0] * b) % p for a, b in zip(alpha, one)]
             gens = list(J.values()) + [_modp_mul(shifted, w, field, p)
                                        for w in basis]
@@ -562,6 +607,11 @@ class FactorBase:
         """The base primes above the rational prime p, in base order."""
         return self._above.get(p, ())
 
+    def holds_every_prime_above(self, p):
+        """Whether every prime above the rational prime p is in the base:
+        sum e*f = n over the base primes above p."""
+        return p in self._complete
+
     def index_of(self, P):
         return self._index[(P.p, P.gen_poly)]
 
@@ -584,6 +634,8 @@ class FactorBase:
         for P in self.primes:
             above.setdefault(P.p, []).append(P)
         self._above = {p: tuple(Ps) for p, Ps in above.items()}
+        self._complete = {p for p, Ps in above.items() if sum(
+            P.ram_e * P.res_f for P in Ps) == len(Ps[0].hnf_basis)}
 
     def dump_jsonl(self, fh):
         for P in self.primes:
@@ -620,10 +672,12 @@ def build_factor_base(field, B):
 
 def ideal_from_power_product(fb, indices, exponents, field):
     """prod fb.primes[i]^e; the empty product is the unit ideal.  The first
-    factor of largest exponent comes from fb.power, and the other primes
-    multiply in by their two generators, one product per unit of exponent:
-    sum(e) - 1 products when the power is not yet kept.  Raises ValueError
-    for an exponent below 1."""
+    factor of largest exponent comes from fb.power.  Another factor joins as
+    its power P^e from fb.power, by one CRT product, when P^e and the
+    product so far are cyclic and coprime (_has_cyclic_powers, _is_cyclic);
+    otherwise P multiplies in by its two generators, one product per unit of
+    exponent.  Either way it takes sum(e) - 1 products when the powers are
+    not yet kept.  Raises ValueError for an exponent below 1."""
     if any(e < 1 for e in exponents):
         raise ValueError(f"power-product exponents {list(exponents)} must "
                          "all be at least 1")
@@ -633,20 +687,71 @@ def ideal_from_power_product(fb, indices, exponents, field):
     first = max(range(len(factors)), key=lambda t: factors[t][1])
     out = fb.power(*factors.pop(first), field)
     for i, e in factors:
-        for _ in range(e):
-            out = ideal_mul(out, fb.primes[i], field)
+        P = fb.primes[i]
+        if _has_cyclic_powers(P) and _is_cyclic(out) and out.norm % P.p:
+            out = ideal_mul(out, fb.power(i, e, field), field)
+        else:
+            for _ in range(e):
+                out = ideal_mul(out, P, field)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Smoothness of ideals
 
+def _congruence_valuation(x, Pk, p, k):
+    """min(k, v_P(x)) for the coordinates x of a nonzero algebraic integer,
+    where Pk = P^k is cyclic: x lies in P^m for m <= k exactly when p^m
+    divides x_0 - sum_{j>=1} x_j*H[0][j] over Pk's HNF H."""
+    if not _is_cyclic(Pk):
+        raise VerificationFailed(f"a power of a prime above {p} is not cyclic")
+    d = (x[0] - sum(c * col[0] for c, col in zip(x[1:], Pk.hnf_basis[1:]))) \
+        % Pk.norm
+    if not d:
+        return k
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    return v
+
+
+def _element_valuations(x, smooth, fb, field):
+    """(P, v_P(x)) for the base primes P above each p of smooth, the
+    exponents of |N(x)| at the p <= B, for the coordinates x of a nonzero
+    algebraic integer.  At p, k is what is left of v_p(N(x)) after the
+    primes before P: a prime with cyclic powers takes the congruence of P^k,
+    once nothing is left a prime takes 0, and when every prime above p is in
+    the base the last one takes (k - sum f*v)/f from the norm; every other
+    prime takes the tau-loop of valuation."""
+    for p, k in smooth.items():
+        above = fb.primes_above(p)
+        complete = fb.holds_every_prime_above(p)
+        for P in above:
+            if complete and P is above[-1]:
+                v, r = divmod(k, P.res_f)
+                if r or v < 0:
+                    raise VerificationFailed(
+                        f"{k} left of the norm at {p} is not a valuation "
+                        f"at {P!r}")
+            elif not k:
+                v = 0
+            elif _has_cyclic_powers(P):
+                v = _congruence_valuation(
+                    x, fb.power(fb.index_of(P), k, field), p, k)
+            else:
+                v = valuation(x, P)
+            k -= P.res_f * v
+            yield P, v
+
+
 def is_smooth_ideal(target, fb, field, norm=None):
     """Exponent dict {factor base index: valuation} if the Ideal, or the
     principal ideal of an integral element, factors completely over fb, else
     None.  Reconstruction is verified exactly: prod norm(P)^e must equal the
     norm, which a caller that holds |N(x)| of an element passes as `norm`.
-    An element's valuations run on its integer coordinates, taken once."""
+    An element's valuations come from _element_valuations on its integer
+    coordinates, taken once; an Ideal's from the tau-loop of valuation."""
     if norm is None:
         norm = (integral_norm(target)[0] if hasattr(target, "coords")
                 else target.norm)
@@ -656,15 +761,17 @@ def is_smooth_ideal(target, fb, field, norm=None):
     if res.cofactor != 1:
         return None
     if hasattr(target, "coords"):
-        target = [c.numerator for c in target.coords]
+        found = _element_valuations([c.numerator for c in target.coords],
+                                    res.smooth_part, fb, field)
+    else:
+        found = ((P, valuation(target, P, field))
+                 for p in res.smooth_part for P in fb.primes_above(p))
     exps = {}
     check = 1
-    for p in res.smooth_part:
-        for P in fb.primes_above(p):
-            v = valuation(target, P, field)
-            if v:
-                exps[fb.index_of(P)] = v
-                check *= P.norm ** v
+    for P, v in found:
+        if v:
+            exps[fb.index_of(P)] = v
+            check *= P.norm ** v
     if check != norm:
         return None  # a prime of norm > B over a smooth p divides it
     return exps

@@ -163,10 +163,9 @@ def free_relations(field, fb):
     one = field.one().coords
     out = []
     for p in sorted({P.p for P in fb.primes}):
-        above = fb.primes_above(p)
-        if sum(P.ram_e * P.res_f for P in above) == field.degree:
+        if fb.holds_every_prime_above(p):
             out.append((field.element([p * c for c in one]),
-                        {P: P.ram_e for P in above}))
+                        {P: P.ram_e for P in fb.primes_above(p)}))
     return out
 
 

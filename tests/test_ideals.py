@@ -1,4 +1,6 @@
+import itertools
 import logging
+import math
 import random
 from fractions import Fraction
 
@@ -12,9 +14,10 @@ from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
                                bach_bound, build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
                                ideal_from_power_product, ideal_lattice,
-                               ideal_mul, ideal_pow, is_smooth_ideal,
-                               unit_ideal, valuation)
+                               ideal_mul, ideal_pow, integral_norm,
+                               is_smooth_ideal, unit_ideal, valuation)
 from classgroup.polynomials import bareiss_det, primes_up_to
+from classgroup.smoothness import smooth_part
 from under_O import run_under_O
 from oracles import (canonical_embedding, column_hnf_naive,
                      divide_prime_by_inverse, ideal_product_fractions,
@@ -784,3 +787,154 @@ def test_primes_above_matches_a_scan_of_the_base(q23, cubic):
         for p in range(B + 2):
             assert list(fb.primes_above(p)) == [P for P in fb.primes
                                                 if P.p == p], (K.poly, p)
+
+
+# Q(sqrt-23) over the basis {theta, 1}: omega_0 = theta lies in (2, theta)
+# and (3, theta), so those primes are not cyclic (ideals._is_cyclic) and
+# join products by their two generators; their conjugates are cyclic
+def _swapped_basis_q23():
+    return parse_field([6, -1, 1], basis=[[0, 1], [1, 0]])
+
+
+# the product fields, with split primes added where fewer than two rational
+# primes have a prime of degree 1, so that coprime cyclic pairs occur
+CYCLIC_FIELDS = {
+    name: (make, ps + {"zeta5": [31], "zeta7": [29, 43],
+                       "x^5-2": [7]}.get(name, []))
+    for name, (make, ps) in PRODUCT_FIELDS.items()}
+CYCLIC_FIELDS["Q(sqrt-23) over {theta, 1}"] = (_swapped_basis_q23,
+                                                [2, 3, 5, 13, 23])
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_FIELDS))
+def test_coprime_products_match_fraction_oracle(name):
+    # a*b of coprime power products is a cap b, by CRT when both are cyclic,
+    # and equals the HNF of all products of generators on every route
+    make, ps = CYCLIC_FIELDS[name]
+    K = make()
+    primes = [P for p in ps for P in factor_prime(p, K)]
+    fb = FactorBase(max(P.norm for P in primes), primes, 0)
+    rng = random.Random(32)
+    routes = set()
+    for _ in range(40):
+        ia, ib = [sorted(rng.sample(range(fb.size), rng.randint(1, 2)))
+                  for _ in "ab"]
+        a, b = [ideal_from_power_product(fb, idxs, [rng.randint(1, 3)
+                                                    for _ in idxs], K)
+                for idxs in (ia, ib)]
+        if math.gcd(a.norm, b.norm) != 1:
+            continue
+        routes.add(ideals._is_cyclic(a) and ideals._is_cyclic(b))
+        got = ideal_mul(a, b, K)
+        assert got.hnf_basis == ideal_product_fractions(K, a.hnf_basis,
+                                                        b.hnf_basis)
+        assert got.norm == a.norm * b.norm
+    assert routes == {True, False}
+    if name.endswith("{theta, 1}"):
+        assert {ideals._is_cyclic(P) for P in primes if P.res_f == 1} \
+            == {True, False}
+
+
+# (field, B, box): the first coordinate of a pool element is drawn from
+# [-box, box] and the others from [-1, 1]
+VALUATION_FIELDS = {
+    "zeta7": (lambda: parse_field([1] * 7), 50, 3),
+    "x^5-2": (lambda: parse_field([-2, 0, 0, 0, 0, 1]), 60, 3),
+    "Q(sqrt-1000003)": (lambda: parse_field([250001, -1, 1]), 150, 3000),
+    "Dedekind cubic": (dedekind_cubic, 40, 5),
+    "Q(sqrt-23) over {theta, 1}": (_swapped_basis_q23, 30, 5),
+}
+
+
+def _smooth_elements(K, fb, box, rng):
+    """Endless random integral elements of B-smooth norm: products of one to
+    three small elements of smooth norm, every third one scaled by p^k for
+    a base p and k in 2..4."""
+    n = K.degree
+    pool = []
+    while len(pool) < 24:
+        x = K.element([rng.randint(-box, box)]
+                      + [rng.randint(-1, 1) for _ in range(n - 1)])
+        if not x.is_zero and smooth_part(integral_norm(x)[0],
+                                         fb.bound).cofactor == 1:
+            pool.append(x)
+    for t in itertools.count():
+        x = pool[rng.randrange(len(pool))]
+        for _ in range(rng.randint(0, 2)):
+            x = x * pool[rng.randrange(len(pool))]
+        if t % 3 == 0:
+            q = fb.primes[rng.randrange(fb.size)].p ** rng.randint(2, 4)
+            x = K.element([q * c for c in x.coords])
+        yield x
+
+
+@pytest.mark.parametrize("name", sorted(VALUATION_FIELDS))
+def test_element_valuations_match_tau_loop(name):
+    # the congruence of P^k and the norm deduction give the tau-loop's
+    # valuation at every base prime over every p <= B dividing N(x), and
+    # is_smooth_ideal returns them on 200 elements whose norm is B-smooth
+    make, B, box = VALUATION_FIELDS[name]
+    K = make()
+    fb = build_factor_base(K, B)
+    smooth = routes = 0
+    for x in itertools.islice(_smooth_elements(K, fb, box,
+                                               random.Random(320)), 600):
+        coords = [c.numerator for c in x.coords]
+        nx = integral_norm(x)[0]
+        res = smooth_part(nx, fb.bound)
+        want = {P: valuation(coords, P) for p in res.smooth_part
+                for P in fb.primes_above(p)}
+        assert dict(ideals._element_valuations(
+            coords, res.smooth_part, fb, K)) == want, coords
+        exps = is_smooth_ideal(x, fb, K, nx)
+        if exps is not None:
+            smooth += 1
+            assert exps == {fb.index_of(P): v for P, v in want.items() if v}
+        routes += any(v > 1 and ideals._has_cyclic_powers(P)
+                      for P, v in want.items())
+        if smooth == 200:
+            break
+    assert smooth == 200 and routes >= 20, (smooth, routes)
+
+
+def test_deduced_valuation_rejects_a_remainder(q23, monkeypatch):
+    # at a split p the second prime takes what the first leaves of v_p(N(x));
+    # a remainder the first prime overdraws is not a valuation
+    fb = build_factor_base(q23, 30)
+    assert len(fb.primes_above(2)) == 2
+    monkeypatch.setattr(ideals, "_congruence_valuation",
+                        lambda x, Pk, p, k: k + 1)
+    with pytest.raises(VerificationFailed, match="not a valuation"):
+        is_smooth_ideal(q23.element([2, 0]), fb, q23)
+
+
+_SPLIT_NOT_LINEAR_UNDER_O = """
+from fractions import Fraction
+
+from classgroup import field, ideals, polynomials
+from classgroup.errors import VerificationFailed
+
+assert not __debug__, "run with python -O"
+half = Fraction(1, 2)
+K = field.parse_field([-8, -2, -1, 1],
+                      basis=[[1, 0, 0], [0, 1, 0], [0, half, half]])
+# the Buchmann-Lenstra split at 2 meets a minimal polynomial x^2 + 1
+polynomials.factor_mod_p = lambda f, p, *rest: [([1, 0, 1], 1)]
+try:
+    ideals.factor_prime(2, K)
+except VerificationFailed as e:
+    print("rejected:", e)
+# an odd number of complex roots
+field.poly.count_real_roots = lambda coeffs: 1
+try:
+    field.parse_field([1, 0, 1])
+except VerificationFailed as e:
+    print("rejected:", e)
+"""
+
+
+def test_splitting_and_signature_checks_survive_python_O():
+    assert run_under_O(_SPLIT_NOT_LINEAR_UNDER_O) == [
+        "rejected: minimal polynomial mod 2 must split into distinct "
+        "linear factors",
+        "rejected: 1 real roots leave an odd number of complex roots"]

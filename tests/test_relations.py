@@ -248,6 +248,22 @@ def test_corrupt_free_row_is_rejected(q23, monkeypatch):
         collect(q23, fb, cfg)
 
 
+def test_shifted_valuation_is_caught_by_verify_relation(monkeypatch):
+    # the congruence of the first prime above a split p under-counts by one,
+    # so the valuation deduced from the norm at its conjugate is one too high
+    # with the norm still consistent: only the tau-loop in verify_relation,
+    # independent of the smoothness test, sees it
+    inner = ideals._congruence_valuation
+    monkeypatch.setattr(ideals, "_congruence_valuation", lambda *a: max(
+        inner(*a) - 1, 0))
+    K = parse_field([250001, -1, 1])
+    fb = build_factor_base(K, 150)
+    cfg = CollectionConfig(bound_B=150, k=2, A=2, beta=2, rng_seed=3)
+    with pytest.raises(VerificationFailed,
+                       match="relation from trial .* failed exact"):
+        collect(K, fb, cfg)
+
+
 def test_sample_ideal_sweep(q23):
     fb = build_factor_base(q23, 15)
     for k, A in ((1, 3), (2, 2), (fb.size, 2)):
