@@ -137,6 +137,9 @@ class NumberField:
             if len(basis) != n or any(len(r) != n for r in basis):
                 raise BasisNotUnimodularScaling("basis must be an n x n matrix")
         self.basis = tuple(tuple(r) for r in basis)
+        # what coordinates are read against: equal elements share it, and
+        # the precision, which does not change an element, is left out
+        self.presentation = (self.poly, self.basis)
 
         detb = det_fractions(basis)
         if detb == 0:
@@ -622,8 +625,18 @@ def _ceil_root2(v, g):
     return -(-(math.isqrt(2 * v * v - 1) + 1) >> g)
 
 
+def _exact(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class AlgebraicNumber:
-    """Element of a number field, exact coordinates over the integral basis."""
+    """Element of a number field, exact coordinates over the integral basis:
+    an integral coordinate is an int, any other a Fraction, so integer
+    coordinates build no Fraction.  Elements are equal, and hash alike, when
+    their fields share poly and basis and their coordinates agree."""
 
     __slots__ = ("field", "coords")
 
@@ -632,7 +645,7 @@ class AlgebraicNumber:
             raise ValueError(f"{len(coords)} coordinates in a field of degree "
                              f"{field.degree}")
         self.field = field
-        self.coords = tuple(Fraction(c) for c in coords)
+        self.coords = tuple(c if type(c) is int else _exact(c) for c in coords)
 
     @property
     def is_zero(self):
@@ -670,10 +683,11 @@ class AlgebraicNumber:
 
     def __eq__(self, other):
         return isinstance(other, AlgebraicNumber) and \
-            self.field.poly == other.field.poly and self.coords == other.coords
+            self.field.presentation == other.field.presentation and \
+            self.coords == other.coords
 
     def __hash__(self):
-        return hash((self.field.poly, self.coords))
+        return hash((self.field.presentation, self.coords))
 
     def mult_matrix(self):
         """Matrix of multiplication by self on the integral basis (columns are

@@ -17,7 +17,8 @@ Products multiply coordinate columns by the field's one product
 reduces mod p.  A product by a prime P = (p, pi) is the HNF of the 2n
 generators p*a and pi*a (Cohen, GTM 138, Sec. 4.7), pi*a read off pi's
 multiplication columns: p times a's HNF is already triangular, so the n
-columns of pi*a are folded into it by extended-gcd steps; other products take
+columns of pi*a are folded into it by extended-gcd steps.  An inert P is
+pO_K, its pi in pO_K, so a*P is p*a, p times a's HNF; other products take
 the n^2 products of the two bases.  An ideal whose HNF diagonal is
 (N, 1, ..., 1) is cyclic, O/a = Z/N, and x lies in it exactly when
 x_0 = sum_{j>=1} x_j*H[0][j] (mod N); two cyclic ideals of coprime norms
@@ -249,19 +250,35 @@ def _crt_product(a, b):
     return Ideal(tuple(map(tuple, cols)), na * nb)
 
 
+def _is_inert(P, n):
+    """Whether the PrimeIdeal P = (p, alpha) is pO_K: P has degree n and
+    its second generator alpha lies in pO_K (every column of gen_mult is
+    0 mod p)."""
+    return P.res_f == n and not any(v % P.p for c in P.gen_mult for v in c)
+
+
+def _scalar_product(a, p):
+    """p*a: p times a's HNF columns, which is again an HNF."""
+    return _ideal_of_hnf([[p * v for v in g] for g in a.hnf_basis])
+
+
 def ideal_mul(a, b, field):
     """a*b, its norm checked.  When a and b are cyclic (_is_cyclic) of
     coprime norms it is their intersection, read off by CRT.  Otherwise, for
-    a PrimeIdeal b = (p, alpha), it is the HNF of the 2n generators p*g and
-    alpha*g over a's HNF columns g, the columns alpha*g from b.gen_mult
-    folded into the triangular p*g; otherwise of the n^2 products."""
+    an inert PrimeIdeal b = pO_K (_is_inert) it is p*a; for any other
+    PrimeIdeal b = (p, alpha), the HNF of the 2n generators p*g and alpha*g
+    over a's HNF columns g, the columns alpha*g from b.gen_mult folded into
+    the triangular p*g; otherwise of the n^2 products."""
     if (_is_cyclic(a) and _is_cyclic(b)
             and math.gcd(a.norm, b.norm) == 1):
         out = _crt_product(a, b)
     elif isinstance(b, PrimeIdeal):
-        out = _hnf_ideal_over(
-            [[b.p * v for v in g] for g in a.hnf_basis],
-            [combine_columns(b.gen_mult, g) for g in a.hnf_basis])
+        if _is_inert(b, len(a.hnf_basis)):
+            out = _scalar_product(a, b.p)
+        else:
+            out = _hnf_ideal_over(
+                [[b.p * v for v in g] for g in a.hnf_basis],
+                [combine_columns(b.gen_mult, g) for g in a.hnf_basis])
     else:
         out = _ideal_product(a, b, field)
     if out.norm != a.norm * b.norm:
@@ -675,9 +692,10 @@ def ideal_from_power_product(fb, indices, exponents, field):
     factor of largest exponent comes from fb.power.  Another factor joins as
     its power P^e from fb.power, by one CRT product, when P^e and the
     product so far are cyclic and coprime (_has_cyclic_powers, _is_cyclic);
-    otherwise P multiplies in by its two generators, one product per unit of
-    exponent.  Either way it takes sum(e) - 1 products when the powers are
-    not yet kept.  Raises ValueError for an exponent below 1."""
+    otherwise P multiplies in by its two generators, or as p*a when P is
+    inert, one product per unit of exponent.  Either way it takes sum(e) - 1
+    products when the powers are not yet kept.  Raises ValueError for an
+    exponent below 1."""
     if any(e < 1 for e in exponents):
         raise ValueError(f"power-product exponents {list(exponents)} must "
                          "all be at least 1")

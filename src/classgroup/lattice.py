@@ -74,15 +74,30 @@ class LatticeBasis:
 
 @dataclass
 class ReductionReport:
+    """What bkz (and cheon_reduce) did: first_vector_norm and hermite_bound
+    are read off the exact norm^2 v2 of the shortest output vector and the
+    Gram determinant det_gram of the rank-k input, only when read."""
     block_size_beta: int
-    first_vector_norm: float
-    hermite_bound: float
+    rank: int
+    v2: int
+    det_gram: int
     enumeration_nodes: int = 0
     m_sub: int = None  # sublattice dimension chosen by cheon_reduce
     tours: int = 0
     fallback_full_enum: bool = False
     # the rounded copy was refused, so the lattice was reduced at full scale
     full_scale_retry: bool = False
+
+    @property
+    def first_vector_norm(self):
+        return math.exp(0.5 * log_big(self.v2))
+
+    @property
+    def hermite_bound(self):
+        """beta^((k-1)/(2(beta-1))) * det^(1/k), the quality bound."""
+        k, beta = self.rank, self.block_size_beta
+        return math.exp((k - 1) / (2 * (beta - 1)) * math.log(beta)
+                        + log_big(self.det_gram) / (2 * k))
 
 
 def log_big(n):
@@ -484,8 +499,9 @@ def bkz(basis, beta):
     |v| <= beta^((k-1)/(2(beta-1))) * det^(1/k) (checked exactly; a full
     enumeration fallback enforces it in the rare case tours stall early).
     A rank-2 basis, whose one block is the whole lattice, is reduced by
-    Gauss-Lagrange on its Gram (_gauss_lagrange), with no GramLLL: the same
-    transform as the tours, one tour reported and no nodes.
+    Gauss-Lagrange on its three Gram entries (_gauss_lagrange), with no
+    GramLLL: the same transform as the tours, the two reduced columns formed
+    from it directly, one tour reported and no nodes.
     A basis of rank k > 2 with scale_bits above ROUND_BITS is reduced in
     two passes at most: first a copy rounded to 2^ROUND_BITS, whose
     transform is kept only if the exact columns it gives pass the bound on
@@ -495,14 +511,19 @@ def bkz(basis, beta):
     if not 2 <= beta <= k:
         raise ValueError(f"block size {beta} outside [2, {k}]")
     if k == 2:
-        (a, b), (_, c) = basis.gram()
-        U, v2, det_gram = _gauss_lagrange(a, b, c)
+        x, y = basis.columns
+        U, v2, det_gram = _gauss_lagrange(sum(map(mul, x, x)),
+                                          sum(map(mul, x, y)),
+                                          sum(map(mul, y, y)))
         # b_0 is a shortest vector, so the bound always holds: v2^2 <= 4/3 det
         if not theorem_bound_holds(v2, beta, k, det_gram):
             raise VerificationFailed(
                 "BKZ output violates the block-reduction quality bound")
-        return _bkz_result(basis, U, _apply_transform(basis.columns, U), beta,
-                           v2, det_gram, 0, 1, False)
+        (u0, v0), (u1, v1) = U
+        cols = [[u0 * s + u1 * t for s, t in zip(x, y)],
+                [v0 * s + v1 * t for s, t in zip(x, y)]]
+        return (LatticeBasis(cols, basis.scale_bits, transform=U),
+                ReductionReport(beta, k, v2, det_gram, tours=1))
     retry = False
     if basis.scale_bits > ROUND_BITS:
         shift = basis.scale_bits - ROUND_BITS
@@ -577,18 +598,10 @@ def _bkz_gram(gram, beta):
 def _bkz_result(basis, U, cols, beta, v2, det_gram, nodes, tours, fallback):
     """bkz's (reduced basis, report) for the transform U, which gives the
     exact columns cols."""
-    k = basis.k
-    out = LatticeBasis(cols, basis.scale_bits, transform=U)
-    report = ReductionReport(
-        block_size_beta=beta,
-        first_vector_norm=math.exp(0.5 * log_big(v2)),
-        hermite_bound=math.exp((k - 1) / (2 * (beta - 1)) * math.log(beta)
-                               + log_big(det_gram) / (2 * k)),
-        enumeration_nodes=nodes,
-        tours=tours,
-        fallback_full_enum=fallback,
-    )
-    return out, report
+    return (LatticeBasis(cols, basis.scale_bits, transform=U),
+            ReductionReport(beta, basis.k, v2, det_gram,
+                            enumeration_nodes=nodes, tours=tours,
+                            fallback_full_enum=fallback))
 
 
 def hnf_lattice(basis):
@@ -633,7 +646,6 @@ def cheon_reduce(basis, beta):
     jmin = norms.index(min(norms))
     v = reduced.columns[jmin] + [0] * (n - m)  # back to ambient coordinates
     report.m_sub = m
-    report.first_vector_norm = math.exp(0.5 * log_big(min(norms)))
     return v, report
 
 

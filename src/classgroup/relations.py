@@ -244,18 +244,20 @@ def derive_relations(idxs, exps, cfg, field, fb, cap=None, stats=None):
     of <x>, when <x> is smooth over the base.  Returns
     [(x_v, {PrimeIdeal: e})] without duplicate relations; with `cap`, the
     candidates stop at the cap-th; with `stats`, a full-scale BKZ retry is
-    counted there (_reduce_ideal)."""
+    counted there (_reduce_ideal).  x is read back in integer coordinates,
+    and |N(x)| is the determinant of its multiplication columns; a plain
+    trial has one candidate, so only multi mode keys out duplicates."""
     a = ideal_from_power_product(fb, idxs, exps, field)
     n = field.degree
     beta = max(2, min(cfg.beta, n))
     red = _reduce_ideal(a, beta, field, stats)
     results = []
-    seen = set()
+    seen = set() if cfg.mode == "multi" else None
     for col in _candidates(red, cfg.mode, beta):
         x = _readback(a, col, field)
-        if x.is_zero:
+        if not any(x.coords):
             raise VerificationFailed("reduced vector is zero")
-        nx = integral_norm(x)[0]
+        nx = abs(bareiss_det(field.mult_columns(x.coords)))
         norm_b, r = divmod(nx, a.norm)
         if r:
             raise VerificationFailed("N(a) does not divide N(x)")
@@ -266,12 +268,14 @@ def derive_relations(idxs, exps, cfg, field, fb, cap=None, stats=None):
         if smooth is None:
             continue
         out = {fb.primes[i]: v for i, v in smooth.items()}
-        key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
-        if key not in seen:
+        if seen is not None:
+            key = tuple(sorted((P.p, P.gen_poly, e) for P, e in out.items()))
+            if key in seen:
+                continue
             seen.add(key)
-            results.append((x, out))
-            if len(results) == cap:
-                break
+        results.append((x, out))
+        if len(results) == cap:
+            break
     return results
 
 

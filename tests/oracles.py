@@ -248,7 +248,7 @@ def in_column_hnf(hnf, v):
 
 def ideal_product_fractions(field, a_cols, b_cols):
     """HNF of the ideal spanned by all products x*y of generators, each taken
-    with the Fraction arithmetic of AlgebraicNumber."""
+    as a product of AlgebraicNumbers."""
     cols = []
     for x in a_cols:
         for y in b_cols:

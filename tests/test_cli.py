@@ -101,6 +101,25 @@ def test_reduce_subcommand(tmp_path, capsys):
     assert rows == [["1", "0"], ["0", "1"]]
 
 
+def test_reduce_report_line_pinned(tmp_path, capsys):
+    # the reduced matrix and the report line, recorded before the report's
+    # float fields were derived on read: the hexagonal lattice at its tie
+    # (rank 2, Gauss-Lagrange) and a rank-3 BKZ with enumeration
+    cases = [
+        ("2 2\n1000 500\n0 865\n", "2",
+         "2 2\n-500 500\n865 865\n",
+         "# beta=2 first=999.112 hermite_bound=1315.29 nodes=0\n"),
+        ("3 3\n12 407 913\n0 31 558\n0 0 17\n", "3",
+         "3 3\n12 -5 -1\n0 0 31\n0 17 0\n",
+         "# beta=3 first=12 hermite_bound=32.0301 nodes=8\n"),
+    ]
+    for text, beta, want_out, want_err in cases:
+        m = tmp_path / f"m{beta}.txt"
+        m.write_text(text)
+        assert run_cli(capsys, ["reduce", str(m), "--beta", beta]) == (
+            0, want_out, want_err)
+
+
 def test_params_and_classify_subcommands(tmp_path, capsys):
     path = field_file(tmp_path, [5, 0, 1])
     code, out, _ = run_cli(capsys, ["params", path, "--omega",

@@ -381,3 +381,39 @@ def test_input_checks_raise_value_error_also_under_python_O():
     lines = []
     exec(_INPUT_CHECKS, {"print": lines.append})
     assert lines == expected
+
+
+def test_element_equality_keys_on_the_basis(q23):
+    # x^2 - x + 6 over {1, theta} and over {theta, 1}: the coordinates
+    # (1, 0) are 1 in the first and theta in the second, of norms 1 and 6
+    swapped = parse_field([6, -1, 1], basis=[[0, 1], [1, 0]])
+    one, theta = q23.element([1, 0]), swapped.element([1, 0])
+    assert (one.norm(), theta.norm()) == (1, 6)
+    assert one != theta and theta != one
+    assert hash(one) != hash(theta)
+    assert len({one, theta}) == 2
+    # another field object on the same poly and basis, or the same field at
+    # another precision, holds the same elements
+    for K in (parse_field([6, -1, 1]), q23.doubled()):
+        same = K.element([1, 0])
+        assert same == one and hash(same) == hash(one)
+    assert swapped.element([0, 1]) == parse_field(
+        [6, -1, 1], basis=[[0, 1], [1, 0]]).element([0, 1])
+
+
+def test_integral_coordinates_are_ints(q23):
+    # integral coordinates are kept as ints whatever they came in as, so an
+    # element equals, hashes and prints as its Fraction-built twin
+    half = Fraction(1, 2)
+    x = q23.element([Fraction(6, 3), -1])
+    assert [type(c) for c in x.coords] == [int, int]
+    assert x == q23.element([2, -1]) and hash(x) == hash(q23.element([2, -1]))
+    assert hash(x) == hash((q23.presentation, (Fraction(2), Fraction(-1))))
+    assert repr(x) == "AlgebraicNumber(['2', '-1'])"
+    y = q23.element([half, 3])
+    assert [type(c) for c in y.coords] == [Fraction, int]
+    assert repr(y) == "AlgebraicNumber(['1/2', '3'])"
+    assert not y.is_integral and x.is_integral
+    assert y + y == q23.element([1, 6]) and (y + y).coords == (1, 6)
+    assert [type(c) for c in (y * 2).coords] == [int, int]
+    assert q23.one().coords == (1, 0)

@@ -938,3 +938,77 @@ def test_splitting_and_signature_checks_survive_python_O():
         "rejected: minimal polynomial mod 2 must split into distinct "
         "linear factors",
         "rejected: 1 real roots leave an odd number of complex roots"]
+
+
+# Fields with inert base primes P = pO_K, whose second generator lies in
+# pO_K; the cubics' B admits p^3 for p = 2, 5, 7 and p = 3, 7, and the
+# Dedekind cubic's B = 503 its ramified prime
+INERT_FIELDS = (
+    (lambda: parse_field([6, -1, 1]), 30),
+    (lambda: parse_field([250001, -1, 1]), 150),
+    (lambda: parse_field([-1, -3, 0, 1]), 400),
+    (dedekind_cubic, 503),
+)
+
+
+def test_inert_products_are_scalar_multiples(monkeypatch):
+    # a*pO_K is p*a: at every inert base prime the scalar route gives the
+    # two-generator fold and the Fraction oracle, on random power products
+    # and on the prime's own powers; split and ramified primes never take
+    # it, and inert primes always do, with no fold
+    fold = ideals._hnf_ideal_over
+    routes = []
+    monkeypatch.setattr(ideals, "_scalar_product", lambda a, p, inner=(
+        ideals._scalar_product): (routes.append("scalar"), inner(a, p))[1])
+    monkeypatch.setattr(ideals, "_hnf_ideal_over", lambda tri, cols: (
+        routes.append("fold"), fold(tri, cols))[1])
+
+    def by_generators(a, P):
+        return fold([[P.p * v for v in g] for g in a.hnf_basis],
+                    [combine_columns(P.gen_mult, g) for g in a.hnf_basis])
+
+    rng = random.Random(33)
+    kinds = set()
+    for make, B in INERT_FIELDS:
+        K = make()
+        n = K.degree
+        fb = build_factor_base(K, B)
+        inert = 0
+        for i, P in enumerate(fb.primes):
+            is_inert = P.res_f == n
+            kinds.add("inert" if is_inert else
+                      "ramified" if P.ram_e > 1 else "split")
+            for _ in range(4 if is_inert else 1):
+                idxs = sorted(rng.sample(range(fb.size), rng.randint(1, 3)))
+                a = ideal_from_power_product(
+                    fb, idxs, [rng.randint(1, 3) for _ in idxs], K)
+                routes.clear()
+                got = ideal_mul(a, P, K)
+                if not is_inert:
+                    assert "scalar" not in routes, (P, routes)
+                    continue
+                assert routes == ["scalar"], (P, routes)
+                assert all(v % P.p == 0 for c in P.gen_mult for v in c)
+                want = by_generators(a, P)
+                assert (got.hnf_basis, got.norm) == (want.hnf_basis,
+                                                     want.norm)
+                assert got.hnf_basis == ideal_product_fractions(
+                    K, a.hnf_basis, P.hnf_basis)
+            if not is_inert:
+                continue
+            inert += 1
+            fresh = FactorBase(fb.bound, fb.primes, fb.bach_bound)
+            want = P.as_ideal()
+            for e in (1, 2, 3):
+                routes.clear()
+                got = fresh.power(i, e, K)
+                assert routes == ["scalar"] * (e > 1), (P, e, routes)
+                assert (got.hnf_basis, got.norm) == (want.hnf_basis,
+                                                     want.norm)
+                oracle = P.hnf_basis
+                for _ in range(e - 1):
+                    oracle = ideal_product_fractions(K, oracle, P.hnf_basis)
+                assert got.hnf_basis == oracle
+                want = by_generators(want, P)
+        assert inert >= 1
+    assert kinds == ALL_KINDS

@@ -874,3 +874,70 @@ def test_first_column_checks_survive_python_O():
         "VerificationFailed: zero vector cannot start a basis",
         "RankDeficient: Gram matrix is not positive definite",
         "rejected: input vector was not primitive"]
+
+
+def _eager_report_fields(cols, basis, beta):
+    """(first_vector_norm, hermite_bound) by the formulas bkz's report once
+    evaluated as it was built: the exact shortest norm^2 of the output
+    columns and the Gram determinant of the input basis."""
+    k = basis.k
+    v2 = min(sum(x * x for x in col) for col in cols)
+    det = bareiss_det(_gram_of(basis.columns))
+    return (math.exp(0.5 * log_big(v2)),
+            math.exp((k - 1) / (2 * (beta - 1)) * math.log(beta)
+                     + log_big(det) / (2 * k)))
+
+
+def test_report_fields_read_off_the_exact_values(monkeypatch):
+    # first_vector_norm and hermite_bound, derived when read, equal the
+    # eager formulas bit for bit: rank 2 (the hexagonal tie, entries past
+    # 2^256), ranks 3-6 with the rounded copy accepted and with a forced
+    # full-scale retry, and cheon_reduce
+    hexagonal = [[3368623568352063161630472814686750796980, 0],
+                 [1684311784176031580815236407343375398490,
+                  2917313585979872058846961106930432851755]]
+    big = 2 ** 256 + 1
+    rank2 = [hexagonal, [[1000, 0], [500, 865]],
+             [[big * x for x in col] for col in hexagonal],
+             [[big, 3], [7 * big, -big]]]
+    rng = random.Random(61)
+    rank2 += [[[rng.randint(-2 ** 300, 2 ** 300) for _ in range(2)]
+               for _ in range(2)] for _ in range(20)]
+    checked = 0
+    for cols in rank2:
+        basis = LatticeBasis(cols)
+        out, report = bkz(basis, 2)
+        assert (report.first_vector_norm, report.hermite_bound) == \
+            _eager_report_fields(out.columns, basis, 2)
+        checked += 1
+    wide = [cols for cols in _seeded_bases(43, 60) if 3 <= len(cols) <= 6]
+    assert {len(cols) for cols in wide} == {3, 4, 5, 6}
+    for forced in (False, True):
+        if forced:
+            # a copy rounded below every entry is all zeros
+            monkeypatch.setattr(lattice, "ROUND_BITS", -512)
+        for cols in wide:
+            for basis in (LatticeBasis(cols), LatticeBasis(
+                    [[x << 96 for x in col] for col in cols], 128)):
+                for beta in range(2, basis.k + 1):
+                    out, report = bkz(basis, beta)
+                    assert report.full_scale_retry == forced
+                    assert (report.first_vector_norm,
+                            report.hermite_bound) == _eager_report_fields(
+                                out.columns, basis, beta)
+                    checked += 1
+    monkeypatch.undo()
+    for n, e, beta in ((16, 32, 4), (12, 16, 3), (8, 6, 2)):
+        diag = [1] * n
+        diag[n // 3] = 4 ** e
+        cols = [[diag[i] if i == j else 0 for i in range(n)]
+                for j in range(n)]
+        B = LatticeBasis(_apply_transform(cols, random_unimodular(n, rng)))
+        v, report = cheon_reduce(B, beta)
+        m = report.m_sub
+        H = hnf_lattice(B)
+        sub = LatticeBasis([col[:m] for col in H.columns[:m]])
+        assert (report.first_vector_norm, report.hermite_bound) == \
+            _eager_report_fields([v], sub, beta)
+        checked += 1
+    assert checked > 150

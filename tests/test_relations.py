@@ -575,3 +575,39 @@ def test_hit_rate_advisory_above_the_heuristic(tmp_path, caplog):
     (rnd,) = res.statistics["rounds"]
     assert rnd["hit_rate"] > 10 * rnd["predicted_rate"], rnd
     assert any("(advisory)" in r.getMessage() for r in caplog.records)
+
+
+def test_plain_trials_build_no_fraction(monkeypatch):
+    # a candidate is read back, normed and tested in integer coordinates:
+    # no Fraction is constructed inside derive_relations on a plain collect
+    # of Q(sqrt-1000003) at B = 150 or of zeta7 at its default bound, while
+    # the counter does see an element built from a Fraction
+    from classgroup import cli
+    made = []
+    new = Fraction.__new__
+    inner = relations.derive_relations
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    def derive(*args, **kwargs):
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            monkeypatch.setattr(Fraction, "__new__", new)
+
+    monkeypatch.setattr(relations, "derive_relations", derive)
+    for coeffs, B in (([250001, -1, 1], 150), ([1] * 7, None)):
+        K = parse_field(coeffs)
+        B, beta = cli._bound_and_block(K, B, None)
+        fb = build_factor_base(K, B)
+        M, stats = collect(K, fb, CollectionConfig(bound_B=B, beta=beta,
+                                                   rng_seed=3))
+        assert stats["trials"] >= fb.size and stats["hits"] > 0
+        assert made == [], (coeffs, len(made))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    K.element([Fraction(1, 2)] + [0] * (K.degree - 1))
+    monkeypatch.setattr(Fraction, "__new__", new)
+    assert made
