@@ -1,8 +1,8 @@
 """Command-line front end and the end-to-end compute pipeline.
 
-The `compute` subcommand runs parameter selection, factor-base construction,
-relation collection (which ends once the class group reads off the
-relations), regulator extraction and the analytic ratio test.  A round ends
+The `compute` subcommand runs factor-base construction, relation collection
+(which ends once the class group reads off the relations), regulator
+extraction and the analytic ratio test.  A round ends
 without an answer only on ZeroVolume or a ratio REJECT; then the relation
 surplus K doubles and collection resumes, prior relations retained, for up
 to five rounds.
@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import analytic, params
-from .errors import BoundTooLarge, ClassGroupError, Stalled, ZeroVolume
+from .errors import (BoundTooLarge, ClassGroupError, DegreeOne, Stalled,
+                     ZeroVolume)
 from .field import load_field_file
 from .ideals import build_factor_base
 from .intlinalg import left_kernel
@@ -103,13 +104,14 @@ def _desk_bound_floor(field):
 
 def _bound_and_block(field, B, beta):
     """Factor-base bound and BKZ block size of `compute` and `collect`: the
-    given values, else the parameter plan's B raised to the desk floor, and
-    beta = 2; beta is clamped to 2..degree.  The plan's block size is a
-    prediction only: at desk scale every beta tried gave the same relations,
-    and beta = 2 costs least.  A B above MAX_BOUND raises BoundTooLarge
-    before any sieve runs."""
-    plan = params.select_params(field)
-    B = B or max(plan.B, _desk_bound_floor(field))
+    given values, else the desk floor and beta = 2, clamped to 2..degree.
+    The `params` plan is not consulted: on every field measured its B was
+    below the floor (2-11 against 12 and up), and every beta gave the same
+    relations, beta = 2 the cheapest.  Degree 1 raises DegreeOne, and a B
+    above MAX_BOUND BoundTooLarge before any sieve runs."""
+    if field.degree < 2:
+        raise DegreeOne("compute and collect need a field of degree 2 or more")
+    B = B or _desk_bound_floor(field)
     if B > MAX_BOUND:
         raise BoundTooLarge(
             f"factor-base bound B = {B:.4g} (|disc| has "

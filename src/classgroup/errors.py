@@ -62,7 +62,8 @@ class AlphaOrder(ClassGroupError):
 
 
 class DomainTooSmall(ClassGroupError):
-    """L-notation evaluation needs N >= 16 so that log log N > 0."""
+    """log log N must be positive: L-notation evaluation needs N >= 16, and
+    degree classification log|disc| > 1."""
 
 
 class DegreeOne(ClassGroupError):

@@ -3,7 +3,10 @@
 A field is defined by a monic irreducible integer polynomial T plus an
 integral basis given over the power basis of a root theta.  When no basis is
 supplied the equation order Z[theta] is assumed maximal (the caller asserts
-this; all bundled test fields satisfy it).
+this; all bundled test fields satisfy it).  The basis is kept as integer
+rows over row denominators, and the index, inverse basis (fraction-free
+Gauss-Jordan), structure constants and embedding table read that form, so
+field setup builds no Fraction.
 
 Irreducibility is checked in time polynomial in the size of T: degree 1 or
 2 left open by the degree patterns (polynomials.check_irreducible) is
@@ -25,10 +28,10 @@ Aberth iteration and a Newton polish, run on T or, for a presentation
 shifted by a large integer, on T moved by the rounded mean of its roots.
 The n disks, conjugates included, are checked pairwise disjoint, so each
 provably holds one simple root, and the r1 disks centred on the real axis
-(r1 from a Sturm count) hold the real roots.  The embedding table of the
-integral basis is exact at the disk centres, with a bound for the disk
-radius.  It is the one embedding: element embeddings (`embed`) and unit
-logs (analytic.log_embedding) are read off it in integers.  The tests
+(r1 from an integer Sturm count) hold the real roots.  The embedding table
+of the integral basis is exact at the disk centres, with a bound for the
+disk radius.  It is the one embedding: element embeddings (`embed`) and
+unit logs (analytic.log_embedding) are read off it in integers.  The tests
 check it against an interval view of the disks built in tests/oracles.py.
 
 Embedding convention: a complex conjugate pair contributes the two real
@@ -38,6 +41,7 @@ integral x is an integer combination (`embed`) of the basis's embedding,
 certified once as a table of integer centres and radii.
 """
 
+import copy
 import itertools
 import json
 import math
@@ -54,29 +58,43 @@ _NEWTON_STEPS = 40
 _HANDFUL = 4  # most integers a product-of-roots enclosure may hold
 
 
-def det_fractions(mat):
-    """Exact determinant of a square rational matrix: the integer Bareiss
-    determinant of d*mat, for d the common denominator, over d^n."""
-    rows = [[Fraction(x) for x in row] for row in mat]
-    d = math.lcm(*(x.denominator for row in rows for x in row))
-    det = poly.bareiss_det([[int(x * d) for x in row] for row in rows])
-    return Fraction(det, d ** len(rows))
-
-
-def invert_fractions(mat):
+def _inverse_over_det(mat):
+    """(M, d) with mat^(-1) = M/d for a nonsingular integer matrix, by
+    fraction-free Gauss-Jordan on [mat | I], each step divided exactly by the
+    previous pivot (Bareiss): [mat | I] ends as [d*I | M], d = +-det(mat)."""
     n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+    a = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(mat)]
+    prev = 1
     for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
+        piv = next(i for i in range(k, n) if a[i][k])
         a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
+        ak, p = a[k], a[k][k]
         for i in range(n):
-            if i != k and a[i][k]:
+            if i != k:
                 f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return [row[n:] for row in a]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], ak)]
+        prev = p
+    return [row[n:] for row in a], prev
+
+
+def _integer_rows(basis, n):
+    """The basis matrix (the power basis when None) as integer rows over
+    row denominators, ((row, d), ...) with omega_i = row_i(theta)/d_i: d_i
+    is the lcm of the reduced denominators of row i, so the row is in
+    lowest terms.  An entry that is neither int nor Fraction is parsed by
+    Fraction."""
+    if basis is None:
+        basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    elif len(basis) != n or any(len(r) != n for r in basis):
+        raise BasisNotUnimodularScaling("basis must be an n x n matrix")
+    out = []
+    for row in basis:
+        row = [x if isinstance(x, (int, Fraction)) else Fraction(x)
+               for x in row]
+        d = math.lcm(*(x.denominator for x in row))
+        out.append((tuple(x.numerator * (d // x.denominator) for x in row), d))
+    return tuple(out)
 
 
 def combine_columns(cols, coeffs):
@@ -130,25 +148,22 @@ class NumberField:
         if open_degrees & {1, 2}:
             self._check_small_factors(open_degrees)
 
-        if basis is None:
-            basis = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-        else:
-            basis = [[Fraction(x) for x in row] for row in basis]
-            if len(basis) != n or any(len(r) != n for r in basis):
-                raise BasisNotUnimodularScaling("basis must be an n x n matrix")
-        self.basis = tuple(tuple(r) for r in basis)
+        self.basis = _integer_rows(basis, n)
         # what coordinates are read against: equal elements share it, and
         # the precision, which does not change an element, is left out
         self.presentation = (self.poly, self.basis)
 
-        detb = det_fractions(basis)
-        if detb == 0:
+        # det(basis) = det(rows) / prod(d_i), the inverse of the index
+        rows = [list(r) for r, _ in self.basis]
+        det = poly.bareiss_det(rows)
+        if det == 0:
             raise BasisNotUnimodularScaling("basis matrix is singular")
-        inv_det = 1 / abs(detb)
-        if inv_det.denominator != 1:
+        dens = math.prod(d for _, d in self.basis)
+        if dens % det:
             raise BasisNotUnimodularScaling(
-                f"basis determinant {detb} is not the inverse of an integer index")
-        self.index = inv_det.numerator
+                f"basis determinant {det}/{dens} is not the inverse of an "
+                "integer index")
+        self.index = dens // abs(det)
         if disc_T % (self.index ** 2) != 0:
             raise BasisNotUnimodularScaling(
                 "index squared does not divide disc(T)")
@@ -162,12 +177,12 @@ class NumberField:
                 math.pi / 4) > math.log(abs(self.discriminant)) / 2 + 1e-9):
             raise VerificationFailed("discriminant below Minkowski's bound")
 
-        # the inverse basis matrix as integers over one common denominator
-        inv = invert_fractions(basis)
-        den = math.lcm(*(x.denominator for row in inv for x in row))
-        self.basis_inverse = (
-            [[x.numerator * den // x.denominator for x in row] for row in inv],
-            den)
+        # the inverse basis matrix rows^(-1) diag(d) as integers over one
+        # common denominator, in lowest terms
+        num, den = _inverse_over_det(rows)
+        inv = [[a * d for a, (_, d) in zip(row, self.basis)] for row in num]
+        g = math.gcd(den, *(x for row in inv for x in row)) * (den // abs(den))
+        self.basis_inverse = ([[x // g for x in row] for row in inv], den // g)
         self._mult_table = self._build_mult_table()
         self._one = self.element(self.power_to_basis([1] + [0] * (n - 1)))
 
@@ -184,14 +199,10 @@ class NumberField:
         n = self.degree
         T = list(self.poly)
         inv, den = self.basis_inverse
-        rows = []
-        for brow in self.basis:
-            d = math.lcm(*(x.denominator for x in brow))
-            rows.append(([x.numerator * (d // x.denominator) for x in brow], d))
         table = [[None] * n for _ in range(n)]
-        for i, (a, da) in enumerate(rows):
+        for i, (a, da) in enumerate(self.basis):
             for j in range(i, n):
-                b, db = rows[j]
+                b, db = self.basis[j]
                 q = den * da * db
                 coords = combine_columns(inv, poly.rem_monic(poly.mul(a, b), T))
                 if any(c % q for c in coords):
@@ -203,10 +214,14 @@ class NumberField:
         return table
 
     def power_to_basis(self, vec):
-        """Coordinates over the integral basis of a power-basis vector."""
+        """Coordinates over the integral basis of a power-basis vector: an
+        int where it is integral, else a Fraction."""
         inv, den = self.basis_inverse
-        return [Fraction(sum(x * row[j] for x, row in zip(vec, inv)), den)
-                for j in range(self.degree)]
+        out = []
+        for j in range(self.degree):
+            c = sum(x * row[j] for x, row in zip(vec, inv))
+            out.append(c // den if c % den == 0 else Fraction(c, den))
+        return out
 
     def mult_columns(self, x):
         """Columns x*omega_j over the integral basis, for x given by its
@@ -223,7 +238,13 @@ class NumberField:
                                 for row, c in zip(self._mult_table, y)], y)
 
     def with_precision(self, precision):
-        return NumberField(list(self.poly), [list(r) for r in self.basis], precision)
+        """This field at another precision, sharing everything but the root
+        disks and the embedding table, which it builds on first use."""
+        other = copy.copy(self)
+        other.precision = int(precision)
+        other._disks = other._embedding_table = other._doubled = None
+        other._one = AlgebraicNumber(other, self._one.coords)
+        return other
 
     def doubled(self):
         """This field at twice the precision, built on first use and kept, so
@@ -244,8 +265,8 @@ class NumberField:
         return self._one
 
     def theta(self):
-        pb = [Fraction(0), Fraction(1)] + [Fraction(0)] * (self.degree - 2)
-        return self.element(self.power_to_basis(pb))
+        n = self.degree
+        return self.element(self.power_to_basis([0, 1] + [0] * (n - 2)))
 
     # -- embeddings ------------------------------------------------------------
 
@@ -329,12 +350,8 @@ class NumberField:
         disks, bits = self.root_disks()
         s = _root_shift(list(self.poly))
         d = n - 1
-        rows = []
-        for brow in self.basis:
-            den = math.lcm(*(x.denominator for x in brow))
-            rows.append((poly.taylor_shift(
-                [x.numerator * (den // x.denominator) for x in brow], s),
-                den << (bits * d)))
+        rows = [(poly.taylor_shift(list(brow), s), den << (bits * d))
+                for brow, den in self.basis]
         # per place, c^k and the error weights k r (|c| + r)^(k-1), all
         # over 2^(bits d)
         places = []
@@ -695,8 +712,13 @@ class AlgebraicNumber:
         return [list(r) for r in zip(*self.field.mult_columns(self.coords))]
 
     def norm(self):
-        """Field norm, exact (product of all conjugates)."""
-        return det_fractions(self.field.mult_columns(self.coords))
+        """Field norm, exact (product of all conjugates), as a Fraction:
+        N(y/d) = N(y)/d^n for integer coordinates y and d their common
+        denominator."""
+        d = math.lcm(*(c.denominator for c in self.coords))
+        y = [c.numerator * (d // c.denominator) for c in self.coords]
+        return Fraction(poly.bareiss_det(self.field.mult_columns(y)),
+                        d ** len(y))
 
     def __repr__(self):
         return f"AlgebraicNumber({[str(c) for c in self.coords]})"

@@ -7,19 +7,21 @@ linear algebra.  The prime ideals above p come from factoring the defining
 polynomial mod p when p is coprime to the index [O_K : Z[theta]]
 (Dedekind-Kummer), and from the Buchmann-Lenstra decomposition of the
 F_p-algebra O_K/pO_K when p divides it.  The inverse-complement p*P^(-1) is
-a mod-p kernel of multiplication matrices, with its norm asserted; a split
+a mod-p kernel of multiplication matrices, with its norm checked; a split
 by either route is checked exactly (sum e*f = n, and prod P^e equals pO_K as
 an HNF on the Buchmann-Lenstra route), so no splitting-theory edge case can
 silently corrupt a division.
 
-Products multiply coordinate columns by the field's one product
+Every HNF folds generators into a triangle the ideal contains
+(intlinalg.column_hnf): pO_K for a prime and its inverse complement,
+|N(x)|O_K for <x>, N(b)*H_a for a*b, the ideal for ideal * P^(-1).  Products
+multiply coordinate columns by the field's one product
 (NumberField.mult_columns, combine_columns), which the Buchmann-Lenstra route
 reduces mod p.  A product by a prime P = (p, pi) is the HNF of the 2n
 generators p*a and pi*a (Cohen, GTM 138, Sec. 4.7), pi*a read off pi's
-multiplication columns: p times a's HNF is already triangular, so the n
-columns of pi*a are folded into it by extended-gcd steps.  An inert P is
-pO_K, its pi in pO_K, so a*P is p*a, p times a's HNF; other products take
-the n^2 products of the two bases.  An ideal whose HNF diagonal is
+multiplication columns and folded into p*H_a.  An inert P is pO_K, its pi
+in pO_K, so a*P is p*a, p times a's HNF; other products fold the n^2
+products of the two bases.  An ideal whose HNF diagonal is
 (N, 1, ..., 1) is cyclic, O/a = Z/N, and x lies in it exactly when
 x_0 = sum_{j>=1} x_j*H[0][j] (mod N); two cyclic ideals of coprime norms
 multiply as their intersection, whose residues H[0][j] are the CRT lifts of
@@ -89,14 +91,15 @@ class PrimeIdeal:
     tau lies in p*P^(-1) outside pO_K, so v_P(tau) = e - 1, v_Q(tau) >= e_Q
     at the other Q above p, and pO_K + tau*O_K = p*P^(-1); tau_mult holds
     the integer columns tau*omega_j, and gen_mult the columns alpha*omega_j
-    of the second generator."""
+    of the second generator.  The hash leaves out the HNF bases, which
+    (p, gen_poly) determines; equality compares them too."""
     p: int
     gen_poly: tuple
     ram_e: int
     res_f: int
     norm: int
-    hnf_basis: tuple
-    inv_basis: tuple  # HNF basis of p * P^(-1)
+    hnf_basis: tuple = dc_field(hash=False)
+    inv_basis: tuple = dc_field(hash=False)  # HNF basis of p * P^(-1)
     tau: tuple = dc_field(compare=False)
     tau_mult: tuple = dc_field(compare=False)
     gen_mult: tuple = dc_field(compare=False)
@@ -108,10 +111,6 @@ class PrimeIdeal:
         return f"PrimeIdeal(p={self.p}, e={self.ram_e}, f={self.res_f})"
 
 
-def _hnf_ideal(cols, field):
-    return _ideal_of_hnf(column_hnf(cols, field.degree))
-
-
 def _ideal_of_hnf(h):
     norm = 1
     for j, c in enumerate(h):
@@ -119,57 +118,18 @@ def _ideal_of_hnf(h):
     return Ideal(tuple(tuple(c) for c in h), norm)
 
 
-def _xgcd(a, b):
-    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a > 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
-
-
 def _hnf_ideal_over(tri, cols):
-    """The Ideal spanned by tri and cols, where tri is upper triangular with
-    a positive diagonal (column j supported on rows 0..j): each column of
-    cols is folded into tri from its last row up, by one extended-gcd step
-    wherever the pivot does not divide it, and the entries above the
-    diagonal are then reduced as column_hnf reduces them.  Column j is kept
-    as its rows 0..j, and a folded column loses its last row at each step."""
-    n = len(tri)
-    h = [list(c[:j + 1]) for j, c in enumerate(tri)]
-    for v in cols:
-        v = list(v)
-        while v:
-            x = v.pop()
-            if not x:
-                continue
-            piv = h[len(v)]
-            d = piv[-1]
-            q, m = divmod(x, d)
-            if m:
-                g, s, t = _xgcd(d, x)
-                dg, xg = d // g, x // g
-                h[len(v)] = [s * a + t * b for a, b in zip(piv, v)] + [g]
-                v = [dg * b - xg * a for a, b in zip(piv, v)]
-            else:
-                v = [b - q * a for a, b in zip(piv, v)]
-    for j in range(1, n):
-        cj = h[j]
-        for i in range(j - 1, -1, -1):
-            ci = h[i]
-            q = cj[i] // ci[i]
-            if q:
-                for t in range(i + 1):
-                    cj[t] -= q * ci[t]
-    return _ideal_of_hnf([c + [0] * (n - 1 - j) for j, c in enumerate(h)])
+    """The Ideal spanned by cols and a triangle tri inside it (column_hnf)."""
+    return _ideal_of_hnf(column_hnf(tri, cols))
+
+
+def _scalar_columns(d, n):
+    """The HNF columns of dO_K."""
+    return [[d if i == j else 0 for i in range(n)] for j in range(n)]
 
 
 def unit_ideal(field):
-    n = field.degree
-    cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    return Ideal(tuple(tuple(c) for c in cols), 1)
+    return _ideal_of_hnf(_scalar_columns(1, field.degree))
 
 
 def _element_of_gen_poly(gen_poly, field):
@@ -204,23 +164,25 @@ def integral_norm(x):
 
 
 def ideal_from_element(x):
-    """Principal ideal <x> for integral x; its norm is checked against
-    |N(x)|, the determinant of the multiplication-by-x columns."""
+    """Principal ideal <x> for integral x: the columns x*omega_j folded into
+    |N(x)|O_K; its norm is checked against |N(x)|, their determinant."""
     if x.is_zero:
         raise ValueError("the zero element generates no ideal of finite norm")
     nx, cols = integral_norm(x)
-    ideal = _hnf_ideal(cols, x.field)
+    ideal = _hnf_ideal_over(_scalar_columns(nx, x.field.degree), cols)
     if ideal.norm != nx:
         raise VerificationFailed("HNF determinant of <x> differs from |N(x)|")
     return ideal
 
 
 def _ideal_product(a, b, field):
+    """a*b: the n^2 products of the two bases folded into N(b)*H_a."""
     cols = []
     for x in a.hnf_basis:
         mult = field.mult_columns(x)
         cols.extend(combine_columns(mult, y) for y in b.hnf_basis)
-    return _hnf_ideal(cols, field)
+    tri = [[b.norm * v for v in g] for g in a.hnf_basis]
+    return _hnf_ideal_over(tri, cols)
 
 
 def _is_cyclic(a):
@@ -336,21 +298,20 @@ def _check_invertible(ideal, inv_ideal, p, field):
     """BasisNotMaximal unless P * (pO : P) = pO_K.  Every P above p is
     invertible iff the basis is maximal at p, and valuation relies on it:
     at a P that is not, its x -> x*tau/p loop never ends."""
-    n = field.degree
-    pO = tuple(tuple(p if i == j else 0 for i in range(n)) for j in range(n))
-    if _ideal_product(ideal, inv_ideal, field).hnf_basis != pO:
+    pO = _ideal_of_hnf(_scalar_columns(p, field.degree))
+    if _ideal_product(ideal, inv_ideal, field) != pO:
         raise BasisNotMaximal(p)
 
 
 def _prime_from_gen(p, gen_poly, e, f, field):
     n = field.degree
     g_mult = field.mult_columns(_element_of_gen_poly(gen_poly, field))
-    p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    ideal = _hnf_ideal(p_cols + g_mult, field)
+    p_cols = _scalar_columns(p, n)
+    ideal = _hnf_ideal_over(p_cols, g_mult)
     _check_norm(ideal, p ** f, f"prime ideal above {p}")
     # p * P^(-1) = (pO : P) = { x in O : x*g in pO } + pO, via mod-p kernel
     kern = _modp_kernel(_columns_to_rows(g_mult), p)
-    inv_ideal = _hnf_ideal(p_cols + kern, field)
+    inv_ideal = _hnf_ideal_over(p_cols, kern)
     _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
     # Z[theta] is maximal at p when p^2 does not divide disc(T)
     if (field.discriminant * field.index ** 2) % (p * p) == 0:
@@ -485,25 +446,25 @@ def _second_generator(gens, field, p):
             alpha = [sum(c * g[k] for c, g in zip(cs, gens)) % p for k in range(n)]
             if n - len(_modp_kernel(_mult_rows_modp(alpha, field, p), p)) == d:
                 return alpha
-    raise AssertionError(f"no second generator for a prime above {p}")
+    raise VerificationFailed(f"no second generator for a prime above {p}")
 
 
 def _index_divisor_primes(p, field):
     """Prime ideals above a p dividing the index, with inverse complements,
     ramification from the valuation of pO_K, and prod P^e = pO_K checked."""
     n = field.degree
-    p_cols = [[p if i == j else 0 for i in range(n)] for j in range(n)]
-    pO = Ideal(tuple(tuple(c) for c in p_cols), p ** n)
+    p_cols = _scalar_columns(p, n)
+    pO = _ideal_of_hnf(p_cols)
     out = []
     for J in _maximal_ideals_modp(p, field):
         gens = list(J.values())
         f = n - len(gens)
-        ideal = _hnf_ideal(p_cols + gens, field)
+        ideal = _hnf_ideal_over(p_cols, gens)
         _check_norm(ideal, p ** f, f"prime ideal above {p}")
         # p * P^(-1) = { x in O : x*P in pO }, via mod-p kernel over P's HNF
         rows = [r for g in ideal.hnf_basis
                 for r in _mult_rows_modp(g, field, p)]
-        inv_ideal = _hnf_ideal(p_cols + _modp_kernel(rows, p), field)
+        inv_ideal = _hnf_ideal_over(p_cols, _modp_kernel(rows, p))
         _check_invertible(ideal, inv_ideal, p, field)
         _check_norm(inv_ideal, p ** (n - f), f"inverse complement above {p}")
         alpha = _second_generator(gens, field, p)

@@ -1,7 +1,8 @@
 """Exact integer matrix normal forms: row HNF with or without its
-pre-multiplier, column HNF for lattice/ideal bases, the Smith normal form
-from alternating row HNFs, kernels, and structured elimination of sparse
-relation rows.
+pre-multiplier, the column HNF of a lattice or ideal basis by folding its
+generators into a triangle the lattice contains, the Smith normal form from
+alternating row HNFs, kernels, and structured elimination of sparse relation
+rows.
 
 Matrices are lists of lists of Python ints (arbitrary precision); relation
 rows may also be sparse {column: entry} dicts.  The class group of a
@@ -186,53 +187,57 @@ def rank(M):
     return eliminated + sum(1 for row in hnf(core) if any(row))
 
 
-def column_hnf(cols, n):
-    """Upper-triangular column HNF of the lattice spanned by `cols` in Z^n.
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b) > 0, for a > 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a > 0 else (-a, -s0, -t0)
 
-    Returns n columns with col j supported on rows 0..j, positive diagonal,
-    and 0 <= H[i][j] < H[i][i] for j > i.  Raises RankDeficient if the
-    columns do not span a rank-n lattice.
-    """
-    work = [list(cv) for cv in cols]
-    result = [None] * n
-    for row in range(n - 1, -1, -1):
-        active = [cv for cv in work if cv[row] != 0]
-        rest = [cv for cv in work if cv[row] == 0]
-        if not active:
-            raise RankDeficient(f"no pivot for row {row}")
-        while len(active) > 1:
-            active.sort(key=lambda cv: abs(cv[row]))
-            a = active[0]
-            val = a[row]
-            new_active = [a]
-            for cv in active[1:]:
-                q = cv[row] // val
-                if q:
-                    for t in range(n):
-                        cv[t] -= q * a[t]
-                if cv[row] != 0:
-                    new_active.append(cv)
-                else:
-                    rest.append(cv)  # still carries data in rows < row
-            active = new_active
-        piv = active[0]
-        if piv[row] < 0:
-            piv = [-x for x in piv]
-        if any(piv[t] for t in range(row + 1, n)):
-            raise VerificationFailed(
-                f"column HNF pivot for row {row} is not zero below it")
-        result[row] = piv
-        work = rest
-    # normalize off-diagonal entries: 0 <= H[i][j] < H[i][i] for j > i
+
+def column_hnf(tri, cols):
+    """Column HNF of the lattice spanned by tri and cols in Z^n, for a
+    triangle tri it is known to contain (column j on rows 0..j, positive
+    diagonal; ValueError otherwise), such as D*I for a multiple D of its
+    determinant (Cohen, GTM 138, Sec. 2.4.2; Domich, Kannan and Trotter,
+    1987).  Each column of cols is folded into the triangle from its last
+    row up, losing that row at each step, by one extended-gcd step wherever
+    the pivot does not divide it.  Returns n columns, col j on rows 0..j,
+    with a positive diagonal and 0 <= H[i][j] < H[i][i] for j > i."""
+    n = len(tri)
+    if any(len(c) != n or c[j] <= 0 or any(c[j + 1:])
+           for j, c in enumerate(tri)):
+        raise ValueError("column_hnf needs n upper-triangular columns in Z^n "
+                         "with a positive diagonal")
+    h = [list(c[:j + 1]) for j, c in enumerate(tri)]
+    for v in cols:
+        v = list(v)
+        while v:
+            x = v.pop()
+            if not x:
+                continue
+            piv = h[len(v)]
+            d = piv[-1]
+            q, m = divmod(x, d)
+            if m:
+                g, s, t = _xgcd(d, x)
+                dg, xg = d // g, x // g
+                h[len(v)] = [s * a + t * b for a, b in zip(piv, v)] + [g]
+                v = [dg * b - xg * a for a, b in zip(piv, v)]
+            else:
+                v = [b - q * a for a, b in zip(piv, v)]
     for j in range(1, n):
-        cj = result[j]
+        cj = h[j]
         for i in range(j - 1, -1, -1):
-            ci = result[i]
+            ci = h[i]
             q = cj[i] // ci[i]
             if q:
-                for t in range(n):
+                for t in range(i + 1):
                     cj[t] -= q * ci[t]
-    return result
+    return [c + [0] * (n - 1 - j) for j, c in enumerate(h)]
 
 
 def smith_normal_form(M):

@@ -605,10 +605,19 @@ def _bkz_result(basis, U, cols, beta, v2, det_gram, nodes, tours, fallback):
 
 
 def hnf_lattice(basis):
-    """Upper-triangular Hermite form generating the same column lattice."""
+    """Upper-triangular Hermite form of the column lattice of a square basis
+    B, which holds |det B| Z^n since B adj(B) = det(B) I: B folds into that
+    (intlinalg.column_hnf).  ValueError unless B is square, RankDeficient
+    if it is singular."""
     n = basis.n
-    cols = column_hnf(basis.columns, n)
-    return LatticeBasis(cols, basis.scale_bits)
+    if basis.k != n:
+        raise ValueError(f"hnf_lattice needs a square basis, got {n} x "
+                         f"{basis.k}")
+    d = abs(bareiss_det(basis.columns))
+    if not d:
+        raise RankDeficient("singular basis has no full-rank Hermite form")
+    tri = [[d if i == j else 0 for i in range(n)] for j in range(n)]
+    return LatticeBasis(column_hnf(tri, basis.columns), basis.scale_bits)
 
 
 def round_half_even(x):
@@ -627,10 +636,13 @@ def cheon_reduce(basis, beta):
 
     Precondition det L <= beta^(n^2/(2 beta)) is checked exactly on the
     squared determinant; violation raises DeterminantTooLarge and the caller
-    is expected to fall back to plain bkz.
+    is expected to fall back to plain bkz.  A basis that is not square raises
+    ValueError.
     """
     n = basis.n
-    assert basis.k == n, "cheon_reduce expects a full-rank square basis"
+    if basis.k != n:
+        raise ValueError(f"cheon_reduce needs a square basis, got {n} x "
+                         f"{basis.k}")
     det2 = basis.det_squared()
     if not _det_condition(det2, beta, n):
         raise DeterminantTooLarge("det L exceeds beta^(n^2/(2 beta))")

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .errors import DegreeOne
+from .errors import DegreeOne, DomainTooSmall
 from .smoothness import LExpr
 
 B_CAP = 10 ** 6
@@ -59,11 +59,15 @@ class PlanReport:
 
 def classify_invariants(n, log_disc, height, n0=1.5, d0=1.0):
     """alpha from inverting the band center n = (log/loglog)^alpha, clamped to
-    [0, 1]; gamma from the height bound, floored at 1 - alpha."""
+    [0, 1]; gamma from the height bound, floored at 1 - alpha.  Raises
+    DegreeOne for n < 2, and DomainTooSmall unless log_disc > 1, so that
+    log log|disc| > 0."""
     if n < 2:
         raise DegreeOne("degree-1 fields are not classified")
+    if not log_disc > 1:
+        raise DomainTooSmall(f"log|disc| = {log_disc} must exceed 1 to "
+                             "classify")
     lld = math.log(log_disc)
-    assert lld > 0, "discriminant too small to classify"
     x = log_disc / lld
     alpha = Fraction(math.log(n) / math.log(x)).limit_denominator(1 << 40)
     alpha = max(Fraction(0), min(Fraction(1), alpha))
@@ -83,12 +87,9 @@ def classify_D(field, n0=1.5, d0=1.0):
                                height, n0=n0, d0=d0)
 
 
-def cyclotomic_invariants(l):
-    """(degree, log|disc|) of the l-th cyclotomic field:
-    phi(l) and phi(l) log l - sum_i phi(l)/(p_i - 1) log p_i."""
-    assert l >= 3
+def _factor(m):
+    """{p: k} with m = prod p^k, by trial division."""
     fac = {}
-    m = l
     p = 2
     while p * p <= m:
         while m % p == 0:
@@ -97,6 +98,16 @@ def cyclotomic_invariants(l):
         p += 1
     if m > 1:
         fac[m] = fac.get(m, 0) + 1
+    return fac
+
+
+def cyclotomic_invariants(l):
+    """(degree, log|disc|) of the l-th cyclotomic field:
+    phi(l) and phi(l) log l - sum_i phi(l)/(p_i - 1) log p_i, for l >= 3;
+    a smaller l raises ValueError."""
+    if l < 3:
+        raise ValueError(f"cyclotomic_invariants needs l >= 3, got {l}")
+    fac = _factor(l)
     phi = 1
     for p, k in fac.items():
         phi *= (p - 1) * p ** (k - 1)
@@ -107,16 +118,7 @@ def cyclotomic_invariants(l):
 def cyclotomic_degree_ratio(l):
     """Ratio of sums relating phi(l) to log|disc|/loglog|disc| for the l-th
     cyclotomic field; tends to 1 as l grows."""
-    fac = {}
-    m = l
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            fac[p] = fac.get(p, 0) + 1
-            m //= p
-        p += 1
-    if m > 1:
-        fac[m] = fac.get(m, 0) + 1
+    fac = _factor(l)
     num = sum((k - 1) * math.log(p) + math.log(p - 1) for p, k in fac.items())
     den = sum((k - 1 / (p - 1)) * math.log(p) for p, k in fac.items())
     return num / den

@@ -5,14 +5,13 @@ factorization and degree patterns mod p.
 
 Coefficient lists are stored constant-term first and kept normalized (no
 trailing zeros, the zero polynomial is []).  Everything here is exact: big
-integers, fractions.Fraction and integers mod p.  Sizes are desk scale
-(degrees below ~50), so the quadratic algorithms are fine.
+integers and integers mod p.  Sizes are desk scale (degrees below ~50), so
+the quadratic algorithms are fine.
 """
 
 import itertools
 import math
 import random
-from fractions import Fraction
 
 from .errors import Reducible, VerificationFailed
 
@@ -67,28 +66,6 @@ def evaluate(a, x):
 
 def derivative(a):
     return normalize([i * a[i] for i in range(1, len(a))])
-
-
-def divmod_exact(a, b):
-    """Polynomial division over a field (inputs may be int or Fraction)."""
-    b = normalize(b)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = [Fraction(x) for x in a]
-    lead = Fraction(b[-1])
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = list(a)
-    while len(r) >= len(b) and normalize(r):
-        r = normalize(r)
-        if len(r) < len(b):
-            break
-        k = len(r) - len(b)
-        f = r[-1] / lead
-        q[k] = f
-        for i in range(len(b)):
-            r[k + i] -= f * b[i]
-        r.pop()
-    return normalize(q), normalize(r)
 
 
 def taylor_shift(a, s):
@@ -180,15 +157,32 @@ def check_irreducible(T, disc):
 
 
 # ---------------------------------------------------------------------------
-# Real root count (Sturm sequences, exact rational arithmetic)
+# Real root count (Sturm sequences in integers)
+
+def _positive_remainder(a, b):
+    """A positive multiple of the remainder of a by b, for integer a and b:
+    the pseudo-remainder with multiplier |lc(b)|^(deg a - deg b + 1), each
+    step scaling by |lc(b)| and clearing a leading term, over its content."""
+    m = len(b) - 1
+    lc, sign = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
+    for k in range(len(a) - 1 - m, -1, -1):
+        c = sign * r[k + m]
+        r = [lc * x for x in r]
+        for i, y in enumerate(b):
+            r[k + i] -= c * y
+    r = normalize(r[:m])
+    g = math.gcd(*r)
+    return [x // g for x in r]
+
 
 def count_real_roots(T):
     """Number of distinct real roots of T: how many sign changes its Sturm
-    chain loses from -infinity to +infinity, read off the leading terms."""
-    chain = [[Fraction(c) for c in normalize(T)],
-             [Fraction(c) for c in derivative(T)]]
+    chain loses from -infinity to +infinity, read off the leading terms; a
+    positive multiple of each remainder keeps the signs, in integers."""
+    chain = [normalize(T), derivative(T)]
     while degree(chain[-1]) > 0:
-        r = divmod_exact(chain[-2], chain[-1])[1]
+        r = _positive_remainder(chain[-2], chain[-1])
         if not r:
             break
         chain.append(neg(r))

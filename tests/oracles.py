@@ -538,12 +538,11 @@ def root_balls(field):
 
 def to_power_basis(x):
     """Coordinates of x over the power basis of theta."""
-    basis = x.field.basis
     out = [Fraction(0)] * x.field.degree
-    for i, c in enumerate(x.coords):
+    for c, (row, d) in zip(x.coords, x.field.basis):
         if c:
-            for j, b in enumerate(basis[i]):
-                out[j] += c * b
+            for j, b in enumerate(row):
+                out[j] += Fraction(c) * b / d
     return out
 
 
@@ -673,7 +672,7 @@ def mult_table_fractions(field):
     Returns the n x n table of coordinate tuples (Fractions)."""
     n = field.degree
     T = [Fraction(c) for c in field.poly]
-    rows = [[Fraction(x) for x in row] for row in field.basis]
+    rows = [[Fraction(x, d) for x in row] for row, d in field.basis]
 
     def coordinates(v):
         a = [[rows[k][i] for k in range(n)] + [v[i]] for i in range(n)]

@@ -360,3 +360,41 @@ def test_collect_and_compute_choose_same_bound_and_block(tmp_path, capsys,
             assert len(seen) == 2 and seen[0] == seen[1], (coeffs, seen)
             if extra:
                 assert seen[0] == (17, len(coeffs) - 1)
+
+
+def test_degree_one_field_is_an_input_error(tmp_path, capsys):
+    # x - 1 defines Q: compute and collect refuse it by an explicit check,
+    # not through the parameter plan, which they no longer consult
+    path = field_file(tmp_path, [-1, 1])
+    for cmd in ("compute", "collect"):
+        code, _, err = run_cli(capsys, [cmd, path])
+        assert code == cli.EXIT_INPUT
+        assert "degree 2 or more" in err, err
+
+
+def test_field_setup_and_compute_build_no_fraction(tmp_path, monkeypatch):
+    # field setup is integer throughout: no Fraction is constructed in a
+    # whole compute of a field file without a basis, and with a basis only
+    # the parse of its n^2 entries builds them
+    from fractions import Fraction
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    for coeffs, basis in (
+            ([1] * 7, None), ([1] * 13, None), ([250000001, -1, 1], None),
+            ([-8, -2, -1, 1], ["1", "0", "0", "0", "1", "0", "0", "1/2",
+                               "1/2"])):
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps({"poly": coeffs, "basis": basis}))
+        built.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", counting)
+            result = cli.run_compute(cli.RunConfig(field_path=str(path),
+                                                   seed=3))
+        assert result.verdict == "ACCEPT"
+        want = [(v,) for v in basis] if basis else []
+        assert built == want, (coeffs, len(built))

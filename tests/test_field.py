@@ -417,3 +417,76 @@ def test_integral_coordinates_are_ints(q23):
     assert y + y == q23.element([1, 6]) and (y + y).coords == (1, 6)
     assert [type(c) for c in (y * 2).coords] == [int, int]
     assert q23.one().coords == (1, 0)
+
+
+def _inverse_fractions(rows):
+    """The inverse of a rational matrix by Gauss-Jordan in Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for k in range(n):
+        piv = next(i for i in range(k, n) if a[i][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                a[i] = [x - a[i][k] * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+@pytest.mark.parametrize("coeffs, basis", [
+    ([4, 0, 1], [[1, 0], [0, Fraction(1, 2)]]),
+    ([16, 0, 1], [[1, 0], [0, Fraction(1, 2)]]),
+    ([-8, -2, -1, 1], [[1, 0, 0], [0, 1, 0], [0, Fraction(1, 2),
+                                               Fraction(1, 2)]]),
+    ([6, -1, 1], [[0, 1], [1, 0]]),
+    ([1, 1, 1, 1, 1], None),
+    large_presentation([-1, -1, 0, 1], None, 40, seed=3),
+    large_presentation([4, 0, 1], [[1, 0], [0, Fraction(1, 2)]], 30, seed=5),
+])
+def test_integer_basis_form_and_inverse(coeffs, basis):
+    # the basis is kept as integer rows over row denominators in lowest
+    # terms; the index and the inverse read off it match Fraction arithmetic
+    K = parse_field(coeffs, basis=basis)
+    n = K.degree
+    rows = basis or [[int(i == j) for j in range(n)] for i in range(n)]
+    for (row, d), want in zip(K.basis, rows):
+        assert d > 0 and math.gcd(d, *row) == 1
+        assert [Fraction(x, d) for x in row] == [Fraction(x) for x in want]
+    inv = _inverse_fractions(rows)
+    den = math.lcm(*(x.denominator for r in inv for x in r))
+    assert K.basis_inverse == ([[int(x * den) for x in r] for r in inv], den)
+    det = Fraction(poly.bareiss_det([list(r) for r, _ in K.basis]),
+                   math.prod(d for _, d in K.basis))
+    assert K.index == 1 / abs(det)
+    assert K.theta().coords == tuple(K.power_to_basis([0, 1] + [0] * (n - 2)))
+    assert K.with_precision(256).basis is K.basis
+
+
+@pytest.mark.parametrize("roots, quadratics", [
+    ([], [[2, 0, 1]]), ([0], []), ([-3, 1, 4], []),
+    ([2, -7, 5, 11, -1], [[2, 0, 1], [5, 0, 1]]),
+    ([10 ** 9, 10 ** 9 + 1], [[2, 0, 1]]),
+    # chains with a remainder two degrees down and a negative leading
+    # coefficient, where lc^3 instead of |lc|^3 flips a sign
+    ([-2, -1], [[1, 1, 1]]), ([-3, -1], [[3, 0, 1]])])
+def test_sturm_count_in_integers(roots, quadratics):
+    # prod (x - r) times quadratics with no real root has len(roots) real
+    # roots; the remainders are ints, positive multiples of the remainders
+    # in Fractions
+    T = [1]
+    for f in [[-r, 1] for r in roots] + quadratics:
+        T = poly.mul(T, f)
+    assert poly.count_real_roots(T) == len(roots)
+    b = poly.derivative(T)
+    got = poly._positive_remainder(T, b)
+    want = [Fraction(c) for c in T]
+    while len(want) >= len(b):
+        f, k = want[-1] / b[-1], len(want) - len(b)
+        want = [x - f * b[i - k] if i >= k else x
+                for i, x in enumerate(want)][:-1]
+    want = poly.normalize(want)
+    assert all(type(c) is int for c in got) and len(got) == len(want)
+    if want:
+        scale = got[-1] / want[-1]
+        assert scale > 0 and [x * scale for x in want] == got

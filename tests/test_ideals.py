@@ -2,6 +2,7 @@ import itertools
 import logging
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from classgroup import ideals
 from classgroup.errors import (BasisNotMaximal, EmptyFactorBase,
                                VerificationFailed)
 from classgroup.field import combine_columns, parse_field
+from classgroup.lattice import hnf_lattice
 from classgroup.ideals import (FactorBase, Ideal, _index_divisor_primes,
                                bach_bound, build_factor_base, factor_prime,
                                ideal_divide_prime, ideal_from_element,
@@ -258,15 +260,27 @@ def test_two_generator_products_match_fraction_oracle(name):
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
-def test_folded_product_hnf_is_column_hnf(name):
-    # a*P folds P's n columns alpha*g into the triangular p*H_a; the HNF is
-    # unique, so it must equal column_hnf of all 2n generators
+def test_folded_product_hnf_is_column_hnf(name, monkeypatch):
+    # every ideal HNF folds its generators into a triangle the ideal holds;
+    # the HNF is unique, so each fold must equal the naive HNF of the
+    # triangle and the generators together.  Recorded here: the primes above
+    # each p with their inverse complements (split, ramified, inert, and
+    # above an index divisor for the Dedekind cubic), a*P (alpha*g folded
+    # into p*H_a), products of two ideals, principal ideals and quotients by
+    # a prime; and hnf_lattice on the ideals' embedding lattices
     make, ps = PRODUCT_FIELDS[name]
     K = make()
+    folds = []
+    fold = ideals.column_hnf
+    monkeypatch.setattr(ideals, "column_hnf", lambda tri, cols: (
+        folds.append((tri, cols, fold(tri, cols))) or folds[-1][2]))
     primes = [P for p in ps for P in factor_prime(p, K)]
+    if name == "Dedekind cubic":  # 2 is an index divisor
+        assert 2 in ps and K.index % 2 == 0
+    assert len(folds) >= 2 * len(primes)
     fb = FactorBase(max(P.norm for P in primes), primes, 0)
     rng = random.Random(29)
-    for _ in range(60):
+    for _ in range(30):
         k = rng.randint(1, 3)
         idxs = sorted(rng.sample(range(fb.size), k))
         a = ideal_from_power_product(
@@ -274,10 +288,20 @@ def test_folded_product_hnf_is_column_hnf(name):
         P = fb.primes[rng.randrange(fb.size)]
         tri = [[P.p * v for v in g] for g in a.hnf_basis]
         cols = [combine_columns(P.gen_mult, g) for g in a.hnf_basis]
-        want = ideals._hnf_ideal(tri + cols, K)
-        got = ideals._hnf_ideal_over(tri, cols)
-        assert (got.hnf_basis, got.norm) == (want.hnf_basis, want.norm)
-        assert ideal_mul(a, P, K) == want
+        assert ideal_mul(a, P, K).hnf_basis == column_hnf_naive(tri + cols)
+        assert ideal_divide_prime(ideal_mul(a, P, K), P, K) == a
+        b = fb.primes[rng.randrange(fb.size)].as_ideal()
+        assert ideals._ideal_product(a, b, K) == ideal_mul(a, b, K)
+        x = K.element([rng.randint(-9, 9) for _ in range(K.degree)])
+        if not x.is_zero:
+            ideal_from_element(x)
+        H = hnf_lattice(ideal_lattice(a, K))
+        assert tuple(map(tuple, H.columns)) == column_hnf_naive(
+            ideal_lattice(a, K).columns)
+    assert len(folds) > 100
+    for tri, cols, out in folds:
+        assert tuple(map(tuple, out)) == column_hnf_naive(
+            [list(c) for c in tri] + [list(c) for c in cols])
 
 _CORRUPT_GEN_MULT_UNDER_O = """
 from dataclasses import replace
@@ -527,9 +551,10 @@ ideals._ideal_product = lambda a, b, field: a
 rejected(lambda: ideals.ideal_mul(P2.as_ideal(), P2.as_ideal(), K))
 ideals._ideal_product = ideal_product
 
+# the fold <x> runs through returns the unit ideal's HNF
 column_hnf = ideals.column_hnf
-ideals.column_hnf = lambda cols, n: [[int(i == j) for i in range(n)]
-                                     for j in range(n)]
+ideals.column_hnf = lambda tri, cols: [[int(i == j) for i in range(len(tri))]
+                                       for j in range(len(tri))]
 rejected(lambda: ideals.ideal_from_element(two))
 ideals.column_hnf = column_hnf
 
@@ -628,11 +653,13 @@ K = parse_field([1, 0, 1])
 # Q(i) as x^2 + 4 with basis {1, theta/2}: 2 divides the index
 J = parse_field([4, 0, 1], basis=[[1, 0], [0, Fraction(1, 2)]])
 
-hnf_ideal = ideals._hnf_ideal
-ideals._hnf_ideal = lambda cols, field: replace(hnf_ideal(cols, field), norm=1)
+# the fold both routes build their primes by reports norm 1
+hnf_ideal_over = ideals._hnf_ideal_over
+ideals._hnf_ideal_over = lambda tri, cols: replace(hnf_ideal_over(tri, cols),
+                                                   norm=1)
 rejected(lambda: ideals.factor_prime(2, K))
 rejected(lambda: ideals._index_divisor_primes(2, J))
-ideals._hnf_ideal = hnf_ideal
+ideals._hnf_ideal_over = hnf_ideal_over
 
 # an empty kernel leaves p * P^(-1) = pO
 modp_kernel = ideals._modp_kernel
@@ -1012,3 +1039,14 @@ def test_inert_products_are_scalar_multiples(monkeypatch):
                 want = by_generators(want, P)
         assert inert >= 1
     assert kinds == ALL_KINDS
+
+
+def test_prime_hash_leaves_out_the_hnf_bases(q23):
+    # a prime hashes by (p, gen_poly, e, f, norm); equality still compares
+    # both HNF bases
+    P = factor_prime(2, q23)[0]
+    Q = replace(P, hnf_basis=P.inv_basis, inv_basis=P.hnf_basis)
+    assert Q.hnf_basis != P.hnf_basis
+    assert hash(Q) == hash(P) and Q != P
+    assert replace(P, inv_basis=((1, 0), (0, 1))) != P
+    assert replace(P) == P and {P: 1}[replace(P)] == 1

@@ -941,3 +941,15 @@ def test_report_fields_read_off_the_exact_values(monkeypatch):
             _eager_report_fields([v], sub, beta)
         checked += 1
     assert checked > 150
+
+
+def test_hnf_lattice_needs_a_square_nonsingular_basis():
+    # |det B| Z^n is the triangle the columns fold into: a basis that is not
+    # square has no such det, and a singular one no full-rank Hermite form
+    with pytest.raises(ValueError, match="square basis"):
+        hnf_lattice(LatticeBasis([[1, 0, 0], [0, 1, 0]]))
+    with pytest.raises(RankDeficient, match="singular"):
+        hnf_lattice(LatticeBasis([[1, 2], [2, 4]]))
+    # the sign of det B does not matter
+    assert hnf_lattice(LatticeBasis([[1, 3], [2, 0]])).columns == \
+        [[2, 0], [1, 3]]

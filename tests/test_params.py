@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from classgroup.errors import DegreeOne
+from under_O import run_under_O
 from classgroup.params import (classify_D, classify_invariants,
                                cyclotomic_degree_ratio, cyclotomic_invariants,
                                mode_exponent, predicted_complexity,
@@ -94,3 +95,40 @@ def test_select_params_clamps(q5):
     assert pl.mode in ("medium", "large", "cheon")
     pl2 = select_params(q5, mode_override="cheon")
     assert pl2.mode == "cheon"
+
+
+_INPUT_CHECKS_UNDER_O = """
+from classgroup import ideals
+from classgroup.errors import DomainTooSmall, VerificationFailed
+from classgroup.field import parse_field
+from classgroup.lattice import LatticeBasis, cheon_reduce
+from classgroup.params import classify_invariants, cyclotomic_invariants
+
+assert not __debug__, "run with python -O"
+
+
+def raised(check):
+    try:
+        check()
+    except (ValueError, DomainTooSmall, VerificationFailed) as e:
+        print(type(e).__name__ + ":", e)
+    else:
+        print("accepted")
+
+
+raised(lambda: cheon_reduce(LatticeBasis([[1, 0, 0], [0, 1, 0]]), 2))
+raised(lambda: classify_invariants(2, 1.0, 3))
+raised(lambda: cyclotomic_invariants(2))
+# 1 spans no ideal of Q(i) mod 2: no alpha has a kernel of dimension 1
+raised(lambda: ideals._second_generator([[1, 0]], parse_field([1, 0, 1]), 2))
+"""
+
+
+def test_input_checks_raise_typed_errors_under_python_O():
+    # checks on the input of public functions are not asserts, so they hold
+    # where python -O strips those
+    assert run_under_O(_INPUT_CHECKS_UNDER_O) == [
+        "ValueError: cheon_reduce needs a square basis, got 3 x 2",
+        "DomainTooSmall: log|disc| = 1.0 must exceed 1 to classify",
+        "ValueError: cyclotomic_invariants needs l >= 3, got 2",
+        "VerificationFailed: no second generator for a prime above 2"]
